@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes are stable: 0 success, 1 input or usage problem, 2 graph not
-nice (contains a two-vertex component), 3 verification failure.
+nice (contains a two-vertex component), 3 verification failure or internal
+error (a broken construction invariant, reported as "internal error: ...").
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from .engine import brute_force_min_k, label_graph, random_nice_graph
 from .graph import Graph, GraphFormatError, NotNiceError, parse_graph
 from .labelling import find_conflicts, format_labelling, format_products, parse_labelling
+from .upward import InvariantViolation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -165,6 +167,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CONFLICTS
 
 
 if __name__ == "__main__":

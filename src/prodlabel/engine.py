@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .graph import ComponentView, Graph, NotNiceError, connected_components, is_nice
+from .graph import Graph, NotNiceError, connected_components, is_nice
 from .labelling import Labelling, find_conflicts
 from .partition import Partition, build_valid_partition
 from .repair import run_repair_pass
@@ -19,13 +19,12 @@ class PipelineReport:
     """Outcome of labelling one graph; the verdict is recomputed from the
     labels by the independent conflict scan, never trusted from the pipeline.
 
-    ``partitions`` pairs each multi-vertex component (sorted global vertex
-    ids) with the partition of its induced subgraph; the partition indexes
-    vertices by their position in that sorted list.
+    ``partition`` is the valid partition of the whole graph after the upward
+    pass's swaps; it is None only when the graph has no edges.
     """
 
     labelling: Labelling
-    partitions: list[tuple[list[int], Partition]]
+    partition: Partition | None = None
     swaps: int = 0
     components_fixed: int = 0
     tally: Counter = field(default_factory=Counter)
@@ -38,35 +37,28 @@ class PipelineReport:
 
 
 def label_graph(g: Graph, trace: bool = False) -> PipelineReport:
-    """Product-proper 3-labelling of a nice graph, built per component.
+    """Product-proper 3-labelling of a nice graph.
 
-    Each connected component with at least two vertices runs through the
-    partition builder, the upward pass, and the repair pass; isolated
-    vertices need nothing.
+    The partition builder, the upward pass and the repair pass each run once
+    over the whole graph.  Every step of the construction stays inside one
+    connected component, so no per-component split is needed; isolated
+    vertices land in part 1 and touch no edge.
     """
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
-    labels = [1] * g.m
-    report = PipelineReport(Labelling(labels), [])
-    for comp in connected_components(g):
-        if len(comp) < 2:
-            continue
-        view = ComponentView(g, comp)
-        sub = view.graph
-        partition = build_valid_partition(sub)
-        up = run_upward_pass(sub, partition, trace=trace)
-        rep = run_repair_pass(sub, up.partition, up.labelling, trace=trace)
-        for local_eid, lab in enumerate(rep.labelling.labels):
-            labels[view.to_global_edge(local_eid)] = lab
-        report.partitions.append((comp, up.partition))
-        report.swaps += up.swaps
-        report.components_fixed += len(rep.component_vertices)
-        report.tally.update(rep.tally)
-        if trace:
-            prefix = f"component@{comp[0]} "
-            report.trace.extend(prefix + line for line in up.trace + rep.trace)
-    report.conflicts = find_conflicts(g, report.labelling)
-    return report
+    if g.m == 0:
+        return PipelineReport(Labelling([]))
+    up = run_upward_pass(g, build_valid_partition(g), trace=trace)
+    rep = run_repair_pass(g, up.partition, up.labelling, trace=trace)
+    return PipelineReport(
+        labelling=rep.labelling,
+        partition=up.partition,
+        swaps=up.swaps,
+        components_fixed=len(rep.component_vertices),
+        tally=rep.tally,
+        conflicts=find_conflicts(g, rep.labelling),
+        trace=up.trace + rep.trace,
+    )
 
 
 def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:

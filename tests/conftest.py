@@ -44,6 +44,15 @@ def exact_conflicts(g: Graph, labels) -> list[int]:
     return [eid for eid, (u, v) in enumerate(g.edges) if prod[u] == prod[v]]
 
 
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
+    """Subgraph induced by ``vertices``, renumbered in ascending id order,
+    and the parent edge id of each of its edges."""
+    local = {v: i for i, v in enumerate(sorted(vertices))}
+    edge_ids = [eid for eid, (u, v) in enumerate(g.edges) if u in local and v in local]
+    sub = Graph(len(local), [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in edge_ids])
+    return sub, edge_ids
+
+
 def random_graph(rng: random.Random, n_max: int = 10, p: float = 0.4) -> Graph:
     n = rng.randint(1, n_max)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

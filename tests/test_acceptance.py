@@ -9,7 +9,6 @@ import random
 import time
 
 from prodlabel import (
-    ComponentView,
     Graph,
     Labelling,
     brute_force_min_k,
@@ -30,7 +29,7 @@ from prodlabel import (
 )
 from prodlabel.labelling import ProfileTracker
 
-from conftest import complete_graph, exact_conflicts, path_graph
+from conftest import complete_graph, exact_conflicts, induced_subgraph, path_graph
 from test_upward import check_items
 
 
@@ -123,7 +122,7 @@ def test_criterion_4_valid_partition_suite():
         for comp in connected_components(g):
             if len(comp) < 2:
                 continue
-            sub = ComponentView(g, comp).graph
+            sub, _ = induced_subgraph(g, comp)
             built = build_valid_partition(sub)
             try:
                 built.validate(sub)
@@ -153,7 +152,7 @@ def test_criterion_5_upward_postconditions():
         for comp in connected_components(g):
             if len(comp) < 2:
                 continue
-            sub = ComponentView(g, comp).graph
+            sub, _ = induced_subgraph(g, comp)
             res = run_upward_pass(sub, build_valid_partition(sub))
             try:
                 check_items(sub, res.partition, res.labelling)
@@ -238,7 +237,7 @@ def test_criterion_8_locality():
         for comp in connected_components(g):
             if len(comp) < 2:
                 continue
-            sub = ComponentView(g, comp).graph
+            sub, _ = induced_subgraph(g, comp)
             up = run_upward_pass(sub, build_valid_partition(sub))
             before = ProfileTracker(sub, up.labelling.copy())
             res = run_repair_pass(sub, up.partition, up.labelling)

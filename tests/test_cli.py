@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+import prodlabel.cli
+from prodlabel import InvariantViolation
 from prodlabel.cli import main
 
 K3 = "0 1\n0 2\n1 2\n"
@@ -71,6 +73,23 @@ class TestLabelCommand:
         code, out, err = run_cli(capsys, "label", path, "--trace")
         assert code == 0
         assert "part=" in err and "part=" not in out
+
+    def test_huge_declared_count_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.edges", "n 99999999999\n0 1\n1 2\n")
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 1 and out == ""
+        assert "exceeds the limit" in err
+
+    def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def broken(g, trace=False):
+            raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")
+
+        monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
+        path = write(tmp_path, "k3.edges", K3)
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: vertex 0")
+        assert "Traceback" not in err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "k3.edges", K3)

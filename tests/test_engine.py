@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,13 +9,22 @@ from prodlabel import (
     NotNiceError,
     brute_force_labelling,
     brute_force_min_k,
+    connected_components,
     find_conflicts,
     is_nice,
     label_graph,
     random_nice_graph,
 )
 
-from conftest import complete_graph, exact_conflicts, exact_products, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    exact_conflicts,
+    exact_products,
+    induced_subgraph,
+    path_graph,
+    random_connected_nice_graph,
+    star_graph,
+)
 
 
 def python_min_k(g: Graph, k_max: int) -> int | None:
@@ -43,7 +53,8 @@ class TestLabelGraph:
         g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6)])
         rep = label_graph(g)
         assert rep.verified
-        assert len(rep.partitions) == 2
+        assert rep.partition.n == g.n
+        rep.partition.validate(g)
         prods = exact_products(g, rep.labelling.labels)
         assert sorted(prods[:3]) == [2, 3, 6]
         assert sorted(prods[3:]) == [1, 3, 3, 9]
@@ -52,7 +63,9 @@ class TestLabelGraph:
         g = Graph(5, [(1, 2), (2, 3)])
         rep = label_graph(g)
         assert rep.verified
-        assert len(rep.partitions) == 1  # singletons need no partition
+        assert rep.partition.n == g.n
+        rep.partition.validate(g)
+        assert rep.partition.part_of[0] == rep.partition.part_of[4] == 1
 
     def test_star_products(self):
         rep = label_graph(star_graph(3))
@@ -73,6 +86,55 @@ class TestLabelGraph:
     def test_edgeless(self):
         rep = label_graph(Graph(4, []))
         assert rep.verified and rep.labelling.labels == []
+        assert rep.partition is None
+
+
+def _shuffled_union(pieces, rng: random.Random) -> Graph:
+    """Disjoint union of ``pieces`` with the vertex ids of all pieces interleaved."""
+    ids = list(range(sum(g.n for g in pieces)))
+    rng.shuffle(ids)
+    edges, offset = [], 0
+    for g in pieces:
+        edges.extend((ids[offset + u], ids[offset + v]) for u, v in g.edges)
+        offset += g.n
+    return Graph(len(ids), edges)
+
+
+class TestComponentLocality:
+    """One pass over the whole graph, restricted to a component, equals the
+    pass over that component alone.  Every step of the construction stays
+    inside a component, which is why label_graph needs no per-component split."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(0x10CA1)
+        for _ in range(60):
+            pieces = [random_connected_nice_graph(rng, n_max=14, p=rng.choice((0.1, 0.3)))
+                      for _ in range(rng.randint(2, 4))]
+            pieces.append(Graph(rng.randint(0, 2), []))
+            yield _shuffled_union(pieces, rng)
+        for seed in range(300):
+            yield random_nice_graph(rng.randint(10, 40), (0.05, 0.1)[seed % 2], seed)
+
+    def test_restriction_equals_component_alone(self):
+        checked = 0
+        for g in self.graphs():
+            comps = [c for c in connected_components(g) if len(c) > 1]
+            if len(comps) < 2:
+                continue
+            checked += 1
+            whole = label_graph(g)
+            swaps, fixed, tally = 0, 0, Counter()
+            for comp in comps:
+                sub, edge_ids = induced_subgraph(g, comp)
+                alone = label_graph(sub)
+                assert [whole.labelling.labels[e] for e in edge_ids] == alone.labelling.labels
+                assert [whole.partition.part_of[v] for v in comp] == alone.partition.part_of
+                swaps += alone.swaps
+                fixed += alone.components_fixed
+                tally += alone.tally
+            assert (whole.swaps, whole.components_fixed, whole.tally) == (swaps, fixed, tally)
+        assert checked >= 180
 
 
 class TestBruteForceMinK:

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prodlabel import (
-    ComponentView,
     Graph,
     GraphFormatError,
     connected_components,
@@ -11,7 +10,7 @@ from prodlabel import (
     parse_edge_list,
     parse_graph,
 )
-from prodlabel.graph import detect_format
+from prodlabel.graph import MAX_VERTICES, detect_format
 
 from conftest import complete_graph, path_graph, random_graph
 
@@ -72,6 +71,14 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="header"):
             parse_edge_list("0 1\nn 4")
 
+    def test_declared_count_above_limit(self):
+        with pytest.raises(GraphFormatError, match="line 1.*exceeds the limit"):
+            parse_edge_list(f"n {MAX_VERTICES + 1}\n0 1\n1 2")
+
+    def test_id_above_limit(self):
+        with pytest.raises(GraphFormatError, match="line 2.*more than the limit"):
+            parse_edge_list(f"0 1\n1 {MAX_VERTICES}")
+
 
 class TestParseDimacs:
     def test_plain(self):
@@ -97,6 +104,10 @@ class TestParseDimacs:
     def test_duplicate_problem_line(self):
         with pytest.raises(GraphFormatError, match="duplicate problem"):
             parse_dimacs("p edge 2 1\np edge 2 1\ne 1 2")
+
+    def test_declared_count_above_limit(self):
+        with pytest.raises(GraphFormatError, match="line 1.*exceeds the limit"):
+            parse_dimacs(f"p edge {MAX_VERTICES + 1} 0")
 
 
 class TestAutoFormat:
@@ -176,21 +187,3 @@ class TestNiceness:
         g = random_graph(random.Random(seed))
         assert is_nice(g) == all(len(c) != 2 for c in connected_components(g))
 
-
-class TestComponentView:
-    def test_induced_edges_exact(self):
-        g = complete_graph(5)
-        view = ComponentView(g, [0, 2, 4])
-        assert view.vertices == [0, 2, 4]
-        assert view.graph.m == 3
-        for local_eid, (a, b) in enumerate(view.graph.edges):
-            ga, gb = view.to_global_vertex(a), view.to_global_vertex(b)
-            assert g.edges[view.to_global_edge(local_eid)] == (min(ga, gb), max(ga, gb))
-
-    def test_maps_are_inverse(self):
-        g = Graph(6, [(0, 3), (3, 5), (1, 2)])
-        view = ComponentView(g, [0, 3, 5])
-        for v in view.vertices:
-            assert view.to_global_vertex(view.to_local[v]) == v
-        induced = [e for e, (u, v) in enumerate(g.edges) if u in {0, 3, 5} and v in {0, 3, 5}]
-        assert view.edge_ids == induced

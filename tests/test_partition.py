@@ -186,9 +186,11 @@ class TestBuildValidPartition:
         with pytest.raises(NotNiceError):
             build_valid_partition(Graph(2, [(0, 1)]))
 
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError, match="connected"):
-            build_valid_partition(Graph(4, [(0, 1), (1, 2)]))
+    def test_accepts_disconnected(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        p = build_valid_partition(g)
+        p.validate(g)
+        assert p.part_of[3] == 1
 
     def test_single_vertex(self):
         p = build_valid_partition(Graph(1, []))

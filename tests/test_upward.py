@@ -16,7 +16,13 @@ from prodlabel import (
     target_profile,
 )
 
-from conftest import complete_graph, path_graph, random_connected_nice_graph, star_graph
+from conftest import (
+    complete_graph,
+    induced_subgraph,
+    path_graph,
+    random_connected_nice_graph,
+    star_graph,
+)
 
 
 class TestTargetProfile:
@@ -176,14 +182,14 @@ class TestPartFourKnobCorner:
         # edge; when a vertex arrives with an odd downward 2-count the knob
         # must stay at 1 or the total parity breaks.  This seeded graph hits
         # that corner (verified by reconstruction below).
-        from prodlabel import ComponentView, connected_components, random_nice_graph
+        from prodlabel import connected_components, random_nice_graph
 
         g = random_nice_graph(32, 0.5, seed=3840)
         skipped = 0
         for comp in connected_components(g):
             if len(comp) < 2:
                 continue
-            sub = ComponentView(g, comp).graph
+            sub, _ = induced_subgraph(g, comp)
             res = run_upward_pass(sub, build_valid_partition(sub), trace=True)
             check_items(sub, res.partition, res.labelling)
             part_of = res.partition.part_of
