@@ -11,6 +11,7 @@ import time
 from prodlabel import (
     Graph,
     Labelling,
+    brute_force_labelling,
     brute_force_min_k,
     build_valid_partition,
     connected_components,
@@ -85,15 +86,33 @@ def test_criterion_2_oracle_agreement():
         noisy = [rng.choice((1, 2, 3)) for _ in range(g.m)]
         if find_conflicts(g, Labelling(noisy)) != exact_conflicts(g, noisy):
             failures += 1
-    report(2, failures == 0, f"{wanted - failures}/{wanted} graphs: min-k <= 3, "
-           "construction verified, conflict lists match exact products")
+    # Larger graphs, 17-24 edges: the oracle's witness is checked too.
+    wide = 0
+    wide_failures = 0
+    seed = 0
+    while wide < 200:
+        draw = random.Random(0x51DE + seed)
+        g = random_nice_graph(draw.randint(6, 12), draw.choice((0.3, 0.5, 0.7, 0.9)), seed)
+        seed += 1
+        if not 17 <= g.m <= 24:
+            continue
+        wide += 1
+        k = brute_force_min_k(g, 3)
+        witness = brute_force_labelling(g, k) if k else None
+        if k is None or exact_conflicts(g, witness) or not label_graph(g).verified:
+            wide_failures += 1
+    report(2, failures == 0 and wide_failures == 0,
+           f"{wanted - failures}/{wanted} graphs: min-k <= 3, "
+           "construction verified, conflict lists match exact products; "
+           f"{wide - wide_failures}/{wide} graphs with 17-24 edges: min-k <= 3, "
+           "witness and construction verified")
 
 
 def test_criterion_3_tightness():
-    values = {n: brute_force_min_k(complete_graph(n), 3) for n in (3, 4, 5, 6)}
+    values = {n: brute_force_min_k(complete_graph(n), 3) for n in (3, 4, 5, 6, 7)}
     p3 = brute_force_min_k(path_graph(3), 3)
     ok = all(v == 3 for v in values.values()) and p3 == 2
-    report(3, ok, f"complete graphs 3..6 need exactly 3 labels {values}, path-3 needs {p3}")
+    report(3, ok, f"complete graphs 3..7 need exactly 3 labels {values}, path-3 needs {p3}")
 
 
 def _exhaustive_swap_verdict(g: Graph, p) -> bool:

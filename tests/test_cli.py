@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import prodlabel.cli
+import prodlabel.engine
 from prodlabel import InvariantViolation
 from prodlabel.cli import main
 
@@ -151,12 +152,22 @@ class TestOracleCommand:
         path = write(tmp_path, "k2.edges", K2)
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P > 3\n"
+        # Labels with a prime factor above 13.
+        code, out, _ = run_cli(capsys, "oracle", path, "--kmax", "17")
+        assert code == 0 and out == "chi_P > 17\n"
 
     def test_bound_exit_1(self, tmp_path, capsys):
         edges = "".join(f"{i} {i + 1}\n" for i in range(17))
         path = write(tmp_path, "long.edges", edges)
-        code, _, err = run_cli(capsys, "oracle", path)
-        assert code == 1 and "bound" in err
+        code, out, _ = run_cli(capsys, "oracle", path)
+        assert code == 0 and out == "chi_P = 3\n"
+
+    def test_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(prodlabel.engine, "ORACLE_NODE_BUDGET", 1000)
+        path = write(tmp_path, "k2.edges", K2)
+        code, out, err = run_cli(capsys, "oracle", path, "--kmax", "1000000")
+        assert code == 1 and out == ""
+        assert "budget" in err and "Traceback" not in err
 
 
 class TestFuzzCommand:

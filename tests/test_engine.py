@@ -10,6 +10,7 @@ from prodlabel import (
     brute_force_labelling,
     brute_force_min_k,
     connected_components,
+    engine,
     find_conflicts,
     is_nice,
     label_graph,
@@ -162,14 +163,31 @@ class TestBruteForceMinK:
 
     def test_k2_has_no_labelling(self):
         assert brute_force_min_k(Graph(2, [(0, 1)]), 3) is None
+        # The K2 edge comes last: every proper labelling of the 14-edge path
+        # is searched before each k fails.
+        g = Graph(17, [(i, i + 1) for i in range(14)] + [(15, 16)])
+        assert brute_force_min_k(g, 3) is None
 
     def test_edgeless_convention(self):
         assert brute_force_min_k(Graph(3, []), 3) == 1
 
     def test_bound_enforced(self):
+        # A 17-edge path needs 3 labels: with 1 and 2 its even-indexed edges
+        # must alternate and be 2 at both ends, which 8 of them cannot do.
         g = Graph(18, [(i, i + 1) for i in range(17)])
-        with pytest.raises(ValueError, match="16 edges"):
-            brute_force_min_k(g)
+        assert brute_force_min_k(g) == 3
+        assert brute_force_min_k(path_graph(17)) == 2
+
+    def test_budget_shared_across_k(self, monkeypatch):
+        # K2 costs k search nodes at each k: 45 nodes for k <= 9, 55 for
+        # k <= 10, though no single k needs more than 10.
+        monkeypatch.setattr(engine, "ORACLE_NODE_BUDGET", 50)
+        k2 = Graph(2, [(0, 1)])
+        assert brute_force_min_k(k2, 9) is None
+        with pytest.raises(ValueError, match="budget"):
+            brute_force_min_k(k2, 10)
+        with pytest.raises(ValueError, match="budget"):
+            brute_force_labelling(path_graph(60), 3)
 
     def test_agrees_with_python_oracle(self):
         for seed in range(60):
@@ -182,8 +200,6 @@ class TestBruteForceMinK:
             assert brute_force_min_k(g, 3) == python_min_k(g, 3), seed
 
     def test_monotone_in_k(self):
-        from prodlabel._kernels import search_first_proper
-
         for seed in range(40):
             rng = random.Random(seed + 500)
             n = rng.randint(3, 6)
@@ -193,7 +209,7 @@ class TestBruteForceMinK:
             g = Graph(n, edges)
             k = brute_force_min_k(g, 4)
             if k is not None and k < 4:
-                assert search_first_proper(g, k + 1) >= 0
+                assert brute_force_labelling(g, k + 1) is not None
 
     def test_witness_labelling_is_proper(self):
         for n in (3, 4, 5):
@@ -202,6 +218,49 @@ class TestBruteForceMinK:
             assert labels is not None
             assert not exact_conflicts(g, labels)
             assert brute_force_labelling(g, 2) is None
+
+
+def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
+    """First vector of the lexicographic enumeration that exact products accept."""
+    for labels in itertools.product(range(1, k + 1), repeat=g.m):
+        if not exact_conflicts(g, labels):
+            return list(labels)
+    return None
+
+
+class TestBruteForceLabelling:
+    def test_matches_definition(self):
+        checked = 0
+        for seed in range(300):
+            rng = random.Random(seed + 900)
+            n = rng.randint(2, 7)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            rng.shuffle(edges)
+            if len(edges) > 9:
+                continue
+            g = Graph(n, edges)
+            for k in (1, 2, 3, 4):
+                assert brute_force_labelling(g, k) == first_proper_by_definition(g, k), (seed, k)
+                checked += 1
+        assert checked >= 400
+        # 4 = 2 * 2 and 6 = 2 * 3: equal products can come from different
+        # label multisets.
+        for g in (star_graph(3), complete_graph(4), path_graph(5)):
+            for k in (5, 6):
+                assert brute_force_labelling(g, k) == first_proper_by_definition(g, k)
+
+    def test_edgeless(self):
+        assert brute_force_labelling(Graph(3, []), 2) == []
+
+    def test_no_witness(self):
+        assert brute_force_labelling(Graph(2, [(0, 1)]), 3) is None
+        assert brute_force_labelling(Graph(5, [(0, 1), (2, 3), (3, 4)]), 4) is None
+
+    def test_long_path(self):
+        # One search level per edge: a recursive search would overflow the stack.
+        g = path_graph(100_001)
+        labels = brute_force_labelling(g, 3)
+        assert labels is not None and not exact_conflicts(g, labels)
 
 
 class TestConstructionNeverBeatsOracle:
