@@ -243,8 +243,8 @@ class TestBruteForceLabelling:
                 assert brute_force_labelling(g, k) == first_proper_by_definition(g, k), (seed, k)
                 checked += 1
         assert checked >= 400
-        # 4 = 2 * 2 and 6 = 2 * 3: equal products can come from different
-        # label multisets.
+        # Labels up to 6.  These answers never reach 4 or 6; the graphs whose
+        # answers hinge on 4 = 2 * 2 and 6 = 2 * 3 are in test_kernels.py.
         for g in (star_graph(3), complete_graph(4), path_graph(5)):
             for k in (5, 6):
                 assert brute_force_labelling(g, k) == first_proper_by_definition(g, k)

@@ -1,102 +1,68 @@
-import random
+"""Search order and label arithmetic of the oracle's search kernel.
 
-import numpy as np
-import pytest
+brute_force_labelling returns the first proper vector in itertools.product
+order (first edge most significant) and compares exact integer products, so
+a label above 3 counts as the product of its prime factors.
+"""
 
-from prodlabel import Graph
-from prodlabel._kernels import (
-    HAS_NUMBA,
-    decode_labels,
-    kernel_choice,
-    label_weights,
-    search_first_proper,
-)
+import itertools
 
-from conftest import complete_graph, exact_conflicts, path_graph
+from prodlabel import Graph, brute_force_labelling
+
+from conftest import complete_graph, exact_conflicts, exact_products, path_graph
+
+# Lex-first search reaches label 4 on edge 6: with edge 6 at 3, the last edge
+# would need 4, which gives vertex 0 the product 4 of vertex 1 (2 * 2).
+FOUR_IS_TWO_TWOS = Graph(6, [(4, 5), (0, 5), (0, 2), (0, 1), (1, 4), (1, 2), (3, 5), (0, 3)])
+
+# Lex-first search reaches label 6 on edge 13: with 5 there, the last edge
+# would need 6, which gives vertex 0 the product 6 of vertex 8 (2 * 3).
+SIX_IS_TWO_THREES = Graph(9, [(0, 7), (0, 1), (0, 8), (0, 3), (0, 5), (5, 7), (1, 3), (1, 7),
+                              (2, 5), (5, 6), (1, 8), (4, 6), (5, 8), (6, 7), (0, 2)])
 
 
 class TestLabelWeights:
     def test_three_labels(self):
-        w = label_weights(3)
-        assert w[1].tolist() == [0, 0]
-        assert w[2].tolist() == [1, 0]
-        assert w[3].tolist() == [0, 1]
+        # K3 needs three pairwise distinct labels; 1, 2, 3 give distinct products.
+        g = complete_graph(3)
+        assert brute_force_labelling(g, 2) is None
+        assert brute_force_labelling(g, 3) == [1, 2, 3]
+        assert exact_products(g, [1, 2, 3]) == [2, 3, 6]
 
     def test_label_four_counts_two_twos(self):
-        w = label_weights(4)
-        assert w[4].tolist() == [2, 0]
+        g = FOUR_IS_TWO_TWOS
+        skipped = [1, 1, 1, 1, 2, 2, 3, 4]
+        assert exact_products(g, skipped)[:2] == [4, 4]
+        assert exact_conflicts(g, skipped) == [3]
+        assert brute_force_labelling(g, 4) == [1, 1, 1, 1, 2, 2, 4, 3]
 
     def test_label_six_splits(self):
-        w = label_weights(6)
-        assert w[6, 0] == 1 and w[6, 1] == 1
-        assert w[5, 2] == 1
+        g = SIX_IS_TWO_THREES
+        skipped = [1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 2, 2, 5, 6]
+        prod = exact_products(g, skipped)
+        assert prod[0] == prod[8] == 6
+        assert exact_conflicts(g, skipped) == [2]
+        # 5 is prime: the answer puts it on vertex 0 and no neighbour matches.
+        assert brute_force_labelling(g, 6) == [1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 2, 2, 6, 5]
 
 
 class TestDecode:
     def test_round_trip_order(self):
-        # Index 0 is all-1; the last edge is the fastest digit.
-        assert decode_labels(0, 3, 3) == [1, 1, 1]
-        assert decode_labels(1, 3, 3) == [1, 1, 2]
-        assert decode_labels(3, 2, 3) == [2, 1]
+        # On P4 both [1, 2, 2] and [2, 2, 1] are proper; the first edge is the
+        # most significant digit, so [1, 2, 2] comes first.
+        g = path_graph(4)
+        assert not exact_conflicts(g, [2, 2, 1])
+        assert brute_force_labelling(g, 3) == [1, 2, 2]
 
     def test_found_index_decodes_to_proper_labelling(self):
         g = complete_graph(4)
-        idx = search_first_proper(g, 3)
-        assert idx >= 0
-        labels = decode_labels(idx, g.m, 3)
+        labels = brute_force_labelling(g, 3)
+        assert labels is not None
         assert not exact_conflicts(g, labels)
         # Every earlier vector conflicts somewhere.
-        for earlier in range(0, idx, max(1, idx // 50)):
-            assert exact_conflicts(g, decode_labels(earlier, g.m, 3))
-
-
-class TestKernelAgreement:
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_same_indices_both_paths(self):
-        for seed in range(60):
-            rng = random.Random(seed)
-            n = rng.randint(2, 7)
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-            if len(edges) > 9:
-                continue
-            g = Graph(n, edges)
-            for k in (1, 2, 3, 4):
-                assert search_first_proper(g, k, kernel="numba") == \
-                    search_first_proper(g, k, kernel="numpy"), (seed, k)
-
-    def test_numpy_chunk_boundaries(self):
-        # A graph whose first witness sits beyond one chunk.
-        g = path_graph(10)
-        full = search_first_proper(g, 2, kernel="numpy")
-        assert full == search_first_proper(g, 2, kernel="numba" if HAS_NUMBA else "numpy")
-
-    def test_no_witness_returns_minus_one(self):
-        assert search_first_proper(Graph(2, [(0, 1)]), 3) == -1
-
-    def test_edgeless_trivial(self):
-        assert search_first_proper(Graph(3, []), 2) == 0
-
-
-class TestKernelChoice:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PRODLABEL_KERNEL", "numpy")
-        assert kernel_choice() == "numpy"
-        monkeypatch.setenv("PRODLABEL_KERNEL", "numba")
-        assert kernel_choice() == "numba"
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("PRODLABEL_KERNEL", "cuda")
-        with pytest.raises(ValueError):
-            kernel_choice()
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("PRODLABEL_KERNEL", raising=False)
-        assert kernel_choice() == ("numba" if HAS_NUMBA else "numpy")
-
-    def test_bound_guard(self):
-        g = Graph(17, [(i, i + 1) for i in range(16)])
-        with pytest.raises(ValueError, match="bound"):
-            search_first_proper(g, 4)
-
-    def test_weights_dtype(self):
-        assert label_weights(3).dtype == np.int64
+        for earlier in itertools.product(range(1, 4), repeat=g.m):
+            if list(earlier) == labels:
+                break
+            assert exact_conflicts(g, earlier)
+        else:
+            raise AssertionError("labelling not in product order")
