@@ -12,9 +12,8 @@ import argparse
 import sys
 
 from .engine import brute_force_min_k, label_graph, random_nice_graph
-from .graph import Graph, GraphFormatError, NotNiceError, parse_graph
+from .graph import Graph, GraphFormatError, InvariantViolation, NotNiceError, parse_graph
 from .labelling import find_conflicts, format_labelling, format_products, parse_labelling
-from .upward import InvariantViolation
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graph import Graph, NotNiceError, connected_components, is_nice
+from .graph import Graph, connected_components
 from .labelling import Labelling, find_conflicts
 from .partition import Partition, build_valid_partition
 from .repair import run_repair_pass
@@ -41,10 +41,10 @@ def label_graph(g: Graph, trace: bool = False) -> PipelineReport:
     The partition builder, the upward pass and the repair pass each run once
     over the whole graph.  Every step of the construction stays inside one
     connected component, so no per-component split is needed; isolated
-    vertices land in part 1 and touch no edge.
+    vertices land in part 1 and touch no edge.  A graph that is not nice is
+    rejected by the partition builder with NotNiceError; a graph without
+    edges is always nice.
     """
-    if not is_nice(g):
-        raise NotNiceError("graph has a two-vertex component")
     if g.m == 0:
         return PipelineReport(Labelling([]))
     up = run_upward_pass(g, build_valid_partition(g), trace=trace)

@@ -25,6 +25,10 @@ class NotNiceError(ValueError):
     """Raised when a graph has a two-vertex connected component."""
 
 
+class InvariantViolation(AssertionError):
+    """An internally unreachable branch was reached; the construction is broken."""
+
+
 class Graph:
     """Simple undirected graph with dense 0-based vertex ids and indexed edges.
 

@@ -9,9 +9,10 @@ exchanged between the two parts).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .graph import Graph, NotNiceError, is_nice
+from .graph import Graph, InvariantViolation, NotNiceError, is_nice
 
 
 class Partition:
@@ -190,60 +191,97 @@ class SwapWitness:
     edges: frozenset[int]
 
 
+def _side_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
+                  v: int, side: int) -> SwapWitness | None:
+    """The swaps that leave ``v`` with no neighbour in part ``side``, or None.
+
+    ``end_edge`` maps each swappable-edge end to its edge.  The vertex keeps
+    a neighbour on that side under every swap subset iff it has a neighbour
+    there that is not a swappable-edge end, or it is adjacent to both ends of
+    one swappable edge (the pair always occupies both sides).
+    """
+    adjacent_end: dict[int, int] = {}
+    for w, _ in g.adj[v]:
+        eid = end_edge.get(w)
+        if eid is None:
+            if part_of[w] == side:
+                return None
+        elif eid in adjacent_end:
+            return None
+        else:
+            adjacent_end[eid] = w
+    return SwapWitness(v, side, frozenset(eid for eid, w in adjacent_end.items()
+                                          if part_of[w] == side))
+
+
+def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
+                    v: int) -> SwapWitness | None:
+    """The first witness at ``v``: sides 1 then 2 above part 2, side 1 for a
+    part-2 vertex that is no swappable-edge end, none otherwise."""
+    i = part_of[v]
+    if i >= 3:
+        return (_side_witness(g, part_of, end_edge, v, 1)
+                or _side_witness(g, part_of, end_edge, v, 2))
+    if i == 2 and v not in end_edge:
+        return _side_witness(g, part_of, end_edge, v, 1)
+    return None
+
+
+def _end_edges(g: Graph, p: Partition) -> dict[int, int]:
+    """Each end of a swappable edge, mapped to that edge."""
+    end_edge: dict[int, int] = {}
+    for eid in swappable_edges(g, p):
+        u, v = g.edges[eid]
+        end_edge[u] = end_edge[v] = eid
+    return end_edge
+
+
+def _bottom_edge(g: Graph, part_of: list[int], v: int) -> tuple[int, int] | None:
+    """(neighbour, edge id) of the only neighbour of ``v`` in V1 u V2, when
+    ``v`` itself lies in V1 u V2 and has exactly one neighbour there."""
+    if part_of[v] > 2:
+        return None
+    found = None
+    for w, eid in g.adj[v]:
+        if part_of[w] <= 2:
+            if found is not None:
+                return None
+            found = (w, eid)
+    return found
+
+
+def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
+    """The swappable edge with end ``v``, or None; one vertex's share of
+    ``swappable_edges``, so it reads only parts within distance two of v."""
+    first = _bottom_edge(g, part_of, v)
+    if first is None or part_of[first[0]] == part_of[v]:
+        return None
+    back = _bottom_edge(g, part_of, first[0])
+    return first[1] if back is not None and back[0] == v else None
+
+
 def swap_safety_witness(g: Graph, p: Partition) -> SwapWitness | None:
     """None if every subset of swappable edges preserves the partition
     properties, else a concrete failing subset.
 
     Swaps of distinct swappable edges are independent and never break
     independence (each swapped end has no other neighbour in V1 u V2), so the
-    check reduces to one condition per vertex and side: the vertex keeps a
-    neighbour on that side under every swap subset iff it has a neighbour
-    there that is not a swappable-edge end, or it is adjacent to both ends of
-    one swappable edge (the pair always occupies both sides).
+    check reduces to one condition per vertex and side (see
+    ``_side_witness``).  The witness returned is the one of the smallest
+    vertex that has one.
 
     The partition must already be valid with no missing lower neighbours.
     """
     p.validate(g)
     if missing_lower_neighbours(g, p):
         raise ValueError("partition has missing lower neighbours; settle those first")
-    m0 = swappable_edges(g, p)
-    if not m0:
+    end_edge = _end_edges(g, p)
+    if not end_edge:
         return None
-    part_of = p.part_of
-    end_edge: dict[int, int] = {}
-    for eid in m0:
-        u, v = g.edges[eid]
-        end_edge[u] = eid
-        end_edge[v] = eid
-
-    def witness_for(v: int, side: int) -> SwapWitness | None:
-        has_stable = False
-        incident_pairs: dict[int, int] = {}
-        for w, _ in g.adj[v]:
-            eid = end_edge.get(w)
-            if eid is None:
-                if part_of[w] == side:
-                    has_stable = True
-                    break
-            else:
-                incident_pairs[eid] = incident_pairs.get(eid, 0) + 1
-        if has_stable or 2 in incident_pairs.values():
-            return None
-        bad = frozenset(eid for eid in incident_pairs
-                        if part_of[[u for u in g.edges[eid] if g.has_edge(u, v)][0]] == side)
-        return SwapWitness(v, side, bad)
-
     for v in range(g.n):
-        i = part_of[v]
-        if i >= 3:
-            for side in (1, 2):
-                w = witness_for(v, side)
-                if w is not None:
-                    return w
-        elif i == 2 and v not in end_edge:
-            w = witness_for(v, 1)
-            if w is not None:
-                return w
+        w = _vertex_witness(g, p.part_of, end_edge, v)
+        if w is not None:
+            return w
     return None
 
 
@@ -257,41 +295,99 @@ def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partiti
     No move reaches outside the connected component it starts in, so a
     disconnected graph gets the partitions of its components side by side;
     isolated vertices stay in part 1.
+
+    The search keeps a dirty-vertex worklist and makes the same moves in the
+    same order as rescanning the whole graph each round would.  A settle
+    round moves, in id order, each dirty vertex that misses a lower
+    neighbour at the start of the round and still does when its turn comes;
+    only a vertex that moved or has a neighbour that moved can start missing
+    one, so these form the next round's dirty set (the first round's is
+    every vertex).  Move (b) always applies the witness of the smallest
+    vertex that has one.  After the moves of a witness round, swappable-edge
+    ends are recomputed within distance two of the moved vertices, and
+    witnesses next to the moved vertices and the changed ends.  The full
+    scan ``swap_safety_witness`` runs once before the first witness round
+    (a graph that needs none pays nothing more) and otherwise once more at
+    the end as a closing certificate.
     """
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
     p = initial.copy() if initial is not None else greedy_partition(g)
     p.validate(g)
+    part_of, adj = p.part_of, g.adj
 
-    def settle_lower_links() -> None:
-        while True:
-            violations = missing_lower_neighbours(g, p)
-            if not violations:
-                return
-            moved: set[int] = set()
-            for v, j in violations:
-                if v in moved:
-                    continue
-                # Earlier moves in this sweep may have filled the gap already.
-                neighbour_parts = {p.part_of[w] for w, _ in g.adj[v]}
-                target = next((k for k in range(1, p.part_of[v]) if k not in neighbour_parts), None)
-                if target is None:
-                    continue
-                p.move(v, target)
-                moved.add(v)
+    def closed_neighbourhood(vs) -> set[int]:
+        out = set(vs)
+        for v in vs:
+            out.update(w for w, _ in adj[v])
+        return out
+
+    def lower_gap(v: int) -> int | None:
+        i = part_of[v]
+        if i < 2:
+            return None
+        neighbour_parts = {part_of[w] for w, _ in adj[v]}
+        return next((k for k in range(1, i) if k not in neighbour_parts), None)
+
+    def gaps(dirty) -> list[int]:
+        return sorted(v for v in dirty if lower_gap(v) is not None)
+
+    def settle(todo: list[int]) -> set[int]:
+        """Run settle rounds, the first on ``todo``; return every vertex moved."""
+        moved_all: set[int] = set()
+        while todo:
+            moved = []
+            for v in todo:
+                # Earlier moves in this round may have filled the gap already.
+                target = lower_gap(v)
+                if target is not None:
+                    p.move(v, target)
+                    moved.append(v)
             p.compact()
+            moved_all.update(moved)
+            todo = gaps(closed_neighbourhood(moved))
+        return moved_all
 
-    settle_lower_links()
-    while True:
-        witness = swap_safety_witness(g, p)
-        if witness is None:
-            break
-        for eid in sorted(witness.edges):
-            u, v = g.edges[eid]
-            pu, pv = p.part_of[u], p.part_of[v]
-            p.move(u, pv)
-            p.move(v, pu)
-        settle_lower_links()
+    settle(sorted({v for v, _ in missing_lower_neighbours(g, p)}))
+    if swap_safety_witness(g, p) is not None:
+        end_edge = _end_edges(g, p)
+        witnesses: dict[int, SwapWitness] = {}
+        heap: list[int] = []  # every vertex in witnesses, plus stale ones
+
+        def refresh(vs) -> None:
+            for v in vs:
+                w = _vertex_witness(g, part_of, end_edge, v)
+                if w is None:
+                    witnesses.pop(v, None)
+                else:
+                    if v not in witnesses:
+                        heapq.heappush(heap, v)
+                    witnesses[v] = w
+
+        refresh(range(g.n))
+        while witnesses:
+            while heap[0] not in witnesses:
+                heapq.heappop(heap)
+            swapped: list[int] = []
+            for eid in sorted(witnesses[heap[0]].edges):
+                u, v = g.edges[eid]
+                pu, pv = part_of[u], part_of[v]
+                p.move(u, pv)
+                p.move(v, pu)
+                swapped += (u, v)
+            moved = settle(gaps(closed_neighbourhood(swapped))).union(swapped)
+            changed = []
+            for x in closed_neighbourhood(closed_neighbourhood(moved)):
+                eid = _swappable_at(g, part_of, x)
+                if end_edge.get(x) != eid:
+                    changed.append(x)
+                    if eid is None:
+                        del end_edge[x]
+                    else:
+                        end_edge[x] = eid
+            refresh(closed_neighbourhood(moved.union(changed)))
+        if swap_safety_witness(g, p) is not None:
+            raise InvariantViolation("the witness worklist missed a swap-safety witness")
     p.compact()
     p.validate(g)
     return p

@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
 from .partition import Partition
-from .upward import InvariantViolation
 
 
 @dataclass
@@ -169,7 +168,8 @@ def _sweep(state: ProfileTracker, adj: dict[int, list[tuple[int, int]]], root: i
                 parent_edge[w] = eid
                 order.append(w)
     if len(order) != len(adj):
-        raise ValueError("parity sweep requires a connected subgraph")
+        # parity_relabel rejects disconnected input first; only a fixer gets here.
+        raise InvariantViolation("parity sweep requires a connected subgraph")
     need = dict(need_flip)
     for v in reversed(order):
         if v == root:

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
 from .partition import Partition, swappable_edges
-
-
-class InvariantViolation(AssertionError):
-    """An internally unreachable branch was reached; the construction is broken."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,15 @@ import random
 
 from hypothesis import settings
 
-from prodlabel import Graph
+from prodlabel import (
+    Graph,
+    NotNiceError,
+    Partition,
+    greedy_partition,
+    is_nice,
+    missing_lower_neighbours,
+    swap_safety_witness,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -74,3 +82,69 @@ def random_connected_nice_graph(rng: random.Random, n_max: int = 12, p: float = 
             if rng.random() < p:
                 edges.add((i, j))
     return Graph(n, sorted(edges))
+
+def tree_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
+    """Connected graph: a random recursive tree on n vertices in shuffled id
+    order, plus random chords up to m <= n(n-1)/2 edges; O(m) time when m is
+    well below that."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def disjoint_union(graphs) -> Graph:
+    """The graphs side by side, each on the next block of vertex ids."""
+    edges, n = [], 0
+    for h in graphs:
+        edges.extend((u + n, v + n) for u, v in h.edges)
+        n += h.n
+    return Graph(n, edges)
+
+
+
+def reference_build_valid_partition(g: Graph, initial: Partition | None = None) -> Partition:
+    """The valid-partition builder as a full rescan per round: every settle
+    round and every witness round scans the whole graph again.  The
+    production worklist must make exactly the same moves."""
+    if not is_nice(g):
+        raise NotNiceError("graph has a two-vertex component")
+    p = initial.copy() if initial is not None else greedy_partition(g)
+    p.validate(g)
+
+    def settle_lower_links() -> None:
+        while True:
+            violations = missing_lower_neighbours(g, p)
+            if not violations:
+                return
+            moved: set[int] = set()
+            for v, j in violations:
+                if v in moved:
+                    continue
+                # Earlier moves in this sweep may have filled the gap already.
+                neighbour_parts = {p.part_of[w] for w, _ in g.adj[v]}
+                target = next((k for k in range(1, p.part_of[v]) if k not in neighbour_parts), None)
+                if target is None:
+                    continue
+                p.move(v, target)
+                moved.add(v)
+            p.compact()
+
+    settle_lower_links()
+    while True:
+        witness = swap_safety_witness(g, p)
+        if witness is None:
+            break
+        for eid in sorted(witness.edges):
+            u, v = g.edges[eid]
+            pu, pv = p.part_of[u], p.part_of[v]
+            p.move(u, pv)
+            p.move(v, pu)
+        settle_lower_links()
+    p.compact()
+    p.validate(g)
+    return p

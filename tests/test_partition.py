@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prodlabel.partition as partition_module
 from prodlabel import (
     Graph,
     NotNiceError,
@@ -17,11 +18,39 @@ from prodlabel import (
     swappable_edges,
 )
 
-from conftest import complete_graph, path_graph, random_connected_nice_graph, star_graph
+from conftest import (
+    complete_graph,
+    disjoint_union,
+    path_graph,
+    random_connected_nice_graph,
+    reference_build_valid_partition,
+    star_graph,
+    tree_plus_chords,
+)
 
 # P5 as y-x-w-z-p with ids y=0, x=1, w=2, z=3, p=4.
 P5 = path_graph(5)
 P5_SEED = Partition.from_parts([{1, 4}, {0, 3}, {2}])
+
+# The path 0-1-5-3-2-4: its greedy start fails swap robustness once.
+WITNESS_PATH = Graph(6, [(0, 1), (1, 5), (2, 3), (2, 4), (3, 5)])
+
+# Graphs on which a worklist that cuts one corner of the exact update leaves
+# the full scan's moves, found in seeded pools and shrunk edge by edge.
+WORKLIST_CASES = {
+    # Two vertices have witnesses at once; the larger one first ends elsewhere.
+    "smallest-witness-first": Graph(6, [(0, 2), (0, 5), (3, 5), (2, 4), (1, 3), (1, 4)]),
+    # A swappable edge appears two steps away from the moved vertices.
+    "ends-within-distance-two": Graph(8, [
+        (0, 1), (0, 4), (0, 5), (0, 6), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4),
+        (2, 5), (3, 4), (3, 6), (3, 7)]),
+    # A witness changes next to a changed swappable-edge end only.
+    "witnesses-next-to-changed-ends": Graph(26, [
+        (16, 18), (7, 20), (12, 15), (7, 25), (1, 19), (7, 19), (0, 17), (2, 23),
+        (8, 25), (0, 19), (9, 24), (19, 24), (10, 12), (18, 22), (3, 9), (8, 15),
+        (13, 20), (2, 17), (18, 20), (6, 18), (11, 17), (14, 20), (10, 21), (3, 5),
+        (2, 4)]),
+}
 
 
 def exhaustive_swap_check(g: Graph, p: Partition) -> bool:
@@ -214,6 +243,109 @@ class TestBuildValidPartition:
 
     def test_potential_never_increases_from_seed(self):
         assert potential(build_valid_partition(P5, initial=P5_SEED)) <= potential(P5_SEED)
+
+
+def many_components(rng: random.Random, count: int) -> Graph:
+    """``count`` components of 3-8 vertices on consecutive id blocks, each a
+    random tree plus up to as many chords as it has vertices (the shape of
+    the benchmark's many-components files)."""
+    pieces = []
+    for _ in range(count):
+        s = rng.randint(3, 8)
+        pieces.append(tree_plus_chords(rng, s, min(s * (s - 1) // 2, s - 1 + rng.randint(0, s))))
+    return disjoint_union(pieces)
+
+
+def build_with_scans(monkeypatch, g, initial=None):
+    """build_valid_partition's result, the results of its full
+    swap-safety scans, and its number of full missing-lower scans."""
+    witness_scan = partition_module.swap_safety_witness
+    missing_scan = partition_module.missing_lower_neighbours
+    witnesses, missing = [], []
+
+    def counted_witness(g, p):
+        witnesses.append(witness_scan(g, p))
+        return witnesses[-1]
+
+    def counted_missing(g, p):
+        missing.append(1)
+        return missing_scan(g, p)
+
+    monkeypatch.setattr(partition_module, "swap_safety_witness", counted_witness)
+    monkeypatch.setattr(partition_module, "missing_lower_neighbours", counted_missing)
+    try:
+        return build_valid_partition(g, initial), witnesses, len(missing)
+    finally:
+        monkeypatch.undo()
+
+
+class TestWorklistMatchesFullScan:
+    """The worklist builder makes the moves of the full rescan per round."""
+
+    def test_seeded_connected(self, monkeypatch):
+        with_rounds = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            if seed % 2:
+                g = random_connected_nice_graph(rng, n_max=14, p=rng.choice((0.0, 0.1, 0.2, 0.35)))
+            else:
+                n = rng.randint(10, 300)
+                g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
+            p, witnesses, _ = build_with_scans(monkeypatch, g)
+            assert p == reference_build_valid_partition(g), seed
+            with_rounds += witnesses[0] is not None
+        assert with_rounds >= 50
+
+    def test_component_unions(self, monkeypatch):
+        with_rounds = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            g = many_components(rng, rng.randint(2, 40))
+            p, witnesses, _ = build_with_scans(monkeypatch, g)
+            assert p == reference_build_valid_partition(g), seed
+            with_rounds += witnesses[0] is not None
+        assert with_rounds >= 30
+
+    def test_initial_partitions(self):
+        assert build_valid_partition(P5, P5_SEED) == reference_build_valid_partition(P5, P5_SEED)
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_connected_nice_graph(rng, n_max=12)
+            order = list(range(g.n))
+            rng.shuffle(order)
+            start = greedy_partition(g, order)
+            assert build_valid_partition(g, start) == reference_build_valid_partition(g, start), seed
+
+    @pytest.mark.parametrize("name", sorted(WORKLIST_CASES))
+    def test_pinned(self, monkeypatch, name):
+        g = WORKLIST_CASES[name]
+        p, witnesses, _ = build_with_scans(monkeypatch, g)
+        assert witnesses[0] is not None
+        assert p == reference_build_valid_partition(g)
+
+    def test_witness_round(self, monkeypatch):
+        p, witnesses, _ = build_with_scans(monkeypatch, WITNESS_PATH)
+        assert witnesses[0] is not None and witnesses[1:] == [None]
+        assert p.parts == [{0, 2, 5}, {1, 3, 4}]
+        assert p == reference_build_valid_partition(WITNESS_PATH)
+
+
+class TestNoRescanPerRound:
+    """A build scans the whole graph a fixed number of times, however many
+    rounds it makes: the full rescan per round makes 17 and 12 witness scans
+    on these graphs."""
+
+    def test_sparse(self, monkeypatch):
+        g = tree_plus_chords(random.Random(20_000), 20_000, 60_000)
+        _, witnesses, missing = build_with_scans(monkeypatch, g)
+        assert witnesses[0] is not None
+        assert len(witnesses) <= 2 and missing <= 3
+
+    def test_many_components(self, monkeypatch):
+        g = many_components(random.Random(1500), 1500)
+        _, witnesses, missing = build_with_scans(monkeypatch, g)
+        assert witnesses[0] is not None
+        assert len(witnesses) <= 2 and missing <= 3
 
 
 class TestDump:

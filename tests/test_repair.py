@@ -20,7 +20,7 @@ from prodlabel import (
     run_upward_pass,
 )
 from prodlabel.labelling import ProfileTracker
-from prodlabel.repair import anchor_trigger, fix_anchored, hub_vertex
+from prodlabel.repair import _sweep, anchor_trigger, fix_anchored, hub_vertex
 
 from conftest import complete_graph, path_graph, random_connected_nice_graph, star_graph
 
@@ -113,6 +113,16 @@ class TestParityRelabel:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             parity_relabel(g, Labelling.all_ones(g), [0, 1], s=2, exempt=0)
+
+    def test_sweep_disconnected_is_internal(self):
+        # parity_relabel checks connectivity first, so only a fixer can hand
+        # the sweep a disconnected piece: that is a broken construction.
+        g = Graph(4, [(0, 1), (2, 3)])
+        state = ProfileTracker(g, Labelling.all_ones(g))
+        adj = {0: [(1, 0)], 1: [(0, 0)], 2: [(3, 1)], 3: [(2, 1)]}
+        with pytest.raises(InvariantViolation, match="connected"):
+            _sweep(state, adj, 0, {1: True, 3: True}, 2)
+        assert state.labelling.labels == [1, 1]
 
 
 def enumerate_assignments(counts):
@@ -393,7 +403,28 @@ class TestFixPendant:
         assert component_violations(comp, state) == []
 
 
+# One minimal graph per fixer case not pinned above, found by seeded search
+# over the fuzz families (G(n, p), spanning tree plus noise, tree plus
+# chords, caterpillars) and shrunk edge by edge; the case is the only repair
+# the whole pipeline makes on it.
+PINNED_CASES = {
+    "anchor": Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
+    "anchor-seeded": Graph(5, [(0, 3), (1, 3), (0, 4), (0, 2)]),
+    "hub-2-many": Graph(5, [(1, 3), (0, 3), (0, 2), (1, 4)]),
+    "hub-3-even": Graph(9, [(3, 4), (2, 3), (0, 2), (1, 2), (0, 5), (0, 8), (2, 6), (7, 8), (1, 4)]),
+    "hub-3-odd": path_graph(4),
+}
+
+
 class TestRunRepairPass:
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_pinned_case(self, case):
+        g = PINNED_CASES[case]
+        up = run_upward_pass(g, build_valid_partition(g))
+        res = run_repair_pass(g, up.partition, up.labelling)
+        assert res.tally == {case: 1}
+        assert find_conflicts(g, res.labelling) == []
+
     def test_k3_untouched(self):
         g = complete_graph(3)
         p = build_valid_partition(g)
