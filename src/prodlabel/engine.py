@@ -119,10 +119,10 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
     do not suffice.  All k values share ORACLE_NODE_BUDGET search nodes;
     going over it raises ValueError.
     """
-    if g.m == 0:
-        return 1
     if k_max < 1:
         raise ValueError("k_max must be positive")
+    if g.m == 0:
+        return 1
     budget = ORACLE_NODE_BUDGET
     for k in range(1, k_max + 1):
         labels, nodes = _first_proper(g, k, budget)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph, GraphFormatError
 
 LABELS = (1, 2, 3)
@@ -101,17 +99,18 @@ def classify(p: VertexProfile) -> VertexClass:
     return VertexClass(kind, special)
 
 
-def degree_counts(g: Graph, l: Labelling) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (d2, d3) over all vertices, recomputed from scratch."""
-    d2 = np.zeros(g.n, dtype=np.int64)
-    d3 = np.zeros(g.n, dtype=np.int64)
-    if g.m:
-        ends = np.asarray(g.edges, dtype=np.int64)
-        lab = np.asarray(l.labels, dtype=np.int64)
-        for target, value in ((d2, 2), (d3, 3)):
-            picked = ends[lab == value]
-            if picked.size:
-                target += np.bincount(picked.ravel(), minlength=g.n)
+def degree_counts(g: Graph, l: Labelling) -> tuple[list[int], list[int]]:
+    """Lists (d2, d3) over all vertices, recomputed from scratch after
+    ``l.validate(g)`` (ValueError unless every edge has a label in {1,2,3})."""
+    l.validate(g)
+    d2, d3 = [0] * g.n, [0] * g.n
+    for (u, v), lab in zip(g.edges, l.labels):
+        if lab == 2:
+            d2[u] += 1
+            d2[v] += 1
+        elif lab == 3:
+            d3[u] += 1
+            d3[v] += 1
     return d2, d3
 
 
@@ -120,13 +119,8 @@ def find_conflicts(g: Graph, l: Labelling) -> list[int]:
 
     Empty exactly when the labelling is proper for incident products.
     """
-    if g.m == 0:
-        return []
     d2, d3 = degree_counts(g, l)
-    ends = np.asarray(g.edges, dtype=np.int64)
-    u, v = ends[:, 0], ends[:, 1]
-    mask = (d2[u] == d2[v]) & (d3[u] == d3[v])
-    return np.flatnonzero(mask).tolist()
+    return [eid for eid, (u, v) in enumerate(g.edges) if d2[u] == d2[v] and d3[u] == d3[v]]
 
 
 class ProfileTracker:

@@ -294,7 +294,24 @@ def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partiti
     stranded vertex down.  Every move lowers the potential, so the loop ends.
     No move reaches outside the connected component it starts in, so a
     disconnected graph gets the partitions of its components side by side;
-    isolated vertices stay in part 1.
+    isolated vertices stay in part 1.  An invalid ``initial`` raises
+    ValueError; a check that fails after that is an InvariantViolation.
+    """
+    if not is_nice(g):
+        raise NotNiceError("graph has a two-vertex component")
+    p = initial.copy() if initial is not None else greedy_partition(g)
+    p.validate(g)
+    try:
+        _local_search(g, p)
+        p.compact()
+        p.validate(g)
+    except ValueError as exc:
+        raise InvariantViolation(f"valid-partition builder: {exc}") from exc
+    return p
+
+
+def _local_search(g: Graph, p: Partition) -> None:
+    """The moves of ``build_valid_partition``, made on ``p`` in place.
 
     The search keeps a dirty-vertex worklist and makes the same moves in the
     same order as rescanning the whole graph each round would.  A settle
@@ -310,10 +327,6 @@ def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partiti
     (a graph that needs none pays nothing more) and otherwise once more at
     the end as a closing certificate.
     """
-    if not is_nice(g):
-        raise NotNiceError("graph has a two-vertex component")
-    p = initial.copy() if initial is not None else greedy_partition(g)
-    p.validate(g)
     part_of, adj = p.part_of, g.adj
 
     def closed_neighbourhood(vs) -> set[int]:
@@ -388,6 +401,3 @@ def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partiti
             refresh(closed_neighbourhood(moved.union(changed)))
         if swap_safety_witness(g, p) is not None:
             raise InvariantViolation("the witness worklist missed a swap-safety witness")
-    p.compact()
-    p.validate(g)
-    return p

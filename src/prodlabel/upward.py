@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
-from .partition import Partition, swappable_edges
+from .partition import Partition, _end_edges
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,8 @@ def run_upward_pass(g: Graph, p: Partition, trace: bool = False) -> UpwardResult
     state = ProfileTracker(g)
     result = UpwardResult(state.labelling, part)
 
-    m0 = swappable_edges(g, part)
-    pending = set(m0)  # swappable edges with both ends still 1-monochromatic
-    end_edge: dict[int, int] = {}
-    for eid in m0:
-        a, b = g.edges[eid]
-        end_edge[a] = eid
-        end_edge[b] = eid
+    end_edge = _end_edges(g, part)
+    pending = set(end_edge.values())  # swappable edges with both ends still 1-monochromatic
 
     adjacent = {u: dict(g.adj[u]) for u in range(g.n) if part_of[u] >= 3}
 

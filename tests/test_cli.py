@@ -1,12 +1,16 @@
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
 import prodlabel.cli
 import prodlabel.engine
-from prodlabel import InvariantViolation
+from prodlabel import InvariantViolation, Partition
 from prodlabel.cli import main
+
+from test_partition import WITNESS_PATH
 
 K3 = "0 1\n0 2\n1 2\n"
 K2 = "0 1\n"
@@ -92,6 +96,16 @@ class TestLabelCommand:
         assert err.startswith("internal error: vertex 0")
         assert "Traceback" not in err
 
+    def test_broken_partition_builder_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Without compact() the builder leaves an empty part behind; its own
+        # validity checks must report that as a broken construction.
+        monkeypatch.setattr(Partition, "compact", lambda self: None)
+        path = write(tmp_path, "witness.edges", WITNESS_PATH.to_edge_list())
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:") and "part 3 is empty" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "k3.edges", K3)
         _, out1, _ = run_cli(capsys, "label", path)
@@ -162,6 +176,13 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P = 3\n"
 
+    @pytest.mark.parametrize("content", ["n 3\n", P3], ids=["edgeless", "path"])
+    def test_kmax_zero_exit_1(self, tmp_path, capsys, content):
+        path = write(tmp_path, "g.edges", content)
+        code, out, err = run_cli(capsys, "oracle", path, "--kmax", "0")
+        assert code == 1 and out == ""
+        assert "k_max must be positive" in err
+
     def test_budget_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(prodlabel.engine, "ORACLE_NODE_BUDGET", 1000)
         path = write(tmp_path, "k2.edges", K2)
@@ -192,3 +213,19 @@ class TestFuzzCommand:
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--trials", "0")
         assert code == 1
+
+
+def test_imports_only_the_standard_library():
+    """A fresh interpreter that imports the package and its CLI loads no
+    module from outside the standard library."""
+    src = os.path.dirname(os.path.dirname(prodlabel.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import prodlabel, prodlabel.cli\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - sys.stdlib_module_names - {'prodlabel'}))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

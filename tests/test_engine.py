@@ -171,6 +171,11 @@ class TestBruteForceMinK:
     def test_edgeless_convention(self):
         assert brute_force_min_k(Graph(3, []), 3) == 1
 
+    def test_kmax_checked_first(self):
+        for g in (Graph(3, []), path_graph(3)):
+            with pytest.raises(ValueError, match="k_max must be positive"):
+                brute_force_min_k(g, 0)
+
     def test_bound_enforced(self):
         # A 17-edge path needs 3 labels: with 1 and 2 its even-indexed edges
         # must alternate and be 2 at both ends, which 8 of them cannot do.

@@ -62,7 +62,8 @@ class TestClassify:
 class TestFindConflicts:
     def test_all_one_path(self):
         g = path_graph(3)
-        assert find_conflicts(g, Labelling.all_ones(g)) == [0, 1]
+        conflicts = find_conflicts(g, Labelling.all_ones(g))
+        assert conflicts == [0, 1] and all(type(eid) is int for eid in conflicts)
 
     def test_k3_proper(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -100,6 +101,23 @@ class TestFindConflicts:
         for i in (1, 2, 3):
             total = sum(getattr(profile(g, l, v), f"d{i}") for v in range(g.n))
             assert total % 2 == 0
+
+
+class TestLabellingMustFitGraph:
+    """The checker and the product report refuse a labelling that does not
+    give every edge one label in {1,2,3}, instead of counting past it or
+    stopping short of it."""
+
+    @pytest.mark.parametrize("check", [find_conflicts, format_products])
+    @pytest.mark.parametrize("g, labels", [
+        (path_graph(3), [2]),
+        (path_graph(3), [2, 3, 1]),
+        (path_graph(3), [2, 4]),
+        (Graph(2, []), [1]),
+    ], ids=["short", "long", "label-4", "edgeless-long"])
+    def test_rejected(self, check, g, labels):
+        with pytest.raises(ValueError, match="covers|outside"):
+            check(g, Labelling(labels))
 
 
 class TestProfileTracker:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import prodlabel.partition as partition_module
 from prodlabel import (
     Graph,
+    InvariantViolation,
     NotNiceError,
     Partition,
     build_valid_partition,
@@ -214,6 +215,15 @@ class TestBuildValidPartition:
     def test_rejects_k2(self):
         with pytest.raises(NotNiceError):
             build_valid_partition(Graph(2, [(0, 1)]))
+
+    def test_invalid_initial_is_input_error(self):
+        with pytest.raises(ValueError, match="not independent"):
+            build_valid_partition(P5, initial=Partition([1, 1, 2, 1, 2]))
+
+    def test_broken_construction_is_internal(self, monkeypatch):
+        monkeypatch.setattr(Partition, "compact", lambda self: None)
+        with pytest.raises(InvariantViolation, match="part 3 is empty"):
+            build_valid_partition(WITNESS_PATH)
 
     def test_accepts_disconnected(self):
         g = Graph(4, [(0, 1), (1, 2)])
