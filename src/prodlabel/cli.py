@@ -38,9 +38,9 @@ def cmd_label(args) -> int:
     if args.trace:
         for line in report.trace:
             print(line, file=sys.stderr)
-    # The pipeline's own verdict is recomputed from the labels; refuse to
-    # report success unless the independent scan agrees.
-    if find_conflicts(g, report.labelling):
+    # label_graph recomputes its verdict from the labels with the independent
+    # conflict scan; refuse to report success unless that scan agrees.
+    if not report.verified:
         print("internal error: labelling failed verification", file=sys.stderr)
         return EXIT_CONFLICTS
     out = format_labelling(g, report.labelling) + "\n" + format_products(g, report.labelling)
@@ -86,8 +86,7 @@ def cmd_fuzz(args) -> int:
         g = random_nice_graph(args.n, args.p, seed)
         try:
             report = label_graph(g)
-            bad = bool(find_conflicts(g, report.labelling))
-            bad = bad or any(lab not in (1, 2, 3) for lab in report.labelling.labels)
+            bad = not report.verified
         except Exception as exc:  # noqa: BLE001 - fuzz must report, not crash
             print(f"trial {trial} raised {exc!r}", file=sys.stderr)
             bad = True

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 # Largest vertex count the parsers accept.  A graph allocates one adjacency
 # list per vertex before anything else is checked, so a header such as
 # "n 99999999999" must be refused before it reaches Graph.  2**20 is about
@@ -227,23 +225,29 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum id."""
-    seen = [False] * g.n
+def connected_components(g: Graph, vertices=None) -> list[list[int]]:
+    """Vertex sets of the connected components of the subgraph induced by
+    ``vertices`` (default: the whole graph), each sorted, ordered by minimum id.
+
+    The walk filters ``g.adj`` by membership in the vertex set, so its cost
+    scales with the set and its adjacency lists, not with ``g.n``.
+    """
+    order = range(g.n) if vertices is None else sorted(vertices)
+    inside = None if vertices is None else set(order)
+    seen: set[int] = set()
     comps: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in order:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, _ in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
+        stack = [start]
+        while stack:
+            for w, _ in g.adj[stack.pop()]:
+                if w not in seen and (inside is None or w in inside):
+                    seen.add(w)
                     comp.append(w)
-                    queue.append(w)
+                    stack.append(w)
         comp.sort()
         comps.append(comp)
     return comps

@@ -8,6 +8,12 @@ monochromatic or special (special: exactly one 3, at least two 2s, odd 2+3
 count).  Only edges inside the component are touched, so products elsewhere
 are unaffected.
 
+Every walk reads the input graph's own ``g.adj`` and keeps to a vertex set
+(the component, a piece or a block of it) by a membership test, so no
+adjacency is ever copied.  ``g.adj`` is sorted by (neighbour, edge id), so
+the filtered lists hand out neighbours in ascending order and every
+smallest-neighbour choice is deterministic.
+
 Three mutually exclusive fixers cover all components, tried in order:
 
 * ``fix_anchored``  - the component has (or gains) a 3-anchored side-1 vertex;
@@ -20,54 +26,38 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graph import Graph, InvariantViolation
+from .graph import Graph, InvariantViolation, connected_components
 from .labelling import Labelling, ProfileTracker
 from .partition import Partition
 
 
 @dataclass
 class ConflictComponent:
-    """One connected component of the bottom subgraph holding a conflict."""
+    """One connected component of the bottom subgraph holding a conflict.
+
+    No adjacency of its own: the neighbours of v inside the component are
+    the entries of ``g.adj[v]`` whose vertex is a key of ``side``.
+    """
 
     g: Graph
     vertices: list[int]                      # sorted global ids
     side: dict[int, int]                     # 1 or 2, from the partition
-    adj: dict[int, list[tuple[int, int]]]    # within-component (nbr, edge id)
     edge_ids: list[int]                      # sorted global edge ids
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(_within(self.g, v, self.side))
 
 
-def _bottom_components(g: Graph, p: Partition) -> list[list[int]]:
-    bottom = [v for v in range(g.n) if p.part_of[v] <= 2]
-    inside = set(bottom)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in bottom:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in g.adj[v]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
+def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
+    """The (neighbour, edge id) pairs of ``g.adj[v]`` whose neighbour is in
+    ``vset`` (any container), in ascending neighbour order."""
+    return [(w, eid) for w, eid in g.adj[v] if w in vset]
 
 
 def _component_view(g: Graph, p: Partition, vertices: list[int]) -> ConflictComponent:
-    inside = set(vertices)
-    adj = {v: sorted((w, eid) for w, eid in g.adj[v] if w in inside) for v in vertices}
-    edge_ids = sorted({eid for v in vertices for _, eid in adj[v]})
     side = {v: p.part_of[v] for v in vertices}
-    return ConflictComponent(g, vertices, side, adj, edge_ids)
+    edge_ids = sorted(eid for v in vertices for w, eid in g.adj[v] if v < w and w in side)
+    return ConflictComponent(g, vertices, side, edge_ids)
 
 
 def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
@@ -87,7 +77,7 @@ def conflict_components(g: Graph, p: Partition, l: Labelling | ProfileTracker) -
     """
     state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
     out = []
-    for vertices in _bottom_components(g, p):
+    for vertices in connected_components(g, [v for v in range(g.n) if p.part_of[v] <= 2]):
         comp = _component_view(g, p, vertices)
         if _has_conflict(comp, state):
             if len(comp.edge_ids) < 2:
@@ -117,58 +107,38 @@ def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list
 # Parity machinery
 
 
-def _induced_adj(comp: ConflictComponent, vset: set[int]) -> dict[int, list[tuple[int, int]]]:
-    return {v: [(w, eid) for w, eid in comp.adj[v] if w in vset] for v in vset}
-
-
-def _components_of(adj: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
-
-
-def _sweep(state: ProfileTracker, adj: dict[int, list[tuple[int, int]]], root: int,
+def _sweep(state: ProfileTracker, vset: set[int], root: int,
            need_flip: dict[int, bool], s: int) -> None:
     """Toggle spanning-tree edges (1 <-> s) bottom-up so every vertex with
     need_flip set has its s-parity flipped; the root absorbs the slack.
 
-    Every edge of ``adj`` must currently carry label 1 or s.  Each non-root
-    vertex owns exactly one tree edge towards the root, processed after all
-    edges below it, so one pass settles every requested flip exactly.
+    The tree spans the subgraph induced by ``vset``, which must be connected
+    and contain the root, and every edge of that subgraph must carry label 1
+    or s.  parity_relabel checks both first and the fixers guarantee them,
+    so a failure here is a broken construction.
+    Each non-root vertex owns exactly one tree edge towards the root,
+    processed after all edges below it, so one pass settles every requested
+    flip exactly.
     """
+    adj = state.g.adj
     order = [root]
     parent: dict[int, int] = {root: root}
     parent_edge: dict[int, int] = {}
-    seen = {root}
     qi = 0
     while qi < len(order):
         v = order[qi]
         qi += 1
         for w, eid in adj[v]:
+            if w not in vset:
+                continue
             if state.label(eid) not in (1, s):
-                raise ValueError(f"edge {eid} carries label {state.label(eid)}, expected 1 or {s}")
-            if w not in seen:
-                seen.add(w)
+                raise InvariantViolation(
+                    f"edge {eid} carries label {state.label(eid)}, expected 1 or {s}")
+            if w not in parent:
                 parent[w] = v
                 parent_edge[w] = eid
                 order.append(w)
-    if len(order) != len(adj):
-        # parity_relabel rejects disconnected input first; only a fixer gets here.
+    if len(order) != len(vset):
         raise InvariantViolation("parity sweep requires a connected subgraph")
     need = dict(need_flip)
     for v in reversed(order):
@@ -184,24 +154,27 @@ def parity_relabel(g: Graph, l: Labelling | ProfileTracker, edge_ids, s: int,
                    exempt: int, odd_on_exempt_side: bool = True) -> list[int]:
     """Relabel a connected bipartite subgraph with 1/s to fixed parities.
 
-    Within the subgraph spanned by ``edge_ids``, every vertex on the exempt
-    vertex's side except the exempt vertex itself ends with odd s-degree and
-    every vertex on the other side with even s-degree (or the swapped pattern
-    when ``odd_on_exempt_side`` is false).  Parities count subgraph edges
-    only.  Returns the edge ids whose label changed.
+    The subgraph is the one induced by the ends of ``edge_ids`` plus the
+    exempt vertex; ``edge_ids`` must be exactly its edge set, each carrying
+    label 1 or s.  Every vertex on the exempt vertex's side except the
+    exempt vertex itself ends with odd s-degree and every vertex on the
+    other side with even s-degree (or the swapped pattern when
+    ``odd_on_exempt_side`` is false).  Parities count subgraph edges only.
+    Returns the edge ids whose label changed.
     """
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
     state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
-    adj: dict[int, list[tuple[int, int]]] = {}
+    edge_ids = list(edge_ids)
     for eid in edge_ids:
-        u, v = g.edges[eid]
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    for v in adj:
-        adj[v].sort()
-    if exempt not in adj:
-        adj.setdefault(exempt, [])
+        if state.label(eid) not in (1, s):
+            raise ValueError(f"edge {eid} carries label {state.label(eid)}, expected 1 or {s}")
+    vset = {exempt}
+    for eid in edge_ids:
+        vset.update(g.edges[eid])
+    induced = [eid for v in vset for w, eid in g.adj[v] if v < w and w in vset]
+    if sorted(induced) != sorted(edge_ids):
+        raise ValueError("edge_ids must be every edge its ends and the exempt vertex induce")
     # 2-colour from the exempt vertex; the subgraph must be bipartite.
     colour = {exempt: 0}
     queue = [exempt]
@@ -209,28 +182,28 @@ def parity_relabel(g: Graph, l: Labelling | ProfileTracker, edge_ids, s: int,
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        for w, _ in adj[v]:
+        for w, _ in _within(g, v, vset):
             if w not in colour:
                 colour[w] = colour[v] ^ 1
                 queue.append(w)
             elif colour[w] == colour[v]:
                 raise ValueError("subgraph is not bipartite")
-    if len(colour) != len(adj):
+    if len(colour) != len(vset):
         raise ValueError("subgraph is not connected")
-    within = {v: 0 for v in adj}
+    within = {v: 0 for v in vset}
     for eid in edge_ids:
         if state.label(eid) == s:
             u, v = g.edges[eid]
             within[u] += 1
             within[v] += 1
     need = {}
-    for v in adj:
+    for v in vset:
         if v == exempt:
             continue
         want_odd = (colour[v] == 0) == odd_on_exempt_side
         need[v] = (within[v] % 2 == 1) != want_odd
     before = {eid: state.label(eid) for eid in edge_ids}
-    _sweep(state, adj, exempt, need, s)
+    _sweep(state, vset, exempt, need, s)
     return [eid for eid in edge_ids if state.label(eid) != before[eid]]
 
 
@@ -288,10 +261,14 @@ def anchor_trigger(comp: ConflictComponent, state: ProfileTracker) -> bool:
 
 def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
     """Smallest 1-mono side-1 vertex with two 1-mono pendant side-2 neighbours."""
+    g = comp.g
+    # Counted once: comp.degree(w) per neighbour would rescan a high-degree
+    # vertex's adjacency list once for each of its neighbours.
+    degree = Counter(x for eid in comp.edge_ids for x in g.edges[eid])
     for v in comp.vertices:
         if comp.side[v] == 1 and state.is_mono1(v):
-            pendants = [(w, eid) for w, eid in comp.adj[v]
-                        if comp.degree(w) == 1 and state.is_mono1(w)]
+            pendants = [(w, eid) for w, eid in _within(g, v, comp.side)
+                        if degree[w] == 1 and state.is_mono1(w)]
             if len(pendants) >= 2:
                 return v, pendants[0], pendants[1]
     return None
@@ -307,6 +284,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str:
     absorbed by a second 1/3 parity pass over the anchor contact graph, and
     odd anchors are evened out by rerouting one 3 onto a reserve neighbour.
     """
+    g = comp.g
     case = "anchor"
     seed = _anchor_seed(comp, state)
     if seed is not None:
@@ -325,7 +303,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str:
 
     rest = set(comp.vertices) - anchor_set
     pieces = []
-    for piece in _components_of(_induced_adj(comp, rest)):
+    for piece in connected_components(g, rest):
         if any(comp.side[v] == 2 and state.d3[v] > 0 for v in piece):
             continue  # pendant vertices already retyped by the seeding step
         pieces.append(piece)
@@ -335,7 +313,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str:
         pset = set(piece)
         contact = None
         for v in piece:
-            partner = [(w, eid) for w, eid in comp.adj[v] if w in anchor_set]
+            partner = _within(g, v, anchor_set)
             if partner:
                 contact = (v, partner[0])
                 break
@@ -348,20 +326,18 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str:
                 continue
             want_odd = comp.side[v] == 2
             need[v] = (state.d2[v] % 2 == 1) != want_odd
-        _sweep(state, _induced_adj(comp, pset), y, need, 2)
+        _sweep(state, pset, y, need, 2)
         if state.d2[y] % 2 == 1:
             continue
         if state.d2[y] > 0:
             state.set(exy, 3)  # y turns special
             continue
-        mates = [w for w, _ in comp.adj[y] if w in pset and state.is_mono1(w)]
+        mates = [w for w, _ in _within(g, y, pset) if state.is_mono1(w)]
         if mates:
             contact_partner[y] = (x, mates[0])
 
     if contact_partner:
-        hv = anchor_set | set(contact_partner)
-        sub = _induced_adj(comp, hv)
-        for q in _components_of(sub):
+        for q in connected_components(g, anchor_set | set(contact_partner)):
             qset = set(q)
             xk = min(v for v in q if v in anchor_set)
             need = {}
@@ -370,14 +346,13 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str:
                     continue
                 want_odd = comp.side[v] == 2
                 need[v] = (state.d3[v] % 2 == 1) != want_odd
-            _sweep(state, _induced_adj(comp, qset), xk, need, 3)
+            _sweep(state, qset, xk, need, 3)
             if state.d3[xk] % 2 == 1:
-                for y, exy in sorted((w, eid) for w, eid in comp.adj[xk]
-                                     if w in qset and comp.side[w] == 2):
-                    if state.key(y) != state.key(xk):
+                for y, exy in _within(g, xk, qset):
+                    if comp.side[y] != 2 or state.key(y) != state.key(xk):
                         continue
                     mate = contact_partner[y][1]
-                    eyw = comp.g.edge_id(y, mate)
+                    eyw = g.edge_id(y, mate)
                     if state.label(exy) == 3:
                         state.set(exy, 1)
                     else:
@@ -415,25 +390,26 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
     for v in comp.vertices:
         if state.d3[v] != 0:
             raise InvariantViolation(f"hub fixer entered with a 3-count at vertex {v}")
-    nbrs = sorted(w for w, _ in comp.adj[u])
+    nbrs = [w for w, _ in _within(g, u, comp.side)]
     for w in nbrs:
         if not state.is_mono1(w):
             raise InvariantViolation(f"hub neighbour {w} is not 1-monochromatic")
 
     rest = set(comp.vertices) - {u}
     pieces: list[_Piece] = []
-    for vertices in _components_of(_induced_adj(comp, rest)):
+    for vertices in connected_components(g, rest):
         vset = set(vertices)
-        rep = min(w for w in nbrs if w in vset)
+        # Pieces and blocks come sorted, so the first hub (or representative)
+        # neighbour found is the smallest.
+        rep = next(w for w in vertices if g.has_edge(u, w))
         piece = _Piece(vertices, vset, rep)
         # Normalise every block hanging off the representative with a 1/2
         # parity pass; the chosen contact of each block is the one vertex
         # allowed to end with an even 2-count.
         contacts: list[int] = []
-        inner = vset - {rep}
-        for block in _components_of(_induced_adj(comp, inner)):
+        for block in connected_components(g, vset - {rep}):
             bset = set(block)
-            xj = min((w for w, _ in comp.adj[rep] if w in bset), default=None)
+            xj = next((w for w in block if g.has_edge(rep, w)), None)
             if xj is None:
                 raise InvariantViolation(f"block {block} not attached to {rep}")
             contacts.append(xj)
@@ -443,7 +419,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
                     continue
                 want_odd = comp.side[v] == 2
                 need[v] = (state.d2[v] % 2 == 1) != want_odd
-            _sweep(state, _induced_adj(comp, bset), xj, need, 2)
+            _sweep(state, bset, xj, need, 2)
         evens = [x for x in contacts if state.d2[x] % 2 == 0]
         if not evens:
             piece.kind = "nice"
@@ -458,8 +434,8 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
                 state.set(g.edge_id(piece.rep, w), 3)
             else:
                 piece.lone = w
-                mates = [y for y, _ in comp.adj[w]
-                         if y in piece.vset and y != piece.rep and state.is_mono1(y)]
+                mates = [y for y, _ in _within(g, w, piece.vset)
+                         if y != piece.rep and state.is_mono1(y)]
                 if mates:
                     piece.kind = "tricky"
                     piece.mate = mates[0]
@@ -522,13 +498,13 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
         if not others:
             continue
         x = others[0]
-        for w, eid in comp.adj[p.rep]:
+        for w, eid in _within(g, p.rep, comp.side):
             if state.label(eid) == 3:
                 state.set(eid, 2)
         if state.d2[p.rep] % 2 == 1:
             state.set(g.edge_id(u, p.rep), 2)
             return "hub-5-odd"
-        path = _shortest_path(comp, p.vset, p.rep, x)
+        path = _shortest_path(g, p.vset, p.rep, x)
         cycle = [g.edge_id(u, p.rep)] + path + [g.edge_id(x, u)]
         for eid in cycle:
             lab = state.label(eid)
@@ -554,7 +530,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
     return "hub-6"
 
 
-def _shortest_path(comp: ConflictComponent, vset: set[int], a: int, b: int) -> list[int]:
+def _shortest_path(g: Graph, vset: set[int], a: int, b: int) -> list[int]:
     """Edge ids of a shortest a-b path inside the given vertex set."""
     parent: dict[int, tuple[int, int] | None] = {a: None}
     queue = [a]
@@ -564,8 +540,8 @@ def _shortest_path(comp: ConflictComponent, vset: set[int], a: int, b: int) -> l
         qi += 1
         if v == b:
             break
-        for w, eid in comp.adj[v]:
-            if w in vset and w not in parent:
+        for w, eid in _within(g, v, vset):
+            if w not in parent:
                 parent[w] = (v, eid)
                 queue.append(w)
     if b not in parent:
@@ -601,7 +577,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
     if comp.degree(u) != 1:
         raise InvariantViolation(f"pendant vertex {u} has degree {comp.degree(u)}")
-    xs = sorted(w for w, _ in comp.adj[v] if w != u)
+    xs = [w for w, _ in _within(g, v, comp.side) if w != u]
     if not xs:
         raise InvariantViolation("conflict pair is an isolated edge")
     for x in xs:
@@ -615,7 +591,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
             continue
         want_odd = comp.side[w] == 1
         need[w] = (state.d2[w] % 2 == 1) != want_odd
-    _sweep(state, _induced_adj(comp, rest), v, need, 2)
+    _sweep(state, rest, v, need, 2)
 
     if state.d2[v] % 2 == 1:
         return "pendant-balanced"

@@ -61,6 +61,18 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     return sub, edge_ids
 
 
+class CountingAdj(list):
+    """Stand-in for ``Graph.adj`` that counts every adjacency entry handed
+    out, so a test can bound how much of the graph a walk reads."""
+
+    read = 0
+
+    def __getitem__(self, v):
+        entries = super().__getitem__(v)
+        self.read += len(entries)
+        return entries
+
+
 def random_graph(rng: random.Random, n_max: int = 10, p: float = 0.4) -> Graph:
     n = rng.randint(1, n_max)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

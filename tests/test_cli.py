@@ -106,6 +106,33 @@ class TestLabelCommand:
         assert err.startswith("internal error:") and "part 3 is empty" in err
         assert "Traceback" not in err
 
+    def test_checker_runs_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(checker):
+            def wrapper(g, l):
+                calls.append(g)
+                return checker(g, l)
+            return wrapper
+
+        for module in (prodlabel.engine, prodlabel.cli):
+            monkeypatch.setattr(module, "find_conflicts", counted(module.find_conflicts))
+        path = write(tmp_path, "k3.edges", K3)
+        code, _, _ = run_cli(capsys, "label", path)
+        assert code == 0 and len(calls) == 1
+
+    def test_failed_verification_exit_3(self, tmp_path, capsys, monkeypatch):
+        def unverified(g, trace=False):
+            report = prodlabel.engine.label_graph(g, trace)
+            report.conflicts = [0]
+            return report
+
+        monkeypatch.setattr(prodlabel.cli, "label_graph", unverified)
+        path = write(tmp_path, "k3.edges", K3)
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 3 and out == ""
+        assert "labelling failed verification" in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "k3.edges", K3)
         _, out1, _ = run_cli(capsys, "label", path)
@@ -209,6 +236,18 @@ class TestFuzzCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_failed_verification_counts(self, capsys, tmp_path, monkeypatch):
+        def unverified(g, trace=False):
+            report = prodlabel.engine.label_graph(g, trace)
+            report.conflicts = [0]
+            return report
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(prodlabel.cli, "label_graph", unverified)
+        code, out, err = run_cli(capsys, "fuzz", "--trials", "1", "--n", "6", "--p", "0.5")
+        assert code == 3 and "0/1 ok" in out
+        assert "trial 0 FAILED" in err and (tmp_path / "fuzz_fail_0.edges").exists()
 
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--trials", "0")

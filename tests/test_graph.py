@@ -12,7 +12,7 @@ from prodlabel import (
 )
 from prodlabel.graph import MAX_VERTICES, detect_format
 
-from conftest import complete_graph, path_graph, random_graph
+from conftest import CountingAdj, complete_graph, path_graph, random_graph
 
 
 class TestGraph:
@@ -164,6 +164,32 @@ class TestComponents:
         h.add_edges_from(g.edges)
         expected = sorted(sorted(c) for c in nx.connected_components(h))
         assert connected_components(g) == expected
+
+    def test_vertex_subset(self):
+        g = path_graph(5)
+        assert connected_components(g, {4, 3, 1, 0}) == [[0, 1], [3, 4]]
+        assert connected_components(g, []) == []
+
+    @given(st.integers(min_value=0, max_value=199))
+    def test_subset_matches_networkx(self, seed):
+        import random
+
+        import networkx as nx
+
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        subset = [v for v in range(g.n) if rng.random() < 0.6]
+        h = nx.Graph()
+        h.add_nodes_from(subset)
+        h.add_edges_from((u, v) for u, v in g.edges if u in h and v in h)
+        expected = sorted(sorted(c) for c in nx.connected_components(h))
+        assert connected_components(g, subset) == expected
+
+    def test_subset_reads_only_its_own_adjacency(self):
+        g = path_graph(10**5)
+        g.adj = CountingAdj(g.adj)
+        assert connected_components(g, {5, 6, 7, 50}) == [[5, 6, 7], [50]]
+        assert g.adj.read == 8  # two entries for each of the four vertices
 
 
 class TestNiceness:

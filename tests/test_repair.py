@@ -22,7 +22,13 @@ from prodlabel import (
 from prodlabel.labelling import ProfileTracker
 from prodlabel.repair import _sweep, anchor_trigger, fix_anchored, hub_vertex
 
-from conftest import complete_graph, path_graph, random_connected_nice_graph, star_graph
+from conftest import (
+    CountingAdj,
+    complete_graph,
+    path_graph,
+    random_connected_nice_graph,
+    star_graph,
+)
 
 
 def fixture(parts, edges, labels=None):
@@ -114,15 +120,39 @@ class TestParityRelabel:
         with pytest.raises(ValueError, match="connected"):
             parity_relabel(g, Labelling.all_ones(g), [0, 1], s=2, exempt=0)
 
+    def test_rejects_non_induced_edges(self):
+        # Two of K3's three edges: their ends induce the third one too.
+        g = complete_graph(3)
+        l = Labelling.all_ones(g)
+        with pytest.raises(ValueError, match="induce"):
+            parity_relabel(g, l, [0, 1], s=2, exempt=0)
+        assert l.labels == [1, 1, 1]
+
     def test_sweep_disconnected_is_internal(self):
         # parity_relabel checks connectivity first, so only a fixer can hand
         # the sweep a disconnected piece: that is a broken construction.
         g = Graph(4, [(0, 1), (2, 3)])
         state = ProfileTracker(g, Labelling.all_ones(g))
-        adj = {0: [(1, 0)], 1: [(0, 0)], 2: [(3, 1)], 3: [(2, 1)]}
         with pytest.raises(InvariantViolation, match="connected"):
-            _sweep(state, adj, 0, {1: True, 3: True}, 2)
+            _sweep(state, {0, 1, 2, 3}, 0, {1: True, 3: True}, 2)
         assert state.labelling.labels == [1, 1]
+
+    def test_sweep_wrong_label_is_internal(self):
+        # parity_relabel checks its caller's labels first, so only a fixer
+        # can hand the sweep an edge labelled neither 1 nor s.
+        g = path_graph(3)
+        state = ProfileTracker(g, Labelling([1, 3]))
+        with pytest.raises(InvariantViolation, match="expected 1 or 2"):
+            _sweep(state, {0, 1, 2}, 0, {1: True, 2: True}, 2)
+        assert state.labelling.labels == [1, 3]
+
+    def test_sweep_keeps_to_its_vertex_set(self):
+        # Edges leaving the vertex set neither join the tree nor get their
+        # labels checked.
+        g = path_graph(4)
+        state = ProfileTracker(g, Labelling([1, 1, 3]))
+        _sweep(state, {0, 1, 2}, 0, {1: True, 2: True}, 2)
+        assert state.labelling.labels == [1, 2, 3]
 
 
 def enumerate_assignments(counts):
@@ -416,7 +446,32 @@ PINNED_CASES = {
 }
 
 
+def spider(legs: int) -> Graph:
+    """Vertex 0 with 2*legs + 5 paths of length 2 hanging off it, joined to
+    vertex 1 with ``legs`` such paths: one conflict component on parts 1
+    and 2 holding two vertices of degree above ``legs``."""
+    edges = [(0, 1)]
+    n = 2
+    for centre, count in ((0, 2 * legs + 5), (1, legs)):
+        for _ in range(count):
+            edges += [(centre, n), (n, n + 1)]
+            n += 2
+    return Graph(n, edges)
+
+
 class TestRunRepairPass:
+    def test_walks_scale_with_the_component(self):
+        # A scan of a high-degree vertex's whole adjacency list per block,
+        # piece or neighbour would read about legs**2 entries here.
+        g = spider(1000)
+        up = run_upward_pass(g, build_valid_partition(g))
+        g.adj = CountingAdj(g.adj)
+        res = run_repair_pass(g, up.partition, up.labelling)
+        assert res.tally == {"hub-3-even": 1}
+        assert find_conflicts(g, res.labelling) == []
+        assert g.adj.read <= 20 * g.m
+
+
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_pinned_case(self, case):
         g = PINNED_CASES[case]
