@@ -254,6 +254,8 @@ def connected_components(g: Graph, vertices=None) -> list[list[int]]:
 
 
 def is_nice(g: Graph) -> bool:
-    """True iff no connected component is a single edge on two vertices."""
-    return all(len(c) != 2 for c in connected_components(g))
+    """True iff no connected component is a single edge on two vertices, that
+    is, no vertex of degree 1 has a neighbour of degree 1."""
+    adj = g.adj
+    return not any(len(a) == 1 and len(adj[a[0][0]]) == 1 for a in adj)
 

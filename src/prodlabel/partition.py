@@ -92,8 +92,9 @@ class Partition:
 
 
 def default_order(g: Graph) -> list[int]:
-    """Descending degree, ties by ascending id."""
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    """Descending degree, ties by ascending id (the sort is stable)."""
+    adj = g.adj
+    return sorted(range(g.n), key=lambda v: -len(adj[v]))
 
 
 def greedy_partition(g: Graph, order=None) -> Partition:
@@ -106,11 +107,11 @@ def greedy_partition(g: Graph, order=None) -> Partition:
         raise ValueError("graph has no vertices")
     if order is None:
         order = default_order(g)
-    if sorted(order) != list(range(g.n)):
+    elif sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    part_of = [0] * g.n
+    part_of, adj = [0] * g.n, g.adj
     for v in order:
-        used = {part_of[w] for w, _ in g.adj[v] if part_of[w]}
+        used = {part_of[w] for w, _ in adj[v]}  # 0 marks a vertex not yet placed
         i = 1
         while i in used:
             i += 1
@@ -123,26 +124,33 @@ def potential(p: Partition) -> int:
     return sum(i * len(vs) for i, vs in enumerate(p.parts, start=1))
 
 
-def swappable_edges(g: Graph, p: Partition) -> set[int]:
-    """Edge ids of the isolated edges of the subgraph induced by V1 and V2.
-
-    Both ends of such an edge have exactly one neighbour inside V1 u V2, so
-    exchanging their parts keeps both parts independent.
-    """
-    if p.t < 2:
-        return set()
-    part_of = p.part_of
+def _end_edges(g: Graph, p: Partition) -> dict[int, int]:
+    """Each end of a swappable edge mapped to that edge, from one pass over
+    the edges; ValueError if a part is not independent.  The swappable edges
+    are the isolated edges of the subgraph induced by V1 and V2, so swapping
+    the two ends of one keeps both parts independent."""
+    part_of, edges = p.part_of, g.edges
     bottom_degree = [0] * g.n
-    candidates = []
-    for eid, (u, v) in enumerate(g.edges):
+    bottom = []
+    for eid, (u, v) in enumerate(edges):
         pu, pv = part_of[u], part_of[v]
+        if pu == pv:
+            raise ValueError(f"part {pu} is not independent: edge ({u},{v})")
         if pu <= 2 and pv <= 2:
             bottom_degree[u] += 1
             bottom_degree[v] += 1
-            if pu != pv:
-                candidates.append(eid)
-    return {eid for eid in candidates
-            if bottom_degree[g.edges[eid][0]] == 1 and bottom_degree[g.edges[eid][1]] == 1}
+            bottom.append(eid)
+    end_edge: dict[int, int] = {}
+    for eid in bottom:
+        u, v = edges[eid]
+        if bottom_degree[u] == 1 and bottom_degree[v] == 1:
+            end_edge[u] = end_edge[v] = eid
+    return end_edge
+
+
+def swappable_edges(g: Graph, p: Partition) -> set[int]:
+    """Edge ids of the swappable edges (see ``_end_edges``)."""
+    return set(_end_edges(g, p).values())
 
 
 def swap_edge(g: Graph, p: Partition, eid: int) -> Partition:
@@ -227,15 +235,6 @@ def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
     return None
 
 
-def _end_edges(g: Graph, p: Partition) -> dict[int, int]:
-    """Each end of a swappable edge, mapped to that edge."""
-    end_edge: dict[int, int] = {}
-    for eid in swappable_edges(g, p):
-        u, v = g.edges[eid]
-        end_edge[u] = end_edge[v] = eid
-    return end_edge
-
-
 def _bottom_edge(g: Graph, part_of: list[int], v: int) -> tuple[int, int] | None:
     """(neighbour, edge id) of the only neighbour of ``v`` in V1 u V2, when
     ``v`` itself lies in V1 u V2 and has exactly one neighbour there."""
@@ -262,70 +261,75 @@ def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
 
 def swap_safety_witness(g: Graph, p: Partition) -> SwapWitness | None:
     """None if every subset of swappable edges preserves the partition
-    properties, else a concrete failing subset.
+    properties, else the failing subset of the smallest vertex that has one.
 
-    Swaps of distinct swappable edges are independent and never break
-    independence (each swapped end has no other neighbour in V1 u V2), so the
-    check reduces to one condition per vertex and side (see
-    ``_side_witness``).  The witness returned is the one of the smallest
-    vertex that has one.
-
-    The partition must already be valid with no missing lower neighbours.
+    Swaps of distinct swappable edges never break independence, so the check
+    reduces to one condition per vertex and side (see ``_side_witness``).
+    ValueError unless ``p`` is valid with no missing lower neighbours.
     """
     p.validate(g)
-    if missing_lower_neighbours(g, p):
-        raise ValueError("partition has missing lower neighbours; settle those first")
+    return next(iter(_certificate(g, p)[1].values()), None)
+
+
+def _certificate(g: Graph, p: Partition) -> tuple[dict[int, int], dict[int, SwapWitness]]:
+    """One pass over the edges and one over the vertices: ValueError on an
+    empty part, an edge inside a part or a vertex with no neighbour in some
+    lower part, else ``_end_edges`` and the witness of every vertex that has
+    one, by ascending vertex (``p`` is valid exactly when there is none)."""
+    for i, vs in enumerate(p.parts, start=1):
+        if not vs:
+            raise ValueError(f"part {i} is empty")
     end_edge = _end_edges(g, p)
-    if not end_edge:
-        return None
+    part_of, adj = p.part_of, g.adj
+    witnesses: dict[int, SwapWitness] = {}
     for v in range(g.n):
-        w = _vertex_witness(g, p.part_of, end_edge, v)
-        if w is not None:
-            return w
-    return None
+        i = part_of[v]
+        if i >= 2 and not {part_of[w] for w, _ in adj[v]}.issuperset(range(1, i)):
+            raise ValueError(f"vertex {v} in part {i} misses a neighbour in a lower part")
+        if end_edge and i >= 2:
+            w = _vertex_witness(g, part_of, end_edge, v)
+            if w is not None:
+                witnesses[v] = w
+    return end_edge, witnesses
 
 
 def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partition:
     """Deterministic valid partition of a nice graph.
 
-    Local search with two potential-decreasing moves: (a) drop a vertex that
-    misses a neighbour in some lower part down to the smallest such part;
-    (b) when swap robustness fails, apply the witness swaps and then move the
-    stranded vertex down.  Every move lowers the potential, so the loop ends.
-    No move reaches outside the connected component it starts in, so a
-    disconnected graph gets the partitions of its components side by side;
-    isolated vertices stay in part 1.  An invalid ``initial`` raises
-    ValueError; a check that fails after that is an InvariantViolation.
+    Local search from the greedy partition, or from a copy of ``initial``
+    (ValueError unless it passes ``Partition.validate``), with two
+    potential-decreasing moves: (a) drop a vertex that misses a neighbour in
+    some lower part to the smallest such part; (b) when swap robustness
+    fails, apply the witness swaps, then move the stranded vertex down.  No
+    move leaves its connected component; isolated vertices stay in part 1.
+    Every later check is a ``_certificate`` sweep, on the start and, if a
+    witness round ran, on the result; a failure is an InvariantViolation.
     """
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
-    p = initial.copy() if initial is not None else greedy_partition(g)
-    p.validate(g)
-    try:
-        _local_search(g, p)
-        p.compact()
+    p = greedy_partition(g) if initial is None else initial.copy()
+    if initial is not None:
         p.validate(g)
+    try:
+        _local_search(g, p, settled=initial is None)
     except ValueError as exc:
         raise InvariantViolation(f"valid-partition builder: {exc}") from exc
     return p
 
 
-def _local_search(g: Graph, p: Partition) -> None:
-    """The moves of ``build_valid_partition``, made on ``p`` in place.
+def _local_search(g: Graph, p: Partition, settled: bool) -> None:
+    """The moves of ``build_valid_partition``, made on ``p`` in place, in the
+    order a full rescan per round would make them.
 
-    The search keeps a dirty-vertex worklist and makes the same moves in the
-    same order as rescanning the whole graph each round would.  A settle
-    round moves, in id order, each dirty vertex that misses a lower
-    neighbour at the start of the round and still does when its turn comes;
-    only a vertex that moved or has a neighbour that moved can start missing
-    one, so these form the next round's dirty set (the first round's is
-    every vertex).  Move (b) always applies the witness of the smallest
-    vertex that has one.  After the moves of a witness round, swappable-edge
-    ends are recomputed within distance two of the moved vertices, and
-    witnesses next to the moved vertices and the changed ends.  The full
-    scan ``swap_safety_witness`` runs once before the first witness round
-    (a graph that needs none pays nothing more) and otherwise once more at
-    the end as a closing certificate.
+    A settle round moves, in id order, each dirty vertex that misses a lower
+    neighbour when the round starts and still does when its turn comes; the
+    moved vertices and their neighbours are the next round's dirty set.  The
+    first round looks at every vertex, unless ``settled`` says that none
+    misses a lower neighbour (true of a greedy start).  Then one certificate
+    sweep finds every witness, and move (b) applies the smallest vertex's.
+    After a witness round, swappable-edge ends are recomputed within distance
+    two of the moved vertices, and witnesses next to moved vertices and
+    changed ends.  If a witness round ran, a second sweep checks the result.
     """
     part_of, adj = p.part_of, g.adj
 
@@ -361,43 +365,39 @@ def _local_search(g: Graph, p: Partition) -> None:
             todo = gaps(closed_neighbourhood(moved))
         return moved_all
 
-    settle(sorted({v for v, _ in missing_lower_neighbours(g, p)}))
-    if swap_safety_witness(g, p) is not None:
-        end_edge = _end_edges(g, p)
-        witnesses: dict[int, SwapWitness] = {}
-        heap: list[int] = []  # every vertex in witnesses, plus stale ones
-
-        def refresh(vs) -> None:
-            for v in vs:
-                w = _vertex_witness(g, part_of, end_edge, v)
-                if w is None:
-                    witnesses.pop(v, None)
+    if not settled:
+        settle(sorted({v for v, _ in missing_lower_neighbours(g, p)}))
+    end_edge, witnesses = _certificate(g, p)
+    if not witnesses:
+        return
+    heap = list(witnesses)  # every vertex in witnesses, plus stale ones; sorted, so a heap
+    while witnesses:
+        while heap[0] not in witnesses:
+            heapq.heappop(heap)
+        swapped: list[int] = []
+        for eid in sorted(witnesses[heap[0]].edges):
+            u, v = g.edges[eid]
+            pu, pv = part_of[u], part_of[v]
+            p.move(u, pv)
+            p.move(v, pu)
+            swapped += (u, v)
+        moved = settle(gaps(closed_neighbourhood(swapped))).union(swapped)
+        changed = []
+        for x in closed_neighbourhood(closed_neighbourhood(moved)):
+            eid = _swappable_at(g, part_of, x)
+            if end_edge.get(x) != eid:
+                changed.append(x)
+                if eid is None:
+                    del end_edge[x]
                 else:
-                    if v not in witnesses:
-                        heapq.heappush(heap, v)
-                    witnesses[v] = w
-
-        refresh(range(g.n))
-        while witnesses:
-            while heap[0] not in witnesses:
-                heapq.heappop(heap)
-            swapped: list[int] = []
-            for eid in sorted(witnesses[heap[0]].edges):
-                u, v = g.edges[eid]
-                pu, pv = part_of[u], part_of[v]
-                p.move(u, pv)
-                p.move(v, pu)
-                swapped += (u, v)
-            moved = settle(gaps(closed_neighbourhood(swapped))).union(swapped)
-            changed = []
-            for x in closed_neighbourhood(closed_neighbourhood(moved)):
-                eid = _swappable_at(g, part_of, x)
-                if end_edge.get(x) != eid:
-                    changed.append(x)
-                    if eid is None:
-                        del end_edge[x]
-                    else:
-                        end_edge[x] = eid
-            refresh(closed_neighbourhood(moved.union(changed)))
-        if swap_safety_witness(g, p) is not None:
-            raise InvariantViolation("the witness worklist missed a swap-safety witness")
+                    end_edge[x] = eid
+        for v in closed_neighbourhood(moved.union(changed)):
+            w = _vertex_witness(g, part_of, end_edge, v)
+            if w is None:
+                witnesses.pop(v, None)
+            else:
+                if v not in witnesses:
+                    heapq.heappush(heap, v)
+                witnesses[v] = w
+    if _certificate(g, p)[1]:
+        raise InvariantViolation("the witness worklist missed a swap-safety witness")

@@ -252,11 +252,15 @@ def nullstellensatz_assign(counts) -> list[int]:
 # Fixers
 
 
-def anchor_trigger(comp: ConflictComponent, state: ProfileTracker) -> bool:
-    for v in comp.vertices:
-        if comp.side[v] == 1 and state.d3[v] > 0 and state.d2[v] == 0:
-            return True
-    return _anchor_seed(comp, state) is not None
+def anchor_trigger(comp: ConflictComponent, state: ProfileTracker):
+    """None unless the component has a 3-anchored side-1 vertex or a seed
+    for one; else a one-tuple holding ``_anchor_seed``'s result (None when
+    an anchor exists but no seed), the argument ``fix_anchored`` takes."""
+    seed = _anchor_seed(comp, state)
+    if seed is not None or any(comp.side[v] == 1 and state.d3[v] > 0 and state.d2[v] == 0
+                               for v in comp.vertices):
+        return (seed,)
+    return None
 
 
 def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
@@ -274,19 +278,19 @@ def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
     return None
 
 
-def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str:
+def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
     """Settle a component around its 3-anchored side-1 vertices.
 
-    If the component has no such anchor yet, one is created by turning a
-    1-mono side-1 vertex with two 1-mono pendant side-2 neighbours into one
-    (both pendant edges get label 3).  Pieces hanging off the anchors are
-    given alternating 2-parities, leftover 1-mono contact vertices are
-    absorbed by a second 1/3 parity pass over the anchor contact graph, and
-    odd anchors are evened out by rerouting one 3 onto a reserve neighbour.
+    ``seed`` is ``_anchor_seed``'s result, as ``anchor_trigger`` hands it
+    over.  If there is one, its 1-mono side-1 vertex is turned into a new
+    anchor through its two 1-mono pendant side-2 neighbours (both pendant
+    edges get label 3).  Pieces hanging off the anchors are given
+    alternating 2-parities, leftover 1-mono contact vertices are absorbed by
+    a second 1/3 parity pass over the anchor contact graph, and odd anchors
+    are evened out by rerouting one 3 onto a reserve neighbour.
     """
     g = comp.g
     case = "anchor"
-    seed = _anchor_seed(comp, state)
     if seed is not None:
         v1, (u1, e1), (u2, e2) = seed
         state.set(e1, 3)
@@ -630,8 +634,9 @@ def run_repair_pass(g: Graph, p: Partition, l: Labelling, trace: bool = False) -
     state = ProfileTracker(g, labelling)
     result = RepairResult(labelling, Counter())
     for comp in conflict_components(g, p, state):
-        if anchor_trigger(comp, state):
-            case = fix_anchored(comp, state)
+        start = anchor_trigger(comp, state)
+        if start is not None:
+            case = fix_anchored(comp, state, *start)
         else:
             u = hub_vertex(comp, state)
             if u is not None:

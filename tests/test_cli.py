@@ -10,7 +10,7 @@ import prodlabel.engine
 from prodlabel import InvariantViolation, Partition
 from prodlabel.cli import main
 
-from test_partition import WITNESS_PATH
+from test_partition import WITNESS_PATH, break_greedy_start
 
 K3 = "0 1\n0 2\n1 2\n"
 K2 = "0 1\n"
@@ -104,6 +104,14 @@ class TestLabelCommand:
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
         assert err.startswith("internal error:") and "part 3 is empty" in err
+        assert "Traceback" not in err
+
+    def test_broken_greedy_start_exit_3(self, tmp_path, capsys, monkeypatch):
+        break_greedy_start(monkeypatch, "edge inside a part")
+        path = write(tmp_path, "p5.edges", "0 1\n1 2\n2 3\n3 4\n")
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:") and "part 1 is not independent" in err
         assert "Traceback" not in err
 
     def test_checker_runs_once(self, tmp_path, capsys, monkeypatch):

@@ -206,6 +206,14 @@ class TestNiceness:
     def test_isolated_vertices_nice(self):
         assert is_nice(Graph(3, []))
 
+    def test_star_next_to_lone_edge_not_nice(self):
+        # Three leaves of degree 1 hang off a centre of degree 3.
+        assert is_nice(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+        assert not is_nice(Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+
+    def test_isolated_vertices_next_to_lone_edge_not_nice(self):
+        assert not is_nice(Graph(4, [(2, 3)]))
+
     @given(st.integers(min_value=0, max_value=299))
     def test_agrees_with_component_sizes(self, seed):
         import random

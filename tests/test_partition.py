@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prodlabel.graph as graph_module
 import prodlabel.partition as partition_module
 from prodlabel import (
     Graph,
@@ -266,27 +268,53 @@ def many_components(rng: random.Random, count: int) -> Graph:
     return disjoint_union(pieces)
 
 
+# The whole-graph passes a build could make, with the objects they are looked
+# up on.  _end_edges is the edge pass of a certificate sweep, so a build makes
+# it once per sweep.  is_nice is a degree test: it reads the length of every
+# adjacency list, and the one entry of each list of length one.
+FULL_SCANS = {
+    "validate": Partition,
+    "missing_lower_neighbours": partition_module,
+    "swappable_edges": partition_module,
+    "swap_safety_witness": partition_module,
+    "_end_edges": partition_module,
+    "is_nice": partition_module,
+    "connected_components": graph_module,
+}
+
+
 def build_with_scans(monkeypatch, g, initial=None):
-    """build_valid_partition's result, the results of its full
-    swap-safety scans, and its number of full missing-lower scans."""
-    witness_scan = partition_module.swap_safety_witness
-    missing_scan = partition_module.missing_lower_neighbours
-    witnesses, missing = [], []
+    """build_valid_partition's result, the witnesses each of its
+    ``_certificate`` sweeps found, and its calls of each name in FULL_SCANS."""
+    certificate = partition_module._certificate
+    sweeps, calls = [], Counter()
 
-    def counted_witness(g, p):
-        witnesses.append(witness_scan(g, p))
-        return witnesses[-1]
+    def counted_certificate(g, p):
+        end_edge, witnesses = certificate(g, p)
+        sweeps.append(dict(witnesses))  # the builder consumes the original
+        return end_edge, witnesses
 
-    def counted_missing(g, p):
-        missing.append(1)
-        return missing_scan(g, p)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(partition_module, "swap_safety_witness", counted_witness)
-    monkeypatch.setattr(partition_module, "missing_lower_neighbours", counted_missing)
+    monkeypatch.setattr(partition_module, "_certificate", counted_certificate)
+    for name, owner in FULL_SCANS.items():
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     try:
-        return build_valid_partition(g, initial), witnesses, len(missing)
+        return build_valid_partition(g, initial), sweeps, calls
     finally:
         monkeypatch.undo()
+
+
+def assert_greedy_scans(sweeps, calls):
+    """A greedy-start build sweeps once, and once more after witness rounds;
+    its only other whole-graph pass is the nice-graph degree test."""
+    assert len(sweeps) == (2 if sweeps[0] else 1)
+    assert sweeps[-1] == {}
+    assert calls == {"is_nice": 1, "_end_edges": len(sweeps)}
 
 
 class TestWorklistMatchesFullScan:
@@ -301,9 +329,10 @@ class TestWorklistMatchesFullScan:
             else:
                 n = rng.randint(10, 300)
                 g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
-            p, witnesses, _ = build_with_scans(monkeypatch, g)
+            p, sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
-            with_rounds += witnesses[0] is not None
+            assert_greedy_scans(sweeps, calls)
+            with_rounds += bool(sweeps[0])
         assert with_rounds >= 50
 
     def test_component_unions(self, monkeypatch):
@@ -311,12 +340,13 @@ class TestWorklistMatchesFullScan:
         for seed in range(400):
             rng = random.Random(seed)
             g = many_components(rng, rng.randint(2, 40))
-            p, witnesses, _ = build_with_scans(monkeypatch, g)
+            p, sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
-            with_rounds += witnesses[0] is not None
+            assert_greedy_scans(sweeps, calls)
+            with_rounds += bool(sweeps[0])
         assert with_rounds >= 30
 
-    def test_initial_partitions(self):
+    def test_initial_partitions(self, monkeypatch):
         assert build_valid_partition(P5, P5_SEED) == reference_build_valid_partition(P5, P5_SEED)
         for seed in range(200):
             rng = random.Random(seed)
@@ -324,18 +354,23 @@ class TestWorklistMatchesFullScan:
             order = list(range(g.n))
             rng.shuffle(order)
             start = greedy_partition(g, order)
-            assert build_valid_partition(g, start) == reference_build_valid_partition(g, start), seed
+            p, sweeps, calls = build_with_scans(monkeypatch, g, start)
+            assert p == reference_build_valid_partition(g, start), seed
+            # An initial partition adds its input check and one settle scan.
+            assert len(sweeps) == (2 if sweeps[0] else 1)
+            assert calls == {"is_nice": 1, "validate": 1, "missing_lower_neighbours": 1,
+                             "_end_edges": len(sweeps)}
 
     @pytest.mark.parametrize("name", sorted(WORKLIST_CASES))
     def test_pinned(self, monkeypatch, name):
         g = WORKLIST_CASES[name]
-        p, witnesses, _ = build_with_scans(monkeypatch, g)
-        assert witnesses[0] is not None
+        p, sweeps, _ = build_with_scans(monkeypatch, g)
+        assert sweeps[0]
         assert p == reference_build_valid_partition(g)
 
     def test_witness_round(self, monkeypatch):
-        p, witnesses, _ = build_with_scans(monkeypatch, WITNESS_PATH)
-        assert witnesses[0] is not None and witnesses[1:] == [None]
+        p, sweeps, _ = build_with_scans(monkeypatch, WITNESS_PATH)
+        assert sweeps[0] and sweeps[1:] == [{}]
         assert p.parts == [{0, 2, 5}, {1, 3, 4}]
         assert p == reference_build_valid_partition(WITNESS_PATH)
 
@@ -347,15 +382,40 @@ class TestNoRescanPerRound:
 
     def test_sparse(self, monkeypatch):
         g = tree_plus_chords(random.Random(20_000), 20_000, 60_000)
-        _, witnesses, missing = build_with_scans(monkeypatch, g)
-        assert witnesses[0] is not None
-        assert len(witnesses) <= 2 and missing <= 3
+        _, sweeps, calls = build_with_scans(monkeypatch, g)
+        assert sweeps[0]
+        assert_greedy_scans(sweeps, calls)
 
     def test_many_components(self, monkeypatch):
         g = many_components(random.Random(1500), 1500)
-        _, witnesses, missing = build_with_scans(monkeypatch, g)
-        assert witnesses[0] is not None
-        assert len(witnesses) <= 2 and missing <= 3
+        _, sweeps, calls = build_with_scans(monkeypatch, g)
+        assert sweeps[0]
+        assert_greedy_scans(sweeps, calls)
+
+
+# Greedy starts on P5 (the path 0-1-2-3-4) that break one property each.
+BROKEN_STARTS = {
+    "edge inside a part": ([1, 1, 2, 1, 2], "part 1 is not independent"),
+    "missing lower neighbour": ([1, 2, 1, 3, 1], "vertex 3 in part 3 misses"),
+    "empty part": ([1, 3, 1, 3, 1], "part 2 is empty"),
+}
+
+
+def break_greedy_start(monkeypatch, name):
+    part_of, _ = BROKEN_STARTS[name]
+    monkeypatch.setattr(partition_module, "greedy_partition",
+                        lambda g, order=None: Partition(list(part_of)))
+
+
+class TestBrokenStart:
+    """A greedy start that is not what greedy_partition guarantees is a
+    broken construction, caught by the first certificate sweep."""
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_STARTS))
+    def test_is_internal(self, monkeypatch, name):
+        break_greedy_start(monkeypatch, name)
+        with pytest.raises(InvariantViolation, match=BROKEN_STARTS[name][1]):
+            build_valid_partition(P5)
 
 
 class TestDump:

@@ -20,6 +20,7 @@ from prodlabel import (
     run_upward_pass,
 )
 from prodlabel.labelling import ProfileTracker
+import prodlabel.repair as repair_module
 from prodlabel.repair import _sweep, anchor_trigger, fix_anchored, hub_vertex
 
 from conftest import (
@@ -227,8 +228,9 @@ class TestFixAnchored:
         # 1-mono centre in part 1 with three 1-mono pendant part-2 leaves.
         g, p, state = fixture([{0}, {1, 2, 3}], [(0, 1), (0, 2), (0, 3)])
         comp = the_component(g, p, state)
-        assert anchor_trigger(comp, state)
-        case = fix_anchored(comp, state)
+        start = anchor_trigger(comp, state)
+        assert start == ((0, (1, 0), (2, 1)),)  # centre 0 with pendants 1 and 2
+        case = fix_anchored(comp, state, *start)
         assert case == "anchor-seeded-done"
         assert state.labelling.labels == [3, 3, 1]
         assert [state.key(v) for v in range(4)] == [(0, 2), (0, 1), (0, 1), (0, 0)]
@@ -243,8 +245,9 @@ class TestFixAnchored:
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
         assert comp.vertices == [0, 1, 2, 3, 4, 5]
-        assert anchor_trigger(comp, state)
-        fix_anchored(comp, state)
+        start = anchor_trigger(comp, state)
+        assert start == (None,)  # anchored already, no seed
+        fix_anchored(comp, state, *start)
         assert state.key(1) == (2, 1)  # special contact
         assert state.labelling.labels[0] == 3
         assert component_violations(comp, state) == []
@@ -257,7 +260,7 @@ class TestFixAnchored:
         labels = [1, 1, 1, 1, 1, 3]
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
-        fix_anchored(comp, state)
+        fix_anchored(comp, state, *anchor_trigger(comp, state))
         assert component_violations(comp, state) == []
 
 
@@ -471,6 +474,19 @@ class TestRunRepairPass:
         assert find_conflicts(g, res.labelling) == []
         assert g.adj.read <= 20 * g.m
 
+    def test_one_anchor_seed_search_per_component(self, monkeypatch):
+        # The trigger hands its seed to the anchored fixer, which does not
+        # search for it again.
+        calls = []
+        seed_of = repair_module._anchor_seed
+        monkeypatch.setattr(repair_module, "_anchor_seed",
+                            lambda comp, state: calls.append(1) or seed_of(comp, state))
+        for case in sorted(PINNED_CASES):
+            g = PINNED_CASES[case]
+            up = run_upward_pass(g, build_valid_partition(g))
+            calls.clear()
+            res = run_repair_pass(g, up.partition, up.labelling)
+            assert len(calls) == len(res.component_vertices) == 1, case
 
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_pinned_case(self, case):
