@@ -3,7 +3,8 @@
 Exit codes are stable: 0 success, 1 input or usage problem (or an oracle
 search over its node budget), 2 graph not nice (contains a two-vertex
 component), 3 verification failure or internal error (a broken construction
-invariant, reported as "internal error: ...").
+invariant, reported as "internal error: ..."; ``label`` then saves the graph
+to ``label_fail.edges`` in the working directory).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ EXIT_INPUT = 1
 EXIT_NOT_NICE = 2
 EXIT_CONFLICTS = 3
 
+LABEL_REPRO = "label_fail.edges"
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -32,17 +35,32 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return parse_graph(_read(path), fmt)
 
 
+def _internal_error(g: Graph, what: str) -> int:
+    """Report a broken construction and save the graph that hit it."""
+    print(f"internal error: {what}", file=sys.stderr)
+    try:
+        with open(LABEL_REPRO, "w", encoding="utf-8") as fh:
+            fh.write(g.to_edge_list())
+    except OSError as exc:
+        print(f"cannot write {LABEL_REPRO}: {exc}", file=sys.stderr)
+    else:
+        print(f"wrote {LABEL_REPRO}", file=sys.stderr)
+    return EXIT_CONFLICTS
+
+
 def cmd_label(args) -> int:
     g = _load_graph(args.graph, args.format)
-    report = label_graph(g, trace=args.trace)
+    try:
+        report = label_graph(g, trace=args.trace)
+    except InvariantViolation as exc:
+        return _internal_error(g, str(exc))
     if args.trace:
         for line in report.trace:
             print(line, file=sys.stderr)
     # label_graph recomputes its verdict from the labels with the independent
     # conflict scan; refuse to report success unless that scan agrees.
     if not report.verified:
-        print("internal error: labelling failed verification", file=sys.stderr)
-        return EXIT_CONFLICTS
+        return _internal_error(g, "labelling failed verification")
     out = format_labelling(g, report.labelling) + "\n" + format_products(g, report.labelling)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,6 +8,9 @@ monochromatic or special (special: exactly one 3, at least two 2s, odd 2+3
 count).  Only edges inside the component are touched, so products elsewhere
 are unaffected.
 
+Discovery starts from the conflicting edges, one pass over ``g.edges``, and
+walks only the bottom components that hold one.
+
 Every walk reads the input graph's own ``g.adj`` and keeps to a vertex set
 (the component, a piece or a block of it) by a membership test, so no
 adjacency is ever copied.  ``g.adj`` is sorted by (neighbour, edge id), so
@@ -36,16 +39,18 @@ class ConflictComponent:
     """One connected component of the bottom subgraph holding a conflict.
 
     No adjacency of its own: the neighbours of v inside the component are
-    the entries of ``g.adj[v]`` whose vertex is a key of ``side``.
+    the entries of ``g.adj[v]`` whose vertex is a key of ``side``.  The
+    walk that finds the component also counts ``degrees``.
     """
 
     g: Graph
     vertices: list[int]                      # sorted global ids
     side: dict[int, int]                     # 1 or 2, from the partition
     edge_ids: list[int]                      # sorted global edge ids
+    degrees: dict[int, int]                  # degree inside the component
 
     def degree(self, v: int) -> int:
-        return len(_within(self.g, v, self.side))
+        return self.degrees[v]
 
 
 def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
@@ -54,52 +59,76 @@ def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
     return [(w, eid) for w, eid in g.adj[v] if w in vset]
 
 
-def _component_view(g: Graph, p: Partition, vertices: list[int]) -> ConflictComponent:
-    side = {v: p.part_of[v] for v in vertices}
-    edge_ids = sorted(eid for v in vertices for w, eid in g.adj[v] if v < w and w in side)
-    return ConflictComponent(g, vertices, side, edge_ids)
-
-
 def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
+    edges, d2, d3 = comp.g.edges, state.d2, state.d3
     for eid in comp.edge_ids:
-        u, v = comp.g.edges[eid]
-        if state.key(u) == state.key(v):
+        u, v = edges[eid]
+        if d2[u] == d2[v] and d3[u] == d3[v]:
             return True
     return False
 
 
 def conflict_components(g: Graph, p: Partition, l: Labelling | ProfileTracker) -> list[ConflictComponent]:
-    """Connected components of the bottom subgraph that contain a conflict.
+    """Connected components of the bottom subgraph that contain a conflict,
+    ordered by smallest vertex.
 
-    Each returned component is guaranteed (and asserted) to span at least two
-    edges; a single-edge conflict component would mean the upward pass failed
-    to break up an isolated bottom edge.
+    One pass over ``g.edges`` finds the conflicting bottom edges; one walk
+    from each edge not yet covered collects its component's vertices, sides,
+    edges and inner degrees.  Components without a conflict are never
+    walked.  Each returned component is guaranteed (and asserted) to span at
+    least two edges; a single-edge conflict component would mean the upward
+    pass failed to break up an isolated bottom edge.
     """
     state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
+    part_of, d2, d3, adj = p.part_of, state.d2, state.d3, g.adj
+    covered: set[int] = set()
     out = []
-    for vertices in connected_components(g, [v for v in range(g.n) if p.part_of[v] <= 2]):
-        comp = _component_view(g, p, vertices)
-        if _has_conflict(comp, state):
-            if len(comp.edge_ids) < 2:
-                raise InvariantViolation(
-                    f"conflict component {vertices} has fewer than two edges")
-            out.append(comp)
+    for u, v in g.edges:
+        if (d2[u] != d2[v] or d3[u] != d3[v] or part_of[u] > 2 or part_of[v] > 2
+                or u in covered):
+            continue
+        side = {u: part_of[u]}
+        degrees: dict[int, int] = {}
+        edge_ids = []
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            degree = 0
+            for w, eid in adj[x]:
+                if part_of[w] > 2:
+                    continue
+                degree += 1
+                if w not in side:
+                    side[w] = part_of[w]
+                    stack.append(w)
+                if x < w:
+                    edge_ids.append(eid)
+            degrees[x] = degree
+        covered.update(side)
+        vertices = sorted(side)
+        if len(edge_ids) < 2:
+            raise InvariantViolation(
+                f"conflict component {vertices} has fewer than two edges")
+        edge_ids.sort()
+        out.append(ConflictComponent(g, vertices, side, edge_ids, degrees))
+    out.sort(key=lambda comp: comp.vertices[0])
     return out
 
 
 def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list[str]:
     """Empty iff the component has no internal conflict and every vertex is
     monochromatic or special."""
+    edges, d2, d3 = comp.g.edges, state.d2, state.d3
     out = []
     for eid in comp.edge_ids:
-        u, v = comp.g.edges[eid]
-        if state.key(u) == state.key(v):
+        u, v = edges[eid]
+        if d2[u] == d2[v] and d3[u] == d3[v]:
             out.append(f"conflict on edge ({u},{v})")
     for v in comp.vertices:
-        d2, d3 = state.key(v)
-        if d2 > 0 and d3 > 0:
-            if not (d3 == 1 and d2 >= 2 and (d2 + d3) % 2 == 1):
-                out.append(f"vertex {v} is bichromatic but not special ({d2},{d3})")
+        twos, threes = d2[v], d3[v]
+        if twos > 0 and threes > 0:
+            if not (threes == 1 and twos >= 2 and (twos + threes) % 2 == 1):
+                out.append(f"vertex {v} is bichromatic but not special ({twos},{threes})")
     return out
 
 
@@ -107,47 +136,62 @@ def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list
 # Parity machinery
 
 
-def _sweep(state: ProfileTracker, vset: set[int], root: int,
-           need_flip: dict[int, bool], s: int) -> None:
-    """Toggle spanning-tree edges (1 <-> s) bottom-up so every vertex with
-    need_flip set has its s-parity flipped; the root absorbs the slack.
-
-    The tree spans the subgraph induced by ``vset``, which must be connected
-    and contain the root, and every edge of that subgraph must carry label 1
-    or s.  parity_relabel checks both first and the fixers guarantee them,
-    so a failure here is a broken construction.
-    Each non-root vertex owns exactly one tree edge towards the root,
-    processed after all edges below it, so one pass settles every requested
-    flip exactly.
-    """
-    adj = state.g.adj
+def _walk(state: ProfileTracker, vset, root: int, s: int):
+    """Breadth-first spanning tree of the subgraph induced by ``vset`` from
+    ``root``: the visit order, a map from each reached vertex to its
+    (parent, tree edge) (the root maps to itself and -1), and the first edge
+    met whose label is neither 1 nor s (None when there is none)."""
+    adj, labels = state.g.adj, state.labelling.labels
     order = [root]
-    parent: dict[int, int] = {root: root}
-    parent_edge: dict[int, int] = {}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
+    tree = {root: (root, -1)}
+    bad = None
+    for v in order:  # grows while it is read: a queue
         for w, eid in adj[v]:
             if w not in vset:
                 continue
-            if state.label(eid) not in (1, s):
-                raise InvariantViolation(
-                    f"edge {eid} carries label {state.label(eid)}, expected 1 or {s}")
-            if w not in parent:
-                parent[w] = v
-                parent_edge[w] = eid
+            if bad is None and labels[eid] != 1 and labels[eid] != s:
+                bad = eid
+            if w not in tree:
+                tree[w] = (v, eid)
                 order.append(w)
+    return order, tree, bad
+
+
+def _flip(state: ProfileTracker, order: list[int], tree, bad: int | None,
+          need: dict[int, bool], s: int) -> None:
+    """Toggle the tree edges of a ``_walk`` (1 <-> s) bottom-up so every
+    vertex with ``need`` set has its s-parity flipped; the root absorbs the
+    slack.  Each non-root vertex owns exactly one tree edge towards the root,
+    processed after all edges below it, so one pass settles every requested
+    flip exactly.  ``need`` is consumed.  A walk that met a label other than
+    1 or s (``bad``) is a broken construction."""
+    if bad is not None:
+        raise InvariantViolation(f"edge {bad} carries label {state.label(bad)}, expected 1 or {s}")
+    for v in order[:0:-1]:  # reverse visit order, root excluded
+        if need.get(v):
+            parent, eid = tree[v]
+            state.set(eid, s if state.label(eid) == 1 else 1)
+            need[parent] = not need.get(parent, False)
+
+
+def _sweep(state: ProfileTracker, vset: set[int], root: int,
+           need_flip: dict[int, bool], s: int) -> None:
+    """``_flip`` over a spanning tree of the subgraph induced by ``vset``,
+    which must be connected and contain the root, and every edge of which
+    must carry label 1 or s.  parity_relabel checks both first and the
+    fixers guarantee them, so a failure here is a broken construction.
+    """
+    order, tree, bad = _walk(state, vset, root, s)
     if len(order) != len(vset):
         raise InvariantViolation("parity sweep requires a connected subgraph")
-    need = dict(need_flip)
-    for v in reversed(order):
-        if v == root:
-            continue
-        if need.get(v):
-            eid = parent_edge[v]
-            state.set(eid, s if state.label(eid) == 1 else 1)
-            need[parent[v]] = not need.get(parent[v], False)
+    _flip(state, order, tree, bad, dict(need_flip), s)
+
+
+def _need(counts: list[int], side: dict[int, int], vertices, root: int,
+          odd_side: int) -> dict[int, bool]:
+    """The vertices other than the root whose parity in ``counts`` must flip
+    so that exactly those on side ``odd_side`` end odd."""
+    return {v: (counts[v] % 2 == 1) != (side[v] == odd_side) for v in vertices if v != root}
 
 
 def parity_relabel(g: Graph, l: Labelling | ProfileTracker, edge_ids, s: int,
@@ -196,12 +240,7 @@ def parity_relabel(g: Graph, l: Labelling | ProfileTracker, edge_ids, s: int,
             u, v = g.edges[eid]
             within[u] += 1
             within[v] += 1
-    need = {}
-    for v in vset:
-        if v == exempt:
-            continue
-        want_odd = (colour[v] == 0) == odd_on_exempt_side
-        need[v] = (within[v] % 2 == 1) != want_odd
+    need = _need(within, colour, vset, exempt, 0 if odd_on_exempt_side else 1)
     before = {eid: state.label(eid) for eid in edge_ids}
     _sweep(state, vset, exempt, need, s)
     return [eid for eid in edge_ids if state.label(eid) != before[eid]]
@@ -265,14 +304,11 @@ def anchor_trigger(comp: ConflictComponent, state: ProfileTracker):
 
 def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
     """Smallest 1-mono side-1 vertex with two 1-mono pendant side-2 neighbours."""
-    g = comp.g
-    # Counted once: comp.degree(w) per neighbour would rescan a high-degree
-    # vertex's adjacency list once for each of its neighbours.
-    degree = Counter(x for eid in comp.edge_ids for x in g.edges[eid])
+    g, degrees = comp.g, comp.degrees
     for v in comp.vertices:
         if comp.side[v] == 1 and state.is_mono1(v):
-            pendants = [(w, eid) for w, eid in _within(g, v, comp.side)
-                        if degree[w] == 1 and state.is_mono1(w)]
+            pendants = [(w, eid) for w, eid in g.adj[v]
+                        if degrees.get(w) == 1 and state.is_mono1(w)]
             if len(pendants) >= 2:
                 return v, pendants[0], pendants[1]
     return None
@@ -288,8 +324,15 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
     alternating 2-parities, leftover 1-mono contact vertices are absorbed by
     a second 1/3 parity pass over the anchor contact graph, and odd anchors
     are evened out by rerouting one 3 onto a reserve neighbour.
+
+    Both passes find their pieces in ascending vertex order: the first
+    vertex not yet covered that touches an anchor is the smallest contact
+    of its piece (the first anchor not yet covered, the smallest anchor of
+    its part of the contact graph), and one breadth-first walk from it
+    collects the piece and is the spanning tree of its parity pass.
     """
     g = comp.g
+    adj, side, d2, d3 = g.adj, comp.side, state.d2, state.d3
     case = "anchor"
     if seed is not None:
         v1, (u1, e1), (u2, e2) = seed
@@ -299,69 +342,60 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
         if not _has_conflict(comp, state):
             return case + "-done"
 
-    anchors = [v for v in comp.vertices
-               if comp.side[v] == 1 and state.d3[v] > 0 and state.d2[v] == 0]
+    anchors = [v for v in comp.vertices if side[v] == 1 and d3[v] > 0 and d2[v] == 0]
     if not anchors:
         raise InvariantViolation("anchored fixer ran without any 3-anchored vertex")
     anchor_set = set(anchors)
 
     rest = set(comp.vertices) - anchor_set
-    pieces = []
-    for piece in connected_components(g, rest):
-        if any(comp.side[v] == 2 and state.d3[v] > 0 for v in piece):
-            continue  # pendant vertices already retyped by the seeding step
-        pieces.append(piece)
-
+    covered: set[int] = set()
     contact_partner: dict[int, tuple[int, int]] = {}
-    for piece in pieces:
-        pset = set(piece)
-        contact = None
-        for v in piece:
-            partner = _within(g, v, anchor_set)
-            if partner:
-                contact = (v, partner[0])
-                break
-        if contact is None:
-            raise InvariantViolation("piece without contact to an anchor")
-        y, (x, exy) = contact
-        need = {}
-        for v in piece:
-            if v == y:
-                continue
-            want_odd = comp.side[v] == 2
-            need[v] = (state.d2[v] % 2 == 1) != want_odd
-        _sweep(state, pset, y, need, 2)
-        if state.d2[y] % 2 == 1:
+    for y in comp.vertices:
+        if y not in rest or y in covered:
             continue
-        if state.d2[y] > 0:
+        for x, exy in adj[y]:  # the smallest anchor neighbour
+            if x in anchor_set:
+                break
+        else:
+            continue  # no anchor neighbour: the walk from a larger contact covers y
+        order, tree, bad = _walk(state, rest, y, 2)
+        covered.update(order)
+        if any(side[v] == 2 and d3[v] > 0 for v in order):
+            continue  # pendant vertices already retyped by the seeding step
+        if len(order) > 1:
+            _flip(state, order, tree, bad, _need(d2, side, order, y, 2), 2)
+        if d2[y] % 2 == 1:
+            continue
+        if d2[y] > 0:
             state.set(exy, 3)  # y turns special
             continue
-        mates = [w for w, _ in _within(g, y, pset) if state.is_mono1(w)]
-        if mates:
-            contact_partner[y] = (x, mates[0])
+        mate = next((w for w, _ in adj[y] if w in tree and state.is_mono1(w)), None)
+        if mate is not None:
+            contact_partner[y] = (x, mate)
+    for v in sorted(rest - covered):  # pieces without contact: skipped ones only
+        if v not in covered:
+            order = _walk(state, rest, v, 2)[0]
+            covered.update(order)
+            if not any(side[w] == 2 and d3[w] > 0 for w in order):
+                raise InvariantViolation("piece without contact to an anchor")
 
     if contact_partner:
-        for q in connected_components(g, anchor_set | set(contact_partner)):
-            qset = set(q)
-            xk = min(v for v in q if v in anchor_set)
-            need = {}
-            for v in q:
-                if v == xk:
-                    continue
-                want_odd = comp.side[v] == 2
-                need[v] = (state.d3[v] % 2 == 1) != want_odd
-            _sweep(state, qset, xk, need, 3)
-            if state.d3[xk] % 2 == 1:
-                for y, exy in _within(g, xk, qset):
-                    if comp.side[y] != 2 or state.key(y) != state.key(xk):
+        contact_graph = anchor_set | set(contact_partner)
+        covered.clear()
+        for xk in anchors:
+            if xk in covered:
+                continue
+            order, tree, bad = _walk(state, contact_graph, xk, 3)
+            if len(order) == 1:
+                continue  # an anchor without contacts: nothing to flip
+            covered.update(order)
+            _flip(state, order, tree, bad, _need(d3, side, order, xk, 2), 3)
+            if d3[xk] % 2 == 1:
+                for y, exy in adj[xk]:
+                    if y not in tree or side[y] != 2 or state.key(y) != state.key(xk):
                         continue
-                    mate = contact_partner[y][1]
-                    eyw = g.edge_id(y, mate)
-                    if state.label(exy) == 3:
-                        state.set(exy, 1)
-                    else:
-                        state.set(exy, 3)
-                    state.set(eyw, 3)
+                    state.set(exy, 1 if state.label(exy) == 3 else 3)
+                    state.set(g.edge_id(y, contact_partner[y][1]), 3)
                     break
     return case
 
@@ -417,13 +451,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
             if xj is None:
                 raise InvariantViolation(f"block {block} not attached to {rep}")
             contacts.append(xj)
-            need = {}
-            for v in block:
-                if v == xj:
-                    continue
-                want_odd = comp.side[v] == 2
-                need[v] = (state.d2[v] % 2 == 1) != want_odd
-            _sweep(state, bset, xj, need, 2)
+            _sweep(state, bset, xj, _need(state.d2, comp.side, block, xj, 2), 2)
         evens = [x for x in contacts if state.d2[x] % 2 == 0]
         if not evens:
             piece.kind = "nice"
@@ -589,13 +617,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
             raise InvariantViolation(f"side-2 neighbour {x} is not 2-monochromatic")
 
     rest = set(comp.vertices) - {u}
-    need = {}
-    for w in rest:
-        if w == v:
-            continue
-        want_odd = comp.side[w] == 1
-        need[w] = (state.d2[w] % 2 == 1) != want_odd
-    _sweep(state, rest, v, need, 2)
+    _sweep(state, rest, v, _need(state.d2, comp.side, rest, v, 1), 2)
 
     if state.d2[v] % 2 == 1:
         return "pendant-balanced"

@@ -7,7 +7,7 @@ import pytest
 
 import prodlabel.cli
 import prodlabel.engine
-from prodlabel import InvariantViolation, Partition
+from prodlabel import InvariantViolation, Partition, parse_graph
 from prodlabel.cli import main
 
 from test_partition import WITNESS_PATH, break_greedy_start
@@ -28,6 +28,13 @@ def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
     return str(path)
+
+
+def assert_repro(tmp_path, err, content):
+    """``label`` named its repro file and saved the input graph in it."""
+    assert "wrote label_fail.edges" in err
+    saved = (tmp_path / "label_fail.edges").read_text()
+    assert parse_graph(saved, "auto") == parse_graph(content, "auto")
 
 
 class TestLabelCommand:
@@ -90,29 +97,35 @@ class TestLabelCommand:
             raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")
 
         monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
+        monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "k3.edges", K3)
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
         assert err.startswith("internal error: vertex 0")
         assert "Traceback" not in err
+        assert_repro(tmp_path, err, K3)
 
     def test_broken_partition_builder_exit_3(self, tmp_path, capsys, monkeypatch):
         # Without compact() the builder leaves an empty part behind; its own
         # validity checks must report that as a broken construction.
         monkeypatch.setattr(Partition, "compact", lambda self: None)
+        monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "witness.edges", WITNESS_PATH.to_edge_list())
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
         assert err.startswith("internal error:") and "part 3 is empty" in err
         assert "Traceback" not in err
+        assert_repro(tmp_path, err, WITNESS_PATH.to_edge_list())
 
     def test_broken_greedy_start_exit_3(self, tmp_path, capsys, monkeypatch):
         break_greedy_start(monkeypatch, "edge inside a part")
+        monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "p5.edges", "0 1\n1 2\n2 3\n3 4\n")
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
         assert err.startswith("internal error:") and "part 1 is not independent" in err
         assert "Traceback" not in err
+        assert_repro(tmp_path, err, "0 1\n1 2\n2 3\n3 4\n")
 
     def test_checker_runs_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -136,10 +149,12 @@ class TestLabelCommand:
             return report
 
         monkeypatch.setattr(prodlabel.cli, "label_graph", unverified)
+        monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "k3.edges", K3)
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
         assert "labelling failed verification" in err
+        assert_repro(tmp_path, err, K3)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "k3.edges", K3)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from prodlabel import (
+    ConflictComponent,
     Graph,
     Labelling,
     Partition,
@@ -29,6 +30,7 @@ from conftest import (
     path_graph,
     random_connected_nice_graph,
     star_graph,
+    tree_plus_chords,
 )
 
 
@@ -222,6 +224,44 @@ class TestConflictComponents:
         with pytest.raises(InvariantViolation, match="fewer than two edges"):
             conflict_components(g, p, Labelling([1]))
 
+    @pytest.mark.parametrize("clean", [1, 40, 400])
+    def test_clean_components_never_walked(self, clean):
+        # `clean` bottom paths a-b-c whose middle carries a 2 towards its own
+        # part-3 vertex d (b and d share a key, but d is not in the bottom),
+        # then a conflicting star on the highest ids, its edges listed first.
+        parts, edges, labels = [set(), set(), set()], [], []
+        for i in range(clean):
+            a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+            parts[0] |= {a, c}
+            parts[1].add(b)
+            parts[2].add(d)
+            edges += [(a, b), (b, c), (b, d)]
+            labels += [1, 1, 2]
+        centre = 4 * clean
+        leaves = [centre + 1, centre + 2, centre + 3]
+        parts[0].add(centre)
+        parts[1].update(leaves)
+        edges = [(centre, x) for x in leaves] + edges
+        labels = [1, 1, 1] + labels
+        g, p, state = fixture(parts, edges, labels)
+        star_degrees = sum(len(g.adj[v]) for v in [centre] + leaves)
+        g.adj = CountingAdj(g.adj)
+        comps = conflict_components(g, p, state)
+        assert [c.vertices for c in comps] == [[centre] + leaves]
+        assert comps[0].edge_ids == [0, 1, 2]
+        assert [comps[0].degree(v) for v in comps[0].vertices] == [3, 1, 1, 1]
+        assert g.adj.read <= 2 * star_degrees
+
+    def test_ordered_by_smallest_vertex(self):
+        # The first conflicting edge lies in the component with the larger
+        # ids; the components still come out by smallest vertex.
+        parts = [{0, 2, 3}, {1, 4, 5, 6}]
+        edges = [(3, 4), (3, 5), (3, 6), (0, 1), (1, 2)]
+        g, p, state = fixture(parts, edges)
+        comps = conflict_components(g, p, state)
+        assert [c.vertices for c in comps] == [[0, 1, 2], [3, 4, 5, 6]]
+        assert [c.edge_ids for c in comps] == [[3, 4], [0, 1, 2]]
+
 
 class TestFixAnchored:
     def test_star_seeding(self):
@@ -251,6 +291,45 @@ class TestFixAnchored:
         assert state.key(1) == (2, 1)  # special contact
         assert state.labelling.labels[0] == 3
         assert component_violations(comp, state) == []
+
+    @staticmethod
+    def _merged(g, p, vertices):
+        """One ConflictComponent over any vertex set, connected or not."""
+        side = {v: p.part_of[v] for v in vertices}
+        edge_ids = sorted(eid for eid, (a, b) in enumerate(g.edges) if a in side and b in side)
+        degrees = {v: sum(1 for w, _ in g.adj[v] if w in side) for v in vertices}
+        return ConflictComponent(g, sorted(vertices), side, edge_ids, degrees)
+
+    @pytest.mark.parametrize("retyped", [False, True])
+    def test_piece_without_contact(self, retyped):
+        # The anchored component of test_contact_turns_special glued to a
+        # separate bottom path 7-8-9, a piece that touches no anchor.  Only
+        # a piece the seeding step retyped (a side-2 vertex with a 3) may
+        # lack a contact; any other is a broken construction.
+        parts = [{0, 2, 4, 7, 9}, {1, 3, 5, 8}, {6, 10}]
+        edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (7, 8), (8, 9), (8, 10)]
+        labels = [1, 1, 1, 1, 1, 3, 1, 1, 3 if retyped else 1]
+        g, p, state = fixture(parts, edges, labels)
+        comp = self._merged(g, p, range(10))
+        if retyped:
+            fix_anchored(comp, state, None)
+            assert state.labelling.labels[6:] == [1, 1, 3]
+        else:
+            with pytest.raises(InvariantViolation, match="piece without contact"):
+                fix_anchored(comp, state, None)
+
+    def test_retyped_piece_left_alone(self):
+        # test_contact_turns_special with a 3 on the side-2 vertex 3 of the
+        # piece: a piece holding a side-2 vertex with a 3 gets no parity
+        # pass and no contact edit.
+        parts = [{0, 2, 4}, {1, 3, 5}, {6, 7}]
+        edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (3, 7)]
+        labels = [1, 1, 1, 1, 1, 3, 3]
+        g, p, state = fixture(parts, edges, labels)
+        comp = the_component(g, p, state)
+        assert comp.vertices == [0, 1, 2, 3, 4, 5]
+        assert fix_anchored(comp, state, *anchor_trigger(comp, state)) == "anchor"
+        assert state.labelling.labels == labels
 
     def test_leftover_one_mono_contacts(self):
         # Two pieces whose contacts stay 1-mono force the 1/3 pass over the
@@ -487,6 +566,61 @@ class TestRunRepairPass:
             calls.clear()
             res = run_repair_pass(g, up.partition, up.labelling)
             assert len(calls) == len(res.component_vertices) == 1, case
+
+    def test_one_walk_per_anchored_piece(self, monkeypatch):
+        # fix_anchored finds each piece with one walk from its smallest
+        # contact (and each part of the contact graph with one walk from its
+        # smallest anchor): no component search, every vertex walked at most
+        # once per pass, and no parity flip on a one-vertex piece.
+        inside, searches, walks, flips = [], [], [], []
+
+        def spy(name, record):
+            real = getattr(repair_module, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                if inside:
+                    record(args, result)
+                return result
+            monkeypatch.setattr(repair_module, name, wrapper)
+
+        spy("connected_components", lambda args, result: searches.append(args))
+        spy("_walk", lambda args, result: walks[-1][args[3]].append(result[0]))
+        spy("_flip", lambda args, result: flips.append(args[1]))
+        fix = repair_module.fix_anchored
+
+        def anchored(comp, state, seed):
+            inside.append(1)
+            walks.append({2: [], 3: []})
+            try:
+                return fix(comp, state, seed)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(repair_module, "fix_anchored", anchored)
+
+        graphs = [PINNED_CASES["anchor"], PINNED_CASES["anchor-seeded"]]
+        graphs += [random_connected_nice_graph(random.Random(seed + 555), n_max=16)
+                   for seed in range(150)]
+        rng = random.Random(556)
+        for _ in range(150):
+            n = rng.randint(8, 40)
+            graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 4)))
+        for g in graphs:
+            up = run_upward_pass(g, build_valid_partition(g))
+            res = run_repair_pass(g, up.partition, up.labelling)
+            assert find_conflicts(g, res.labelling) == []
+        assert searches == []
+        assert all(len(order) > 1 for order in flips)
+        for per_pass in walks:
+            for orders in per_pass.values():
+                walked = [v for order in orders for v in order]
+                assert len(walked) == len(set(walked))
+        # Not vacuous: one-vertex pieces and both passes were reached.
+        pieces = [order for per_pass in walks for order in per_pass[2]]
+        assert len(walks) > 150
+        assert any(len(order) == 1 for order in pieces)
+        assert any(len(order) > 1 for order in pieces)
+        assert any(per_pass[3] for per_pass in walks)
 
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_pinned_case(self, case):
