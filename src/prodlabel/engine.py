@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .graph import Graph, connected_components
@@ -61,28 +62,31 @@ def label_graph(g: Graph, trace: bool = False) -> PipelineReport:
 
 
 # Search nodes (single-edge label assignments) one public oracle call may
-# visit, summed over every k it tries: about 0.75 s at 2.7 M nodes/s on one
-# core of a 2-CPU Linux machine (Python 3.11).  K7 needs 0.48 M nodes to
-# rule out k = 2; K8 runs out of budget there.
+# visit, summed over every k it tries: about 0.87 s at 2.3 M nodes/s on one
+# core of a shared 2-CPU Linux machine (Python 3.11).  K7 needs 0.48 M nodes
+# to rule out k = 2; K8 runs out of budget there.
 ORACLE_NODE_BUDGET = 2_000_000
 
 
-def _first_proper(g: Graph, k: int, budget: int) -> tuple[list[int] | None, int]:
-    """Lex-first proper k-labelling (or None) and the search nodes visited.
+def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int,
+                  budget: int) -> tuple[list[int] | None, int]:
+    """Lex-first proper k-labelling of ``edges`` on vertices 0..n-1 (or
+    None), one label per entry of ``edges``, and the search nodes visited.
 
-    Depth-first over edges in index order, labels 1..k.  A vertex's exact
-    integer product is final once its last incident edge is labelled, and
-    each edge is checked as soon as both of its ends are final, so a branch
-    dies at the first edge whose ends must end up with equal products.
+    Depth-first over ``edges`` in the order given, labels 1..k.  A vertex's
+    exact integer product is final once its last incident edge is labelled,
+    and each edge is checked as soon as both of its ends are final, so a
+    branch dies at the first edge whose ends must end up with equal
+    products.
     """
-    edges, m = g.edges, g.m
-    last = [-1] * g.n
+    m = len(edges)
+    last = [-1] * n
     for j, (u, v) in enumerate(edges):
         last[u] = last[v] = j
     checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for u, v in edges:
         checks[max(last[u], last[v])].append((u, v))
-    prod = [1] * g.n
+    prod = [1] * n
     labels = [0] * m
     nodes = 0
     j = 0
@@ -118,14 +122,21 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
     An edgeless graph answers 1 by convention.  None when even k_max labels
     do not suffice.  All k values share ORACLE_NODE_BUDGET search nodes;
     going over it raises ValueError.
+
+    The searches run over the edges in sorted (u, v) order, whatever order
+    ``g`` lists them in: each vertex's edges to higher ids come together, so
+    products become final early and dead branches are cut sooner.  Whether
+    a proper labelling exists does not depend on the order; the node count
+    does.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     if g.m == 0:
         return 1
+    edges = sorted(g.edges)
     budget = ORACLE_NODE_BUDGET
     for k in range(1, k_max + 1):
-        labels, nodes = _first_proper(g, k, budget)
+        labels, nodes = _first_proper(g.n, edges, k, budget)
         if labels is not None:
             return k
         budget -= nodes
@@ -134,10 +145,14 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
 
 def brute_force_labelling(g: Graph, k: int) -> list[int] | None:
     """First proper k-labelling in lexicographic order (first edge most
-    significant), or None; bounded by ORACLE_NODE_BUDGET search nodes."""
+    significant), or None; bounded by ORACLE_NODE_BUDGET search nodes.
+
+    The search keeps the edges in index order, because that order defines
+    which labelling is first.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    return _first_proper(g, k, ORACLE_NODE_BUDGET)[0]
+    return _first_proper(g.n, g.edges, k, ORACLE_NODE_BUDGET)[0]
 
 
 def random_nice_graph(n: int, p: float, seed: int) -> Graph:

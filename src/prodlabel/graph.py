@@ -114,7 +114,7 @@ def parse_edge_list(text: str) -> Graph:
         if tokens[0] == "n":
             if not first_content:
                 raise GraphFormatError("header must come before edges", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise GraphFormatError("malformed header, expected 'n <count>'", lineno)
             declared = int(tokens[1])
             if declared > MAX_VERTICES:

@@ -307,10 +307,12 @@ def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
     g, degrees = comp.g, comp.degrees
     for v in comp.vertices:
         if comp.side[v] == 1 and state.is_mono1(v):
-            pendants = [(w, eid) for w, eid in g.adj[v]
-                        if degrees.get(w) == 1 and state.is_mono1(w)]
-            if len(pendants) >= 2:
-                return v, pendants[0], pendants[1]
+            first = None
+            for w, eid in g.adj[v]:
+                if degrees.get(w) == 1 and state.is_mono1(w):
+                    if first is not None:
+                        return v, first, (w, eid)
+                    first = w, eid
     return None
 
 

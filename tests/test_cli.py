@@ -92,6 +92,14 @@ class TestLabelCommand:
         assert code == 1 and out == ""
         assert "exceeds the limit" in err
 
+    def test_superscript_header_exit_1(self, tmp_path, capsys):
+        # "²".isdigit() holds but int("²") raises ValueError.
+        path = tmp_path / "sup.edges"
+        path.write_text("n \u00b2\n0 1\n1 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "label", str(path))
+        assert code == 1 and out == ""
+        assert err == "input error: line 1: malformed header, expected 'n <count>'\n"
+
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def broken(g, trace=False):
             raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")

@@ -25,6 +25,7 @@ from conftest import (
     path_graph,
     random_connected_nice_graph,
     star_graph,
+    tree_plus_chords,
 )
 
 
@@ -223,6 +224,65 @@ class TestBruteForceMinK:
             assert labels is not None
             assert not exact_conflicts(g, labels)
             assert brute_force_labelling(g, 2) is None
+
+
+def shuffled_pairs(n: int, m: int, seed: int) -> Graph:
+    """m of the n-choose-2 vertex pairs, drawn by a seeded shuffle."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    return Graph(n, pairs[:m])
+
+
+class TestMinKEdgeOrder:
+    """brute_force_min_k searches one edge order whatever order the input
+    lists its edges in, so its answer and its search nodes are properties of
+    the graph alone."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """One-item list that sums the nodes of every search; reset it to 0
+        to start a count."""
+        seen = [0]
+        search = engine._first_proper
+
+        def counted(*args):
+            labels, nodes = search(*args)
+            seen[0] += nodes
+            return labels, nodes
+
+        monkeypatch.setattr(engine, "_first_proper", counted)
+        return seen
+
+    @staticmethod
+    def reorderings(g: Graph, rng: random.Random, count: int = 3):
+        yield g
+        for _ in range(count):
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+            rng.shuffle(edges)
+            yield Graph(g.n, edges)
+
+    def test_same_answer_and_nodes_in_every_order(self, seen):
+        rng = random.Random(9)
+        graphs = [complete_graph(5), complete_graph(6),
+                  shuffled_pairs(12, 16, seed=7), shuffled_pairs(10, 14, seed=3)]
+        while len(graphs) < 54:
+            n = rng.randint(6, 9)
+            g = tree_plus_chords(rng, n, rng.randint(14, min(16, n * (n - 1) // 2)))
+            if is_nice(g):
+                graphs.append(g)
+        for i, g in enumerate(graphs):
+            outcomes = set()
+            for h in self.reorderings(g, rng):
+                seen[0] = 0
+                outcomes.add((brute_force_min_k(h), seen[0]))
+            assert len(outcomes) == 1, (i, outcomes)
+
+    def test_k6_nodes(self, seen):
+        for h in self.reorderings(complete_graph(6), random.Random(6)):
+            seen[0] = 0
+            assert brute_force_min_k(h) == 3
+            assert seen[0] == 17_808
 
 
 def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:

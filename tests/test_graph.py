@@ -71,6 +71,13 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="header"):
             parse_edge_list("0 1\nn 4")
 
+    def test_non_decimal_header(self):
+        # "²".isdigit() holds but int("²") raises: the header must be
+        # refused as malformed, not crash the conversion.
+        for count in ("²", "1²", "-3", "+3"):
+            with pytest.raises(GraphFormatError, match="line 1: malformed header"):
+                parse_edge_list(f"n {count}\n0 1\n1 2")
+
     def test_declared_count_above_limit(self):
         with pytest.raises(GraphFormatError, match="line 1.*exceeds the limit"):
             parse_edge_list(f"n {MAX_VERTICES + 1}\n0 1\n1 2")
