@@ -1,105 +1,30 @@
 """Product-distinguishing {1,2,3} edge labellings for simple graphs."""
 
-from .engine import (
-    PipelineReport,
-    brute_force_labelling,
-    brute_force_min_k,
-    label_graph,
-    random_nice_graph,
-)
-from .graph import (
-    Graph,
-    GraphFormatError,
-    InvariantViolation,
-    NotNiceError,
-    connected_components,
-    is_nice,
-    parse_dimacs,
-    parse_edge_list,
-    parse_graph,
-)
+from .engine import PipelineReport, brute_force_labelling, brute_force_min_k, label_graph
+from .graph import Graph, GraphFormatError, InvariantViolation, NotNiceError, parse_graph
 from .labelling import (
     Labelling,
-    VertexClass,
-    VertexKind,
-    VertexProfile,
-    classify,
     find_conflicts,
     format_labelling,
     format_products,
     parse_labelling,
-    profile,
 )
-from .partition import (
-    Partition,
-    SwapWitness,
-    build_valid_partition,
-    greedy_partition,
-    missing_lower_neighbours,
-    potential,
-    swap_edge,
-    swap_safety_witness,
-    swappable_edges,
-)
-from .repair import (
-    ConflictComponent,
-    component_violations,
-    conflict_components,
-    fix_anchored,
-    fix_hub,
-    fix_pendant,
-    nullstellensatz_assign,
-    parity_relabel,
-    run_repair_pass,
-)
-from .upward import PartTarget, run_upward_pass, target_profile
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConflictComponent",
     "Graph",
     "GraphFormatError",
     "InvariantViolation",
     "Labelling",
     "NotNiceError",
-    "PartTarget",
-    "Partition",
     "PipelineReport",
-    "SwapWitness",
-    "VertexClass",
-    "VertexKind",
-    "VertexProfile",
     "brute_force_labelling",
     "brute_force_min_k",
-    "build_valid_partition",
-    "classify",
-    "component_violations",
-    "conflict_components",
-    "connected_components",
     "find_conflicts",
-    "fix_anchored",
-    "fix_hub",
-    "fix_pendant",
     "format_labelling",
     "format_products",
-    "greedy_partition",
-    "is_nice",
     "label_graph",
-    "missing_lower_neighbours",
-    "nullstellensatz_assign",
-    "parity_relabel",
-    "parse_dimacs",
-    "parse_edge_list",
     "parse_graph",
     "parse_labelling",
-    "potential",
-    "profile",
-    "random_nice_graph",
-    "run_repair_pass",
-    "run_upward_pass",
-    "swap_edge",
-    "swap_safety_witness",
-    "swappable_edges",
-    "target_profile",
 ]

@@ -27,6 +27,15 @@ class InvariantViolation(AssertionError):
     """An internally unreachable branch was reached; the construction is broken."""
 
 
+def read_int(token: str, lineno: int) -> int:
+    """The non-negative integer a token of ASCII digits spells; a
+    GraphFormatError naming the line for any other token (``int`` alone also
+    takes a sign, underscores and non-ASCII digits)."""
+    if not (token.isascii() and token.isdecimal()):
+        raise GraphFormatError(f"malformed number {token!r}", lineno)
+    return int(token)
+
+
 class Graph:
     """Simple undirected graph with dense 0-based vertex ids and indexed edges.
 
@@ -114,7 +123,7 @@ def parse_edge_list(text: str) -> Graph:
         if tokens[0] == "n":
             if not first_content:
                 raise GraphFormatError("header must come before edges", lineno)
-            if len(tokens) != 2 or not tokens[1].isdecimal():
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
                 raise GraphFormatError("malformed header, expected 'n <count>'", lineno)
             declared = int(tokens[1])
             if declared > MAX_VERTICES:
@@ -125,12 +134,7 @@ def parse_edge_list(text: str) -> Graph:
         first_content = False
         if len(tokens) != 2:
             raise GraphFormatError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"malformed token in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise GraphFormatError("vertex ids must be non-negative", lineno)
+        u, v = read_int(tokens[0], lineno), read_int(tokens[1], lineno)
         if max(u, v) >= MAX_VERTICES:
             raise GraphFormatError(
                 f"vertex id {max(u, v)} needs more than the limit of {MAX_VERTICES} vertices", lineno)
@@ -167,12 +171,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError("duplicate problem line", lineno)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise GraphFormatError("expected 'p edge <n> <m>'", lineno)
-            try:
-                n, m_declared = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise GraphFormatError("malformed problem line", lineno) from None
-            if n < 0 or m_declared < 0:
-                raise GraphFormatError("negative counts in problem line", lineno)
+            n, m_declared = read_int(tokens[2], lineno), read_int(tokens[3], lineno)
             if n > MAX_VERTICES:
                 raise GraphFormatError(
                     f"declared vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
@@ -181,10 +180,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError("edge before problem line", lineno)
             if len(tokens) != 3:
                 raise GraphFormatError("expected 'e <u> <v>'", lineno)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise GraphFormatError("malformed edge line", lineno) from None
+            u, v = read_int(tokens[1], lineno), read_int(tokens[2], lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"vertex id out of range in {line!r}", lineno)
             if u == v:
@@ -225,18 +221,12 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def connected_components(g: Graph, vertices=None) -> list[list[int]]:
-    """Vertex sets of the connected components of the subgraph induced by
-    ``vertices`` (default: the whole graph), each sorted, ordered by minimum id.
-
-    The walk filters ``g.adj`` by membership in the vertex set, so its cost
-    scales with the set and its adjacency lists, not with ``g.n``.
-    """
-    order = range(g.n) if vertices is None else sorted(vertices)
-    inside = None if vertices is None else set(order)
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex sets of the connected components, each sorted, ordered by
+    minimum id."""
     seen: set[int] = set()
     comps: list[list[int]] = []
-    for start in order:
+    for start in range(g.n):
         if start in seen:
             continue
         seen.add(start)
@@ -244,7 +234,7 @@ def connected_components(g: Graph, vertices=None) -> list[list[int]]:
         stack = [start]
         while stack:
             for w, _ in g.adj[stack.pop()]:
-                if w not in seen and (inside is None or w in inside):
+                if w not in seen:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)

@@ -1,4 +1,4 @@
-"""Edge labellings, per-vertex degree profiles, and conflict detection.
+"""Edge labellings, per-vertex degree counts, and conflict detection.
 
 Vertex products are never materialised: with labels in {1,2,3} the product of
 incident labels is 2**d2 * 3**d3, so the pair (d2, d3) is a faithful and
@@ -7,10 +7,9 @@ overflow-free product key.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .graph import Graph, GraphFormatError
+from .graph import Graph, GraphFormatError, read_int
 
 LABELS = (1, 2, 3)
 
@@ -40,63 +39,6 @@ class Labelling:
         for eid, lab in enumerate(self.labels):
             if lab not in LABELS:
                 raise ValueError(f"edge {eid} has label {lab} outside {{1,2,3}}")
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """Counts of incident edges per label; d1 + d2 + d3 equals the degree."""
-
-    d1: int
-    d2: int
-    d3: int
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.d2, self.d3)
-
-
-class VertexKind(enum.Enum):
-    MONO1 = 1
-    MONO2 = 2
-    MONO3 = 3
-    BICHROMATIC = 4
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    kind: VertexKind
-    special: bool
-
-
-def profile(g: Graph, l: Labelling, v: int) -> VertexProfile:
-    """Exact incident-label counts of v."""
-    d1 = d2 = d3 = 0
-    for _, eid in g.adj[v]:
-        lab = l.labels[eid]
-        if lab == 1:
-            d1 += 1
-        elif lab == 2:
-            d2 += 1
-        else:
-            d3 += 1
-    return VertexProfile(d1, d2, d3)
-
-
-def classify(p: VertexProfile) -> VertexClass:
-    """Kind of a vertex plus its special flag.
-
-    Special means d3 == 1, d2 >= 2, and d2 + d3 odd (so d2 is even).
-    """
-    if p.d2 == 0 and p.d3 == 0:
-        kind = VertexKind.MONO1
-    elif p.d2 > 0 and p.d3 == 0:
-        kind = VertexKind.MONO2
-    elif p.d3 > 0 and p.d2 == 0:
-        kind = VertexKind.MONO3
-    else:
-        kind = VertexKind.BICHROMATIC
-    special = p.d3 == 1 and p.d2 >= 2 and (p.d2 + p.d3) % 2 == 1
-    return VertexClass(kind, special)
 
 
 def degree_counts(g: Graph, l: Labelling) -> tuple[list[int], list[int]]:
@@ -194,10 +136,7 @@ def parse_labelling(g: Graph, text: str) -> Labelling:
         tokens = line.split()
         if len(tokens) != 3:
             raise GraphFormatError(f"expected 'u v label', got {line!r}", lineno)
-        try:
-            u, v, lab = int(tokens[0]), int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise GraphFormatError(f"malformed token in {line!r}", lineno) from None
+        u, v, lab = (read_int(tok, lineno) for tok in tokens)
         if lab not in LABELS:
             raise GraphFormatError(f"label {lab} outside {{1,2,3}}", lineno)
         try:

@@ -29,17 +29,6 @@ class Partition:
                 raise ValueError("part indices are 1-based")
             self.parts[i - 1].add(v)
 
-    @classmethod
-    def from_parts(cls, parts) -> "Partition":
-        part_of: dict[int, int] = {}
-        for i, vs in enumerate(parts, start=1):
-            for v in vs:
-                part_of[v] = i
-        n = len(part_of)
-        if sorted(part_of) != list(range(n)):
-            raise ValueError("parts must cover vertices 0..n-1 exactly once")
-        return cls([part_of[v] for v in range(n)])
-
     @property
     def t(self) -> int:
         return len(self.parts)
@@ -63,25 +52,6 @@ class Partition:
         """Drop trailing empty parts."""
         while self.parts and not self.parts[-1]:
             self.parts.pop()
-
-    def validate(self, g: Graph) -> None:
-        if len(self.part_of) != g.n:
-            raise ValueError("partition does not cover the vertex set")
-        for i, vs in enumerate(self.parts, start=1):
-            if not vs:
-                raise ValueError(f"part {i} is empty")
-            for v in vs:
-                if self.part_of[v] != i:
-                    raise ValueError("part_of inconsistent with parts")
-        for u, v in g.edges:
-            if self.part_of[u] == self.part_of[v]:
-                raise ValueError(f"part {self.part_of[u]} is not independent: edge ({u},{v})")
-
-    def dump(self) -> str:
-        lines = []
-        for i, vs in enumerate(self.parts, start=1):
-            lines.append(f"V{i}: " + " ".join(str(v) for v in sorted(vs)))
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.part_of == other.part_of
@@ -119,11 +89,6 @@ def greedy_partition(g: Graph, order=None) -> Partition:
     return Partition(part_of)
 
 
-def potential(p: Partition) -> int:
-    """Sum of part_index * part_size; strictly decreases on every repair move."""
-    return sum(i * len(vs) for i, vs in enumerate(p.parts, start=1))
-
-
 def _end_edges(g: Graph, p: Partition) -> dict[int, int]:
     """Each end of a swappable edge mapped to that edge, from one pass over
     the edges; ValueError if a part is not independent.  The swappable edges
@@ -146,44 +111,6 @@ def _end_edges(g: Graph, p: Partition) -> dict[int, int]:
         if bottom_degree[u] == 1 and bottom_degree[v] == 1:
             end_edge[u] = end_edge[v] = eid
     return end_edge
-
-
-def swappable_edges(g: Graph, p: Partition) -> set[int]:
-    """Edge ids of the swappable edges (see ``_end_edges``)."""
-    return set(_end_edges(g, p).values())
-
-
-def swap_edge(g: Graph, p: Partition, eid: int) -> Partition:
-    """Exchange the two ends of a swappable bottom edge between V1 and V2."""
-    if eid not in swappable_edges(g, p):
-        raise ValueError(f"edge {eid} is not swappable in this partition")
-    q = p.copy()
-    u, v = g.edges[eid]
-    pu, pv = q.part_of[u], q.part_of[v]
-    q.move(u, pv)
-    q.move(v, pu)
-    return q
-
-
-def missing_lower_neighbours(g: Graph, p: Partition) -> list[tuple[int, int]]:
-    """All pairs (v, j) where v sits in part i > j yet has no neighbour in part j.
-
-    Empty exactly when the lower-neighbour property holds.  Ordered by vertex
-    id, then part index.
-    """
-    out: list[tuple[int, int]] = []
-    part_of = p.part_of
-    for v in range(g.n):
-        i = part_of[v]
-        if i < 2:
-            continue
-        seen = [False] * i
-        for w, _ in g.adj[v]:
-            j = part_of[w]
-            if j < i:
-                seen[j] = True
-        out.extend((v, j) for j in range(1, i) if not seen[j])
-    return out
 
 
 @dataclass(frozen=True)
@@ -251,24 +178,12 @@ def _bottom_edge(g: Graph, part_of: list[int], v: int) -> tuple[int, int] | None
 
 def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
     """The swappable edge with end ``v``, or None; one vertex's share of
-    ``swappable_edges``, so it reads only parts within distance two of v."""
+    ``_end_edges``, so it reads only parts within distance two of v."""
     first = _bottom_edge(g, part_of, v)
     if first is None or part_of[first[0]] == part_of[v]:
         return None
     back = _bottom_edge(g, part_of, first[0])
     return first[1] if back is not None and back[0] == v else None
-
-
-def swap_safety_witness(g: Graph, p: Partition) -> SwapWitness | None:
-    """None if every subset of swappable edges preserves the partition
-    properties, else the failing subset of the smallest vertex that has one.
-
-    Swaps of distinct swappable edges never break independence, so the check
-    reduces to one condition per vertex and side (see ``_side_witness``).
-    ValueError unless ``p`` is valid with no missing lower neighbours.
-    """
-    p.validate(g)
-    return next(iter(_certificate(g, p)[1].values()), None)
 
 
 def _certificate(g: Graph, p: Partition) -> tuple[dict[int, int], dict[int, SwapWitness]]:
@@ -293,40 +208,38 @@ def _certificate(g: Graph, p: Partition) -> tuple[dict[int, int], dict[int, Swap
     return end_edge, witnesses
 
 
-def build_valid_partition(g: Graph, initial: Partition | None = None) -> Partition:
+def build_valid_partition(g: Graph) -> Partition:
     """Deterministic valid partition of a nice graph.
 
-    Local search from the greedy partition, or from a copy of ``initial``
-    (ValueError unless it passes ``Partition.validate``), with two
-    potential-decreasing moves: (a) drop a vertex that misses a neighbour in
-    some lower part to the smallest such part; (b) when swap robustness
-    fails, apply the witness swaps, then move the stranded vertex down.  No
-    move leaves its connected component; isolated vertices stay in part 1.
+    Local search from the greedy partition with two moves, each of which
+    lowers the sum of part index times part size: (a) drop a vertex that
+    misses a neighbour in some lower part to the smallest such part; (b)
+    when swap robustness fails, apply the witness swaps, then move the
+    stranded vertex down.  No move leaves its connected component; isolated
+    vertices stay in part 1.
     Every later check is a ``_certificate`` sweep, on the start and, if a
     witness round ran, on the result; a failure is an InvariantViolation.
     """
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
-    p = greedy_partition(g) if initial is None else initial.copy()
-    if initial is not None:
-        p.validate(g)
+    p = greedy_partition(g)
     try:
-        _local_search(g, p, settled=initial is None)
+        _local_search(g, p)
     except ValueError as exc:
         raise InvariantViolation(f"valid-partition builder: {exc}") from exc
     return p
 
 
-def _local_search(g: Graph, p: Partition, settled: bool) -> None:
+def _local_search(g: Graph, p: Partition) -> None:
     """The moves of ``build_valid_partition``, made on ``p`` in place, in the
     order a full rescan per round would make them.
 
     A settle round moves, in id order, each dirty vertex that misses a lower
     neighbour when the round starts and still does when its turn comes; the
     moved vertices and their neighbours are the next round's dirty set.  The
-    first round looks at every vertex, unless ``settled`` says that none
-    misses a lower neighbour (true of a greedy start).  Then one certificate
-    sweep finds every witness, and move (b) applies the smallest vertex's.
+    greedy start misses no lower neighbour, so settle rounds run only after
+    a witness round's swaps.  One certificate sweep finds every witness, and
+    move (b) applies the smallest vertex's.
     After a witness round, swappable-edge ends are recomputed within distance
     two of the moved vertices, and witnesses next to moved vertices and
     changed ends.  If a witness round ran, a second sweep checks the result.
@@ -365,8 +278,6 @@ def _local_search(g: Graph, p: Partition, settled: bool) -> None:
             todo = gaps(closed_neighbourhood(moved))
         return moved_all
 
-    if not settled:
-        settle(sorted({v for v, _ in missing_lower_neighbours(g, p)}))
     end_edge, witnesses = _certificate(g, p)
     if not witnesses:
         return

@@ -15,7 +15,9 @@ Every walk reads the input graph's own ``g.adj`` and keeps to a vertex set
 (the component, a piece or a block of it) by a membership test, so no
 adjacency is ever copied.  ``g.adj`` is sorted by (neighbour, edge id), so
 the filtered lists hand out neighbours in ascending order and every
-smallest-neighbour choice is deterministic.
+smallest-neighbour choice is deterministic.  ``fix_anchored`` and
+``fix_hub`` find each piece or block with one breadth-first walk from its
+smallest contact, and that walk is the spanning tree of its parity pass.
 
 Three mutually exclusive fixers cover all components, tried in order:
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graph import Graph, InvariantViolation, connected_components
+from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
 from .partition import Partition
 
@@ -178,8 +180,8 @@ def _sweep(state: ProfileTracker, vset: set[int], root: int,
            need_flip: dict[int, bool], s: int) -> None:
     """``_flip`` over a spanning tree of the subgraph induced by ``vset``,
     which must be connected and contain the root, and every edge of which
-    must carry label 1 or s.  parity_relabel checks both first and the
-    fixers guarantee them, so a failure here is a broken construction.
+    must carry label 1 or s.  The fixers guarantee both, so a failure here
+    is a broken construction.
     """
     order, tree, bad = _walk(state, vset, root, s)
     if len(order) != len(vset):
@@ -192,58 +194,6 @@ def _need(counts: list[int], side: dict[int, int], vertices, root: int,
     """The vertices other than the root whose parity in ``counts`` must flip
     so that exactly those on side ``odd_side`` end odd."""
     return {v: (counts[v] % 2 == 1) != (side[v] == odd_side) for v in vertices if v != root}
-
-
-def parity_relabel(g: Graph, l: Labelling | ProfileTracker, edge_ids, s: int,
-                   exempt: int, odd_on_exempt_side: bool = True) -> list[int]:
-    """Relabel a connected bipartite subgraph with 1/s to fixed parities.
-
-    The subgraph is the one induced by the ends of ``edge_ids`` plus the
-    exempt vertex; ``edge_ids`` must be exactly its edge set, each carrying
-    label 1 or s.  Every vertex on the exempt vertex's side except the
-    exempt vertex itself ends with odd s-degree and every vertex on the
-    other side with even s-degree (or the swapped pattern when
-    ``odd_on_exempt_side`` is false).  Parities count subgraph edges only.
-    Returns the edge ids whose label changed.
-    """
-    if s not in (2, 3):
-        raise ValueError("s must be 2 or 3")
-    state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
-    edge_ids = list(edge_ids)
-    for eid in edge_ids:
-        if state.label(eid) not in (1, s):
-            raise ValueError(f"edge {eid} carries label {state.label(eid)}, expected 1 or {s}")
-    vset = {exempt}
-    for eid in edge_ids:
-        vset.update(g.edges[eid])
-    induced = [eid for v in vset for w, eid in g.adj[v] if v < w and w in vset]
-    if sorted(induced) != sorted(edge_ids):
-        raise ValueError("edge_ids must be every edge its ends and the exempt vertex induce")
-    # 2-colour from the exempt vertex; the subgraph must be bipartite.
-    colour = {exempt: 0}
-    queue = [exempt]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w, _ in _within(g, v, vset):
-            if w not in colour:
-                colour[w] = colour[v] ^ 1
-                queue.append(w)
-            elif colour[w] == colour[v]:
-                raise ValueError("subgraph is not bipartite")
-    if len(colour) != len(vset):
-        raise ValueError("subgraph is not connected")
-    within = {v: 0 for v in vset}
-    for eid in edge_ids:
-        if state.label(eid) == s:
-            u, v = g.edges[eid]
-            within[u] += 1
-            within[v] += 1
-    need = _need(within, colour, vset, exempt, 0 if odd_on_exempt_side else 1)
-    before = {eid: state.label(eid) for eid in edge_ids}
-    _sweep(state, vset, exempt, need, s)
-    return [eid for eid in edge_ids if state.label(eid) != before[eid]]
 
 
 def nullstellensatz_assign(counts) -> list[int]:
@@ -411,9 +361,8 @@ def hub_vertex(comp: ConflictComponent, state: ProfileTracker) -> int | None:
 
 @dataclass
 class _Piece:
-    vertices: list[int]
     vset: set[int]
-    rep: int                      # designated hub neighbour inside the piece
+    rep: int                      # smallest hub neighbour inside the piece
     kind: str = "nice"            # nice | bad | tricky
     lone: int | None = None       # the single even contact, for bad/tricky
     mate: int | None = None       # lone's 1-mono partner, for tricky
@@ -425,6 +374,13 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
     Every piece of the component minus the hub is first normalised by 1/2
     parity passes; pieces are then classified by their contact vertices and
     one of six endgames rewires the hub edges.
+
+    Pieces are found in ascending hub-neighbour order: the first neighbour
+    not yet covered is the representative of its piece.  The piece minus
+    its representative falls into blocks, found the same way from the
+    representative's neighbours; one breadth-first walk from a block's
+    smallest contact collects the block and is the spanning tree of its
+    parity pass, as in ``fix_anchored``.
     """
     g = comp.g
     for v in comp.vertices:
@@ -435,25 +391,26 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
         if not state.is_mono1(w):
             raise InvariantViolation(f"hub neighbour {w} is not 1-monochromatic")
 
-    rest = set(comp.vertices) - {u}
+    rest = set(comp.vertices) - {u}  # the vertices no piece holds yet
     pieces: list[_Piece] = []
-    for vertices in connected_components(g, rest):
-        vset = set(vertices)
-        # Pieces and blocks come sorted, so the first hub (or representative)
-        # neighbour found is the smallest.
-        rep = next(w for w in vertices if g.has_edge(u, w))
-        piece = _Piece(vertices, vset, rep)
+    for rep in nbrs:
+        if rep not in rest:
+            continue
+        rest.discard(rep)  # no walk of this piece's blocks may pass through it
+        piece = _Piece({rep}, rep)
         # Normalise every block hanging off the representative with a 1/2
-        # parity pass; the chosen contact of each block is the one vertex
-        # allowed to end with an even 2-count.
+        # parity pass; the block's contact is the one vertex allowed to end
+        # with an even 2-count.
         contacts: list[int] = []
-        for block in connected_components(g, vset - {rep}):
-            bset = set(block)
-            xj = next((w for w in block if g.has_edge(rep, w)), None)
-            if xj is None:
-                raise InvariantViolation(f"block {block} not attached to {rep}")
+        for xj, _ in _within(g, rep, rest):
+            if xj not in rest:
+                continue  # the walk from a smaller contact reached it
+            order, tree, bad = _walk(state, rest, xj, 2)
+            rest.difference_update(order)
+            piece.vset.update(order)
             contacts.append(xj)
-            _sweep(state, bset, xj, _need(state.d2, comp.side, block, xj, 2), 2)
+            if len(order) > 1:
+                _flip(state, order, tree, bad, _need(state.d2, comp.side, order, xj, 2), 2)
         evens = [x for x in contacts if state.d2[x] % 2 == 0]
         if not evens:
             piece.kind = "nice"
@@ -476,6 +433,9 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
                 else:
                     piece.kind = "bad"
         pieces.append(piece)
+    if rest:
+        raise InvariantViolation(f"vertex {min(rest)} is not attached to the hub {u}")
+    pieces.sort(key=lambda p: min(p.vset))
 
     tricky = [p for p in pieces if p.kind == "tricky"]
     bad = [p for p in pieces if p.kind == "bad"]
@@ -538,8 +498,11 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
         if state.d2[p.rep] % 2 == 1:
             state.set(g.edge_id(u, p.rep), 2)
             return "hub-5-odd"
-        path = _shortest_path(g, p.vset, p.rep, x)
-        cycle = [g.edge_id(u, p.rep)] + path + [g.edge_id(x, u)]
+        tree = _walk(state, p.vset, p.rep, 2)[1]
+        cycle = [g.edge_id(u, p.rep), g.edge_id(x, u)]
+        while x != p.rep:  # the tree path from x up to the representative
+            x, eid = tree[x]
+            cycle.append(eid)
         for eid in cycle:
             lab = state.label(eid)
             if lab not in (1, 2):
@@ -562,32 +525,6 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
         if z:
             state.set(g.edge_id(u, w), 3)
     return "hub-6"
-
-
-def _shortest_path(g: Graph, vset: set[int], a: int, b: int) -> list[int]:
-    """Edge ids of a shortest a-b path inside the given vertex set."""
-    parent: dict[int, tuple[int, int] | None] = {a: None}
-    queue = [a]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        if v == b:
-            break
-        for w, eid in _within(g, v, vset):
-            if w not in parent:
-                parent[w] = (v, eid)
-                queue.append(w)
-    if b not in parent:
-        raise InvariantViolation(f"no path from {a} to {b} inside the piece")
-    path = []
-    v = b
-    while parent[v] is not None:
-        prev, eid = parent[v]
-        path.append(eid)
-        v = prev
-    path.reverse()
-    return path
 
 
 def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:

@@ -25,43 +25,6 @@ from .labelling import Labelling, ProfileTracker
 from .partition import Partition, _end_edges
 
 
-@dataclass(frozen=True)
-class PartTarget:
-    """Required final profile for vertices of one part."""
-
-    part: int
-    d2_exact: int | None
-    d3_exact: int | None
-    parity: int | None  # required (d2+d3) % 2, None for parts 1 and 2
-    kinds: tuple[str, ...]  # admissible kinds for parts 1 and 2
-
-    def matches(self, d2: int, d3: int) -> bool:
-        if self.part == 1:
-            return (d2 == 0 and d3 == 0) or (d3 > 0 and d2 == 0)
-        if self.part == 2:
-            return (d2 == 0 and d3 == 0) or (d2 > 0 and d3 == 0)
-        if d2 == 0 or d3 == 0:
-            return False
-        if self.d2_exact is not None and d2 != self.d2_exact:
-            return False
-        if self.d3_exact is not None and d3 != self.d3_exact:
-            return False
-        return (d2 + d3) % 2 == self.parity
-
-
-def target_profile(i: int, t: int | None = None) -> PartTarget:
-    """Profile constraint for part i (1-based); t only bounds the range check."""
-    if i < 1 or (t is not None and i > t):
-        raise ValueError(f"part index {i} out of range")
-    if i == 1:
-        return PartTarget(1, None, None, None, ("MONO1", "MONO3"))
-    if i == 2:
-        return PartTarget(2, None, None, None, ("MONO1", "MONO2"))
-    if i % 2 == 0:
-        return PartTarget(i, None, i // 2, 1, ("BICHROMATIC",))
-    return PartTarget(i, (i - 1) // 2, None, 0, ("BICHROMATIC",))
-
-
 @dataclass
 class UpwardResult:
     labelling: Labelling

@@ -6,15 +6,10 @@ import random
 
 from hypothesis import settings
 
-from prodlabel import (
-    Graph,
-    NotNiceError,
-    Partition,
-    greedy_partition,
-    is_nice,
-    missing_lower_neighbours,
-    swap_safety_witness,
-)
+from prodlabel.graph import Graph, NotNiceError, is_nice
+from prodlabel.partition import Partition, _certificate, greedy_partition
+
+from spec import missing_lower_neighbours, validate_partition
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -119,14 +114,14 @@ def disjoint_union(graphs) -> Graph:
 
 
 
-def reference_build_valid_partition(g: Graph, initial: Partition | None = None) -> Partition:
+def reference_build_valid_partition(g: Graph) -> Partition:
     """The valid-partition builder as a full rescan per round: every settle
     round and every witness round scans the whole graph again.  The
     production worklist must make exactly the same moves."""
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
-    p = initial.copy() if initial is not None else greedy_partition(g)
-    p.validate(g)
+    p = greedy_partition(g)
+    validate_partition(g, p)
 
     def settle_lower_links() -> None:
         while True:
@@ -148,7 +143,8 @@ def reference_build_valid_partition(g: Graph, initial: Partition | None = None) 
 
     settle_lower_links()
     while True:
-        witness = swap_safety_witness(g, p)
+        validate_partition(g, p)
+        witness = next(iter(_certificate(g, p)[1].values()), None)
         if witness is None:
             break
         for eid in sorted(witness.edges):
@@ -158,5 +154,5 @@ def reference_build_valid_partition(g: Graph, initial: Partition | None = None) 
             p.move(v, pu)
         settle_lower_links()
     p.compact()
-    p.validate(g)
+    validate_partition(g, p)
     return p

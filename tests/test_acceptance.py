@@ -13,24 +13,19 @@ from prodlabel import (
     Labelling,
     brute_force_labelling,
     brute_force_min_k,
-    build_valid_partition,
-    connected_components,
     find_conflicts,
-    greedy_partition,
     label_graph,
-    missing_lower_neighbours,
-    nullstellensatz_assign,
-    parity_relabel,
-    random_nice_graph,
-    run_repair_pass,
-    run_upward_pass,
-    swap_edge,
-    swap_safety_witness,
-    swappable_edges,
 )
+from prodlabel.engine import random_nice_graph
+from prodlabel.graph import connected_components
 from prodlabel.labelling import ProfileTracker
+from prodlabel.partition import build_valid_partition, greedy_partition
+from prodlabel.repair import nullstellensatz_assign, run_repair_pass
+from prodlabel.upward import run_upward_pass
 
 from conftest import complete_graph, exact_conflicts, induced_subgraph, path_graph
+from spec import missing_lower_neighbours, parity_relabel, validate_partition
+from test_partition import exhaustive_swap_check, swap_witness, swappable_edges
 from test_upward import check_items
 
 
@@ -115,22 +110,6 @@ def test_criterion_3_tightness():
     report(3, ok, f"complete graphs 3..7 need exactly 3 labels {values}, path-3 needs {p3}")
 
 
-def _exhaustive_swap_verdict(g: Graph, p) -> bool:
-    m0 = sorted(swappable_edges(g, p))
-    for r in range(len(m0) + 1):
-        for subset in itertools.combinations(m0, r):
-            q = p
-            for eid in subset:
-                q = swap_edge(g, q, eid)
-            try:
-                q.validate(g)
-            except ValueError:
-                return False
-            if missing_lower_neighbours(g, q):
-                return False
-    return True
-
-
 def test_criterion_4_valid_partition_suite():
     graphs = 1_000
     mismatches = 0
@@ -144,7 +123,7 @@ def test_criterion_4_valid_partition_suite():
             sub, _ = induced_subgraph(g, comp)
             built = build_valid_partition(sub)
             try:
-                built.validate(sub)
+                validate_partition(sub, built)
             except ValueError:
                 invalid += 1
                 continue
@@ -155,8 +134,8 @@ def test_criterion_4_valid_partition_suite():
                 if len(swappable_edges(sub, partition)) > 12:
                     continue
                 checked_exhaustively += 1
-                polynomial = swap_safety_witness(sub, partition) is None
-                if polynomial != _exhaustive_swap_verdict(sub, partition):
+                polynomial = swap_witness(sub, partition) is None
+                if polynomial != exhaustive_swap_check(sub, partition):
                     mismatches += 1
     report(4, mismatches == 0 and invalid == 0,
            f"{graphs} graphs, {checked_exhaustively} exhaustive swap-subset sweeps, "

@@ -7,7 +7,8 @@ import pytest
 
 import prodlabel.cli
 import prodlabel.engine
-from prodlabel import InvariantViolation, Partition, parse_graph
+from prodlabel import InvariantViolation, parse_graph
+from prodlabel.partition import Partition
 from prodlabel.cli import main
 
 from test_partition import WITNESS_PATH, break_greedy_start
@@ -99,6 +100,13 @@ class TestLabelCommand:
         code, out, err = run_cli(capsys, "label", str(path))
         assert code == 1 and out == ""
         assert err == "input error: line 1: malformed header, expected 'n <count>'\n"
+
+    def test_underscore_id_exit_1(self, tmp_path, capsys):
+        # int("1_0") is 10; an id must be ASCII digits only.
+        path = write(tmp_path, "underscore.edges", "0 1\n0 1_0\n")
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 1 and out == ""
+        assert err == "input error: line 2: malformed number '1_0'\n"
 
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def broken(g, trace=False):

@@ -9,13 +9,12 @@ from prodlabel import (
     NotNiceError,
     brute_force_labelling,
     brute_force_min_k,
-    connected_components,
     engine,
     find_conflicts,
-    is_nice,
     label_graph,
-    random_nice_graph,
 )
+from prodlabel.engine import random_nice_graph
+from prodlabel.graph import connected_components, is_nice
 
 from conftest import (
     complete_graph,
@@ -27,6 +26,7 @@ from conftest import (
     star_graph,
     tree_plus_chords,
 )
+from spec import validate_partition
 
 
 def python_min_k(g: Graph, k_max: int) -> int | None:
@@ -56,7 +56,7 @@ class TestLabelGraph:
         rep = label_graph(g)
         assert rep.verified
         assert rep.partition.n == g.n
-        rep.partition.validate(g)
+        validate_partition(g, rep.partition)
         prods = exact_products(g, rep.labelling.labels)
         assert sorted(prods[:3]) == [2, 3, 6]
         assert sorted(prods[3:]) == [1, 3, 3, 9]
@@ -66,7 +66,7 @@ class TestLabelGraph:
         rep = label_graph(g)
         assert rep.verified
         assert rep.partition.n == g.n
-        rep.partition.validate(g)
+        validate_partition(g, rep.partition)
         assert rep.partition.part_of[0] == rep.partition.part_of[4] == 1
 
     def test_star_products(self):

@@ -7,17 +7,15 @@ from prodlabel import (
     Graph,
     GraphFormatError,
     Labelling,
-    VertexKind,
-    classify,
     find_conflicts,
     format_labelling,
     format_products,
     parse_labelling,
-    profile,
 )
-from prodlabel.labelling import ProfileTracker, VertexProfile
+from prodlabel.labelling import ProfileTracker
 
 from conftest import exact_conflicts, path_graph, random_graph, star_graph
+from spec import VertexKind, VertexProfile, classify, profile
 
 
 class TestProfile:
@@ -170,3 +168,11 @@ class TestFormats:
         g = Graph(2, [(0, 1)])
         with pytest.raises(GraphFormatError, match="twice"):
             parse_labelling(g, "0 1 1\n1 0 2\n")
+
+    # int() alone reads "+1" as 1 and the full-width "３" as 3.
+    @pytest.mark.parametrize("text", ["0 1 1\n1 2 +1\n", "0 1 1\n1 2 ３\n", "0 1 1\n+1 2 1\n",
+                                      "0 1 1\n1 2_0 1\n"],
+                             ids=["signed-label", "full-width-label", "signed-id", "underscore-id"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(GraphFormatError, match="line 2: malformed number"):
+            parse_labelling(path_graph(3), text)

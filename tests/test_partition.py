@@ -7,18 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import prodlabel.graph as graph_module
 import prodlabel.partition as partition_module
-from prodlabel import (
-    Graph,
-    InvariantViolation,
-    NotNiceError,
+from prodlabel.graph import Graph, InvariantViolation, NotNiceError
+from prodlabel.partition import (
     Partition,
+    _certificate,
+    _end_edges,
     build_valid_partition,
     greedy_partition,
-    missing_lower_neighbours,
-    potential,
-    swap_edge,
-    swap_safety_witness,
-    swappable_edges,
 )
 
 from conftest import (
@@ -30,10 +25,11 @@ from conftest import (
     star_graph,
     tree_plus_chords,
 )
+from spec import missing_lower_neighbours, potential, validate_partition
 
 # P5 as y-x-w-z-p with ids y=0, x=1, w=2, z=3, p=4.
 P5 = path_graph(5)
-P5_SEED = Partition.from_parts([{1, 4}, {0, 3}, {2}])
+P5_SEED = Partition([2, 1, 3, 2, 1])
 
 # The path 0-1-5-3-2-4: its greedy start fails swap robustness once.
 WITNESS_PATH = Graph(6, [(0, 1), (1, 5), (2, 3), (2, 4), (3, 5)])
@@ -56,6 +52,30 @@ WORKLIST_CASES = {
 }
 
 
+def swappable_edges(g: Graph, p: Partition) -> set[int]:
+    """Edge ids of the swappable edges; the partition may miss lower
+    neighbours, as it does midway through an exhaustive check."""
+    return set(_end_edges(g, p).values())
+
+
+def swap_witness(g: Graph, p: Partition):
+    """The witness the builder's certificate sweep finds first, or None."""
+    return next(iter(_certificate(g, p)[1].values()), None)
+
+
+def swap_edge(g: Graph, p: Partition, eid: int) -> Partition:
+    """A copy of ``p`` with the two ends of swappable edge ``eid`` exchanged:
+    the step of the exhaustive check, which TestSwapEdge tests."""
+    if eid not in swappable_edges(g, p):
+        raise ValueError(f"edge {eid} is not swappable in this partition")
+    q = p.copy()
+    u, v = g.edges[eid]
+    pu, pv = q.part_of[u], q.part_of[v]
+    q.move(u, pv)
+    q.move(v, pu)
+    return q
+
+
 def exhaustive_swap_check(g: Graph, p: Partition) -> bool:
     """Ground truth for swap robustness: try all 2**|M0| swap subsets."""
     m0 = sorted(swappable_edges(g, p))
@@ -65,7 +85,7 @@ def exhaustive_swap_check(g: Graph, p: Partition) -> bool:
             for eid in subset:
                 q = swap_edge(g, q, eid)
             try:
-                q.validate(g)  # includes independence
+                validate_partition(g, q)  # includes independence
             except ValueError:
                 return False
             if missing_lower_neighbours(g, q):
@@ -90,7 +110,7 @@ class TestGreedy:
     def test_output_is_independent_and_linked(self, seed):
         g = random_connected_nice_graph(random.Random(seed))
         p = greedy_partition(g)
-        p.validate(g)
+        validate_partition(g, p)
         assert missing_lower_neighbours(g, p) == []
 
 
@@ -112,13 +132,10 @@ class TestSwappableEdges:
         assert swappable_edges(P5, P5_SEED) == {eid_yx, eid_zp}
 
     def test_k3(self):
-        p = Partition.from_parts([{0}, {1}, {2}])
-        assert swappable_edges(complete_graph(3), p) == {0}
+        assert swappable_edges(complete_graph(3), Partition([1, 2, 3])) == {0}
 
     def test_star_whole_component(self):
-        g = star_graph(3)
-        p = Partition.from_parts([{1, 2, 3}, {0}])
-        assert swappable_edges(g, p) == set()
+        assert swappable_edges(star_graph(3), Partition([2, 1, 1, 1])) == set()
 
     def test_single_part(self):
         assert swappable_edges(Graph(3, []), Partition([1, 1, 1])) == set()
@@ -127,13 +144,12 @@ class TestSwappableEdges:
 class TestSwapEdge:
     def test_k3_swap(self):
         g = complete_graph(3)
-        p = Partition.from_parts([{0}, {1}, {2}])
-        q = swap_edge(g, p, g.edge_id(0, 1))
+        q = swap_edge(g, Partition([1, 2, 3]), g.edge_id(0, 1))
         assert q.parts == [{1}, {0}, {2}]
 
     def test_involution(self):
         g = complete_graph(3)
-        p = Partition.from_parts([{0}, {1}, {2}])
+        p = Partition([1, 2, 3])
         eid = g.edge_id(0, 1)
         assert swap_edge(g, swap_edge(g, p, eid), eid) == p
 
@@ -157,8 +173,7 @@ class TestMissingLowerNeighbours:
         assert missing_lower_neighbours(complete_graph(3), p) == []
 
     def test_p3_bipartition_clean(self):
-        p = Partition.from_parts([{0, 2}, {1}])
-        assert missing_lower_neighbours(path_graph(3), p) == []
+        assert missing_lower_neighbours(path_graph(3), Partition([1, 2, 1])) == []
 
     def test_p5_after_swap(self):
         q = swap_edge(P5, P5_SEED, P5.edge_id(0, 1))
@@ -167,22 +182,19 @@ class TestMissingLowerNeighbours:
 
 class TestSwapSafety:
     def test_p5_witness(self):
-        w = swap_safety_witness(P5, P5_SEED)
+        w = swap_witness(P5, P5_SEED)
         assert w is not None
         assert w.vertex == 2 and w.side == 1
         assert w.edges == frozenset({P5.edge_id(0, 1)})
 
     def test_k3_safe(self):
-        p = Partition.from_parts([{0}, {1}, {2}])
-        assert swap_safety_witness(complete_graph(3), p) is None
+        assert swap_witness(complete_graph(3), Partition([1, 2, 3])) is None
 
     def test_empty_swap_set_safe(self):
-        g = star_graph(3)
-        p = Partition.from_parts([{1, 2, 3}, {0}])
-        assert swap_safety_witness(g, p) is None
+        assert swap_witness(star_graph(3), Partition([2, 1, 1, 1])) is None
 
     def test_witness_strands_its_vertex(self):
-        w = swap_safety_witness(P5, P5_SEED)
+        w = swap_witness(P5, P5_SEED)
         q = P5_SEED
         for eid in w.edges:
             q = swap_edge(P5, q, eid)
@@ -196,7 +208,7 @@ class TestSwapSafety:
         p = greedy_partition(g)
         if len(swappable_edges(g, p)) > 8:
             return
-        assert (swap_safety_witness(g, p) is None) == exhaustive_swap_check(g, p)
+        assert (swap_witness(g, p) is None) == exhaustive_swap_check(g, p)
 
 
 class TestBuildValidPartition:
@@ -204,23 +216,14 @@ class TestBuildValidPartition:
         p = build_valid_partition(complete_graph(3))
         assert p.parts == [{0}, {1}, {2}]
 
-    def test_p5_seeded_repair(self):
-        p = build_valid_partition(P5, initial=P5_SEED)
-        assert p.parts == [{0, 2, 4}, {1, 3}]
-        assert potential(p) == 7
-
     def test_star(self):
         p = build_valid_partition(star_graph(3))
-        p.validate(star_graph(3))
+        validate_partition(star_graph(3), p)
         assert p.t == 2
 
     def test_rejects_k2(self):
         with pytest.raises(NotNiceError):
             build_valid_partition(Graph(2, [(0, 1)]))
-
-    def test_invalid_initial_is_input_error(self):
-        with pytest.raises(ValueError, match="not independent"):
-            build_valid_partition(P5, initial=Partition([1, 1, 2, 1, 2]))
 
     def test_broken_construction_is_internal(self, monkeypatch):
         monkeypatch.setattr(Partition, "compact", lambda self: None)
@@ -230,7 +233,7 @@ class TestBuildValidPartition:
     def test_accepts_disconnected(self):
         g = Graph(4, [(0, 1), (1, 2)])
         p = build_valid_partition(g)
-        p.validate(g)
+        validate_partition(g, p)
         assert p.part_of[3] == 1
 
     def test_single_vertex(self):
@@ -247,14 +250,11 @@ class TestBuildValidPartition:
     def test_output_fully_valid(self, seed):
         g = random_connected_nice_graph(random.Random(seed + 31337))
         p = build_valid_partition(g)
-        p.validate(g)
+        validate_partition(g, p)
         assert missing_lower_neighbours(g, p) == []
-        assert swap_safety_witness(g, p) is None
+        assert swap_witness(g, p) is None
         if len(swappable_edges(g, p)) <= 8:
             assert exhaustive_swap_check(g, p)
-
-    def test_potential_never_increases_from_seed(self):
-        assert potential(build_valid_partition(P5, initial=P5_SEED)) <= potential(P5_SEED)
 
 
 def many_components(rng: random.Random, count: int) -> Graph:
@@ -273,17 +273,13 @@ def many_components(rng: random.Random, count: int) -> Graph:
 # it once per sweep.  is_nice is a degree test: it reads the length of every
 # adjacency list, and the one entry of each list of length one.
 FULL_SCANS = {
-    "validate": Partition,
-    "missing_lower_neighbours": partition_module,
-    "swappable_edges": partition_module,
-    "swap_safety_witness": partition_module,
     "_end_edges": partition_module,
     "is_nice": partition_module,
     "connected_components": graph_module,
 }
 
 
-def build_with_scans(monkeypatch, g, initial=None):
+def build_with_scans(monkeypatch, g):
     """build_valid_partition's result, the witnesses each of its
     ``_certificate`` sweeps found, and its calls of each name in FULL_SCANS."""
     certificate = partition_module._certificate
@@ -304,7 +300,7 @@ def build_with_scans(monkeypatch, g, initial=None):
     for name, owner in FULL_SCANS.items():
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     try:
-        return build_valid_partition(g, initial), sweeps, calls
+        return build_valid_partition(g), sweeps, calls
     finally:
         monkeypatch.undo()
 
@@ -345,21 +341,6 @@ class TestWorklistMatchesFullScan:
             assert_greedy_scans(sweeps, calls)
             with_rounds += bool(sweeps[0])
         assert with_rounds >= 30
-
-    def test_initial_partitions(self, monkeypatch):
-        assert build_valid_partition(P5, P5_SEED) == reference_build_valid_partition(P5, P5_SEED)
-        for seed in range(200):
-            rng = random.Random(seed)
-            g = random_connected_nice_graph(rng, n_max=12)
-            order = list(range(g.n))
-            rng.shuffle(order)
-            start = greedy_partition(g, order)
-            p, sweeps, calls = build_with_scans(monkeypatch, g, start)
-            assert p == reference_build_valid_partition(g, start), seed
-            # An initial partition adds its input check and one settle scan.
-            assert len(sweeps) == (2 if sweeps[0] else 1)
-            assert calls == {"is_nice": 1, "validate": 1, "missing_lower_neighbours": 1,
-                             "_end_edges": len(sweeps)}
 
     @pytest.mark.parametrize("name", sorted(WORKLIST_CASES))
     def test_pinned(self, monkeypatch, name):
@@ -417,8 +398,3 @@ class TestBrokenStart:
         with pytest.raises(InvariantViolation, match=BROKEN_STARTS[name][1]):
             build_valid_partition(P5)
 
-
-class TestDump:
-    def test_lines(self):
-        p = Partition.from_parts([{2, 0}, {1}])
-        assert p.dump() == "V1: 0 2\nV2: 1\n"

@@ -1,28 +1,27 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from prodlabel import (
+from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts
+from prodlabel.labelling import ProfileTracker
+from prodlabel.partition import Partition, build_valid_partition
+import prodlabel.repair as repair_module
+from prodlabel.repair import (
     ConflictComponent,
-    Graph,
-    Labelling,
-    Partition,
-    InvariantViolation,
-    build_valid_partition,
+    _sweep,
+    anchor_trigger,
     component_violations,
     conflict_components,
-    find_conflicts,
+    fix_anchored,
     fix_hub,
     fix_pendant,
+    hub_vertex,
     nullstellensatz_assign,
-    parity_relabel,
     run_repair_pass,
-    run_upward_pass,
 )
-from prodlabel.labelling import ProfileTracker
-import prodlabel.repair as repair_module
-from prodlabel.repair import _sweep, anchor_trigger, fix_anchored, hub_vertex
+from prodlabel.upward import run_upward_pass
 
 from conftest import (
     CountingAdj,
@@ -32,13 +31,14 @@ from conftest import (
     star_graph,
     tree_plus_chords,
 )
+from spec import VertexKind, classify, parity_relabel, profile, target_profile
 
 
 def fixture(parts, edges, labels=None):
     """Graph + partition + tracker for handcrafted repair scenarios."""
-    n = sum(len(p) for p in parts)
-    g = Graph(n, edges)
-    p = Partition.from_parts(parts)
+    part_of = {v: i for i, vs in enumerate(parts, start=1) for v in vs}
+    g = Graph(len(part_of), edges)
+    p = Partition([part_of[v] for v in range(g.n)])
     l = Labelling(list(labels) if labels is not None else [1] * g.m)
     return g, p, ProfileTracker(g, l)
 
@@ -220,7 +220,7 @@ class TestConflictComponents:
 
     def test_single_edge_component_asserts(self):
         g = Graph(2, [(0, 1)])
-        p = Partition.from_parts([{0}, {1}])
+        p = Partition([1, 2])
         with pytest.raises(InvariantViolation, match="fewer than two edges"):
             conflict_components(g, p, Labelling([1]))
 
@@ -457,6 +457,15 @@ class TestFixHub:
         assert state.key(0) == (0, 2)
         assert component_violations(comp, state) == []
 
+    def test_piece_off_the_hub_is_internal(self):
+        # The hub-6 star next to a separate bottom path 4-5-6 in one
+        # component: no walk from the hub's neighbours reaches the path.
+        g, p, state = fixture([{1, 2, 3, 4, 6}, {0, 5}],
+                              [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
+        comp = TestFixAnchored._merged(g, p, range(7))
+        with pytest.raises(InvariantViolation, match="vertex 4 is not attached to the hub 0"):
+            fix_hub(comp, state, 0)
+
     def test_case4_anchored(self):
         # The single even contact has two downward 2s, so the nice fix makes
         # the representative 3-anchored before the endgame.
@@ -541,6 +550,61 @@ def spider(legs: int) -> Graph:
     return Graph(n, edges)
 
 
+def seeded_graphs() -> list[Graph]:
+    graphs = [random_connected_nice_graph(random.Random(seed + 555), n_max=16)
+              for seed in range(150)]
+    rng = random.Random(556)
+    for _ in range(150):
+        n = rng.randint(8, 40)
+        graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 4)))
+    return graphs
+
+
+def spy_walks(monkeypatch, fixer, graphs):
+    """Repair every graph, recording the visit orders of the ``_walk`` calls
+    in each call of ``fixer`` by (s, vertex-set object), and the visit order
+    of every ``_flip`` tree; also the tally of fixer cases."""
+    inside, walks, flips, tally = [], [], [], Counter()
+
+    def spy(name, record):
+        real = getattr(repair_module, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            if inside:
+                record(args, result)
+            return result
+        monkeypatch.setattr(repair_module, name, wrapper)
+
+    spy("_walk", lambda args, result: walks[-1].setdefault((args[3], id(args[1])), [])
+        .append(result[0]))
+    spy("_flip", lambda args, result: flips.append(args[1]))
+    real_fixer = getattr(repair_module, fixer)
+
+    def tracked(*args):
+        inside.append(1)
+        walks.append({})
+        try:
+            return real_fixer(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(repair_module, fixer, tracked)
+    for g in graphs:
+        up = run_upward_pass(g, build_valid_partition(g))
+        res = run_repair_pass(g, up.partition, up.labelling)
+        assert find_conflicts(g, res.labelling) == []
+        tally.update(res.tally)
+    return walks, flips, tally
+
+
+def assert_one_walk_per_vertex(walks, flips):
+    assert all(len(order) > 1 for order in flips)
+    for per_set in walks:
+        for orders in per_set.values():
+            walked = [v for order in orders for v in order]
+            assert len(walked) == len(set(walked))
+
+
 class TestRunRepairPass:
     def test_walks_scale_with_the_component(self):
         # A scan of a high-degree vertex's whole adjacency list per block,
@@ -572,55 +636,28 @@ class TestRunRepairPass:
         # contact (and each part of the contact graph with one walk from its
         # smallest anchor): no component search, every vertex walked at most
         # once per pass, and no parity flip on a one-vertex piece.
-        inside, searches, walks, flips = [], [], [], []
-
-        def spy(name, record):
-            real = getattr(repair_module, name)
-
-            def wrapper(*args, **kwargs):
-                result = real(*args, **kwargs)
-                if inside:
-                    record(args, result)
-                return result
-            monkeypatch.setattr(repair_module, name, wrapper)
-
-        spy("connected_components", lambda args, result: searches.append(args))
-        spy("_walk", lambda args, result: walks[-1][args[3]].append(result[0]))
-        spy("_flip", lambda args, result: flips.append(args[1]))
-        fix = repair_module.fix_anchored
-
-        def anchored(comp, state, seed):
-            inside.append(1)
-            walks.append({2: [], 3: []})
-            try:
-                return fix(comp, state, seed)
-            finally:
-                inside.pop()
-        monkeypatch.setattr(repair_module, "fix_anchored", anchored)
-
-        graphs = [PINNED_CASES["anchor"], PINNED_CASES["anchor-seeded"]]
-        graphs += [random_connected_nice_graph(random.Random(seed + 555), n_max=16)
-                   for seed in range(150)]
-        rng = random.Random(556)
-        for _ in range(150):
-            n = rng.randint(8, 40)
-            graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 4)))
-        for g in graphs:
-            up = run_upward_pass(g, build_valid_partition(g))
-            res = run_repair_pass(g, up.partition, up.labelling)
-            assert find_conflicts(g, res.labelling) == []
-        assert searches == []
-        assert all(len(order) > 1 for order in flips)
-        for per_pass in walks:
-            for orders in per_pass.values():
-                walked = [v for order in orders for v in order]
-                assert len(walked) == len(set(walked))
+        graphs = [PINNED_CASES["anchor"], PINNED_CASES["anchor-seeded"]] + seeded_graphs()
+        walks, flips, _ = spy_walks(monkeypatch, "fix_anchored", graphs)
+        assert not hasattr(repair_module, "connected_components")
+        assert_one_walk_per_vertex(walks, flips)
         # Not vacuous: one-vertex pieces and both passes were reached.
-        pieces = [order for per_pass in walks for order in per_pass[2]]
+        pieces = [order for per_pass in walks for (s, _), orders in per_pass.items()
+                  if s == 2 for order in orders]
         assert len(walks) > 150
         assert any(len(order) == 1 for order in pieces)
         assert any(len(order) > 1 for order in pieces)
-        assert any(per_pass[3] for per_pass in walks)
+        assert any(s == 3 for per_pass in walks for s, _ in per_pass)
+
+    def test_one_walk_per_hub_block(self, monkeypatch):
+        # fix_hub finds each block of a piece with one walk from its
+        # smallest contact, the way fix_anchored finds its pieces.
+        hubs = [g for case, g in PINNED_CASES.items() if case.startswith("hub")]
+        walks, flips, tally = spy_walks(monkeypatch, "fix_hub", hubs + [spider(4)] + seeded_graphs())
+        assert_one_walk_per_vertex(walks, flips)
+        blocks = [order for per_set in walks for orders in per_set.values() for order in orders]
+        assert any(len(order) == 1 for order in blocks)
+        assert any(len(order) > 1 for order in blocks)
+        assert tally["hub-2-many"] and tally["hub-3-even"] >= 2 and tally["hub-3-odd"]
 
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_pinned_case(self, case):
@@ -696,8 +733,6 @@ class TestRunRepairPass:
     def test_final_state_by_part(self):
         # Bottom vertices end monochromatic or special; deeper vertices keep
         # their exact upward-pass profile.
-        from prodlabel import VertexKind, classify, profile, target_profile
-
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 9876), n_max=14, p=0.4)
             p = build_valid_partition(g)

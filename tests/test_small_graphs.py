@@ -12,7 +12,8 @@ from collections import Counter
 
 import networkx as nx
 
-from prodlabel import Graph, brute_force_min_k, is_nice, label_graph
+from prodlabel import Graph, brute_force_min_k, label_graph
+from prodlabel.graph import is_nice
 from prodlabel.labelling import format_labelling, format_products
 
 from conftest import exact_conflicts

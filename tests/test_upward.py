@@ -2,19 +2,11 @@ import random
 
 import pytest
 
-from prodlabel import (
-    Graph,
-    Labelling,
-    Partition,
-    VertexKind,
-    build_valid_partition,
-    classify,
-    greedy_partition,
-    profile,
-    run_upward_pass,
-    swappable_edges,
-    target_profile,
-)
+from prodlabel import Graph, Labelling
+from prodlabel.engine import random_nice_graph
+from prodlabel.graph import connected_components
+from prodlabel.partition import Partition, _end_edges, build_valid_partition
+from prodlabel.upward import run_upward_pass
 
 from conftest import (
     complete_graph,
@@ -23,6 +15,7 @@ from conftest import (
     random_connected_nice_graph,
     star_graph,
 )
+from spec import VertexKind, classify, profile, target_profile
 
 
 class TestTargetProfile:
@@ -102,14 +95,14 @@ def check_downward_invariant(g: Graph, p: Partition, l: Labelling) -> None:
 class TestRunUpwardPass:
     def test_k3_exact_labels(self):
         g = complete_graph(3)
-        p = Partition.from_parts([{0}, {1}, {2}])
+        p = Partition([1, 2, 3])
         res = run_upward_pass(g, p)
         assert res.labelling.labels == [1, 3, 2]
         assert res.partition == p
 
     def test_star_given_partition_stays_all_one(self):
         g = star_graph(3)
-        p = Partition.from_parts([{1, 2, 3}, {0}])
+        p = Partition([2, 1, 1, 1])
         res = run_upward_pass(g, p)
         assert res.labelling.labels == [1, 1, 1]
 
@@ -126,10 +119,8 @@ class TestRunUpwardPass:
             g = random_connected_nice_graph(random.Random(seed), n_max=10)
             p = build_valid_partition(g)
             res = run_upward_pass(g, p)
-            m0 = swappable_edges(g, p)
             moved = [v for v in range(g.n) if res.partition.part_of[v] != p.part_of[v]]
-            swap_ends = {v for eid in m0 for v in g.edges[eid]}
-            assert set(moved) <= swap_ends
+            assert set(moved) <= set(_end_edges(g, p))
             for v in moved:
                 assert {p.part_of[v], res.partition.part_of[v]} == {1, 2}
 
@@ -182,8 +173,6 @@ class TestPartFourKnobCorner:
         # edge; when a vertex arrives with an odd downward 2-count the knob
         # must stay at 1 or the total parity breaks.  This seeded graph hits
         # that corner (verified by reconstruction below).
-        from prodlabel import connected_components, random_nice_graph
-
         g = random_nice_graph(32, 0.5, seed=3840)
         skipped = 0
         for comp in connected_components(g):
@@ -210,7 +199,7 @@ class TestPendingEdgeHandling:
         # The lone bottom edge of the K3 partition must lose 1-mono status on
         # one end once vertex 2 is processed.
         g = complete_graph(3)
-        res = run_upward_pass(g, Partition.from_parts([{0}, {1}, {2}]))
+        res = run_upward_pass(g, Partition([1, 2, 3]))
         p0 = profile(g, res.labelling, 0)
         p1 = profile(g, res.labelling, 1)
         assert p0.key != (0, 0) or p1.key != (0, 0)
