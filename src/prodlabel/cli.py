@@ -48,7 +48,7 @@ def _internal_error(g: Graph, what: str) -> int:
     return EXIT_CONFLICTS
 
 
-def cmd_label(args) -> int:
+def cmd_label(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     try:
         report = label_graph(g, trace=args.trace)
@@ -63,14 +63,18 @@ def cmd_label(args) -> int:
         return _internal_error(g, "labelling failed verification")
     out = format_labelling(g, report.labelling) + "\n" + format_products(g, report.labelling)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     labelling = parse_labelling(g, _read(args.labelling))
     conflicts = find_conflicts(g, labelling)
@@ -83,7 +87,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     k = brute_force_min_k(g, args.kmax)
     if k is None:
@@ -93,7 +97,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.trials < 1:
         print("trials must be at least 1", file=sys.stderr)
         return EXIT_INPUT

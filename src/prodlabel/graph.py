@@ -8,6 +8,12 @@ from __future__ import annotations
 # ten times the largest graph the pipeline has been timed on (n = 10**5).
 MAX_VERTICES = 2**20
 
+# Largest edge count the parsers accept, checked as edges are read so that an
+# oversized input is an input error, not exhausted memory.  `prodlabel label
+# --out` peaked at 520-574 bytes of RSS per edge with 3*10**5 and 9*10**5
+# edges (sparse; Python 3.11, x86-64 Linux): 2**22 edges project to 2.2 GiB.
+MAX_EDGES = 2**22
+
 
 class GraphFormatError(ValueError):
     """Raised on malformed graph input; carries the offending line number."""
@@ -40,27 +46,30 @@ class Graph:
     """Simple undirected graph with dense 0-based vertex ids and indexed edges.
 
     Immutable after construction.  ``adj[v]`` is a list of ``(neighbour,
-    edge_index)`` pairs sorted by neighbour id, which keeps every
-    smallest-neighbour choice in the pipeline deterministic.
+    edge id)`` pairs sorted by neighbour id, which keeps every
+    smallest-neighbour choice in the pipeline deterministic.  These entries
+    are the only way to find an edge from its ends: a stage that picks a
+    neighbour from ``adj[v]`` keeps the edge id that comes with it.
     """
 
-    __slots__ = ("n", "edges", "adj", "_edge_index")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         norm: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) endpoint out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in index:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-            index[e] = len(norm)
-            norm.append(e)
+            norm.append((u, v) if u < v else (v, u))
+        if len(set(norm)) != len(norm):
+            seen: set[tuple[int, int]] = set()
+            for e in norm:
+                if e in seen:
+                    raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+                seen.add(e)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(norm):
             adj[u].append((v, eid))
@@ -70,21 +79,10 @@ class Graph:
         self.n = n
         self.edges = tuple(norm)
         self.adj = adj
-        self._edge_index = index
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Index of edge uv; raises KeyError if absent."""
-        return self._edge_index[(u, v) if u < v else (v, u)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_index
 
     def to_edge_list(self) -> str:
         """Serialise in the edge-list format understood by parse_edge_list."""
@@ -107,8 +105,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with ``#`` are ignored.  An optional
     leading ``n <count>`` header fixes the vertex count; otherwise it is
-    one more than the largest id seen.  Counts above MAX_VERTICES and ids
-    at or above it are rejected.
+    one more than the largest id seen.  Counts above MAX_VERTICES, ids at
+    or above it and more than MAX_EDGES edges are rejected.
     """
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -134,6 +132,8 @@ def parse_edge_list(text: str) -> Graph:
         first_content = False
         if len(tokens) != 2:
             raise GraphFormatError(f"expected 'u v', got {line!r}", lineno)
+        if len(edges) == MAX_EDGES:
+            raise GraphFormatError(f"more than the limit of {MAX_EDGES} edges", lineno)
         u, v = read_int(tokens[0], lineno), read_int(tokens[1], lineno)
         if max(u, v) >= MAX_VERTICES:
             raise GraphFormatError(
@@ -155,7 +155,8 @@ def parse_edge_list(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS "p edge n m" format with 1-based "e u v" lines.
 
-    A declared vertex count above MAX_VERTICES is rejected.
+    A declared vertex count above MAX_VERTICES, and a declared or actual
+    edge count above MAX_EDGES, are rejected.
     """
     n = None
     m_declared = 0
@@ -175,11 +176,16 @@ def parse_dimacs(text: str) -> Graph:
             if n > MAX_VERTICES:
                 raise GraphFormatError(
                     f"declared vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
+            if m_declared > MAX_EDGES:
+                raise GraphFormatError(
+                    f"declared edge count {m_declared} exceeds the limit of {MAX_EDGES}", lineno)
         elif tokens[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before problem line", lineno)
             if len(tokens) != 3:
                 raise GraphFormatError("expected 'e <u> <v>'", lineno)
+            if len(edges) == MAX_EDGES:
+                raise GraphFormatError(f"more than the limit of {MAX_EDGES} edges", lineno)
             u, v = read_int(tokens[1], lineno), read_int(tokens[2], lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"vertex id out of range in {line!r}", lineno)

@@ -7,6 +7,7 @@ overflow-free product key.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph, GraphFormatError, read_int
@@ -139,10 +140,11 @@ def parse_labelling(g: Graph, text: str) -> Labelling:
         u, v, lab = (read_int(tok, lineno) for tok in tokens)
         if lab not in LABELS:
             raise GraphFormatError(f"label {lab} outside {{1,2,3}}", lineno)
-        try:
-            eid = g.edge_id(u, v)
-        except KeyError:
-            raise GraphFormatError(f"({u},{v}) is not an edge of the graph", lineno) from None
+        row = g.adj[u] if u < g.n else []
+        at = bisect_left(row, (v,))  # (v,) sorts just before every (v, edge id)
+        if at == len(row) or row[at][0] != v:
+            raise GraphFormatError(f"({u},{v}) is not an edge of the graph", lineno)
+        eid = row[at][1]
         if labels[eid] is not None:
             raise GraphFormatError(f"edge ({u},{v}) labelled twice", lineno)
         labels[eid] = lab

@@ -33,10 +33,6 @@ class Partition:
     def t(self) -> int:
         return len(self.parts)
 
-    @property
-    def n(self) -> int:
-        return len(self.part_of)
-
     def part(self, i: int) -> set[int]:
         return self.parts[i - 1]
 
@@ -61,26 +57,17 @@ class Partition:
         return f"Partition(t={self.t}, sizes=[{sizes}])"
 
 
-def default_order(g: Graph) -> list[int]:
-    """Descending degree, ties by ascending id (the sort is stable)."""
-    adj = g.adj
-    return sorted(range(g.n), key=lambda v: -len(adj[v]))
-
-
-def greedy_partition(g: Graph, order=None) -> Partition:
-    """Assign each vertex the smallest part free of already-placed neighbours.
+def greedy_partition(g: Graph) -> Partition:
+    """Assign each vertex the smallest part free of already-placed neighbours,
+    placing the vertices by descending degree, ties by ascending id.
 
     By construction every vertex in part i ends up with a placed neighbour in
     every part below i, so the lower-neighbour property holds on the output.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    if order is None:
-        order = default_order(g)
-    elif sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
     part_of, adj = [0] * g.n, g.adj
-    for v in order:
+    for v in sorted(range(g.n), key=lambda v: -len(adj[v])):  # a stable sort
         used = {part_of[w] for w, _ in adj[v]}  # 0 marks a vertex not yet placed
         i = 1
         while i in used:

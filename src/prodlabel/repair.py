@@ -15,9 +15,12 @@ Every walk reads the input graph's own ``g.adj`` and keeps to a vertex set
 (the component, a piece or a block of it) by a membership test, so no
 adjacency is ever copied.  ``g.adj`` is sorted by (neighbour, edge id), so
 the filtered lists hand out neighbours in ascending order and every
-smallest-neighbour choice is deterministic.  ``fix_anchored`` and
-``fix_hub`` find each piece or block with one breadth-first walk from its
-smallest contact, and that walk is the spanning tree of its parity pass.
+smallest-neighbour choice is deterministic.  A fixer relabels an edge
+through the edge id that came with the neighbour it picked, from a
+``(neighbour, edge id)`` entry or a walk-tree link; no edge is ever looked
+up by its ends.  ``fix_anchored`` and ``fix_hub`` find each piece or block
+with one breadth-first walk from its smallest contact, and that walk is the
+spanning tree of its parity pass.
 
 Three mutually exclusive fixers cover all components, tried in order:
 
@@ -48,7 +51,7 @@ class ConflictComponent:
     g: Graph
     vertices: list[int]                      # sorted global ids
     side: dict[int, int]                     # 1 or 2, from the partition
-    edge_ids: list[int]                      # sorted global edge ids
+    eids: list[int]                          # sorted global edge ids
     degrees: dict[int, int]                  # degree inside the component
 
     def degree(self, v: int) -> int:
@@ -63,7 +66,7 @@ def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
 
 def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
     edges, d2, d3 = comp.g.edges, state.d2, state.d3
-    for eid in comp.edge_ids:
+    for eid in comp.eids:
         u, v = edges[eid]
         if d2[u] == d2[v] and d3[u] == d3[v]:
             return True
@@ -91,7 +94,7 @@ def conflict_components(g: Graph, p: Partition, l: Labelling | ProfileTracker) -
             continue
         side = {u: part_of[u]}
         degrees: dict[int, int] = {}
-        edge_ids = []
+        eids = []
         stack = [u]
         while stack:
             x = stack.pop()
@@ -104,15 +107,15 @@ def conflict_components(g: Graph, p: Partition, l: Labelling | ProfileTracker) -
                     side[w] = part_of[w]
                     stack.append(w)
                 if x < w:
-                    edge_ids.append(eid)
+                    eids.append(eid)
             degrees[x] = degree
         covered.update(side)
         vertices = sorted(side)
-        if len(edge_ids) < 2:
+        if len(eids) < 2:
             raise InvariantViolation(
                 f"conflict component {vertices} has fewer than two edges")
-        edge_ids.sort()
-        out.append(ConflictComponent(g, vertices, side, edge_ids, degrees))
+        eids.sort()
+        out.append(ConflictComponent(g, vertices, side, eids, degrees))
     out.sort(key=lambda comp: comp.vertices[0])
     return out
 
@@ -122,7 +125,7 @@ def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list
     monochromatic or special."""
     edges, d2, d3 = comp.g.edges, state.d2, state.d3
     out = []
-    for eid in comp.edge_ids:
+    for eid in comp.eids:
         u, v = edges[eid]
         if d2[u] == d2[v] and d3[u] == d3[v]:
             out.append(f"conflict on edge ({u},{v})")
@@ -301,7 +304,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
 
     rest = set(comp.vertices) - anchor_set
     covered: set[int] = set()
-    contact_partner: dict[int, tuple[int, int]] = {}
+    mate_edge: dict[int, int] = {}  # contact -> edge to its 1-mono partner
     for y in comp.vertices:
         if y not in rest or y in covered:
             continue
@@ -321,9 +324,9 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
         if d2[y] > 0:
             state.set(exy, 3)  # y turns special
             continue
-        mate = next((w for w, _ in adj[y] if w in tree and state.is_mono1(w)), None)
+        mate = next((e for w, e in adj[y] if w in tree and state.is_mono1(w)), None)
         if mate is not None:
-            contact_partner[y] = (x, mate)
+            mate_edge[y] = mate
     for v in sorted(rest - covered):  # pieces without contact: skipped ones only
         if v not in covered:
             order = _walk(state, rest, v, 2)[0]
@@ -331,8 +334,8 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
             if not any(side[w] == 2 and d3[w] > 0 for w in order):
                 raise InvariantViolation("piece without contact to an anchor")
 
-    if contact_partner:
-        contact_graph = anchor_set | set(contact_partner)
+    if mate_edge:
+        contact_graph = anchor_set | set(mate_edge)
         covered.clear()
         for xk in anchors:
             if xk in covered:
@@ -347,7 +350,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
                     if y not in tree or side[y] != 2 or state.key(y) != state.key(xk):
                         continue
                     state.set(exy, 1 if state.label(exy) == 3 else 3)
-                    state.set(g.edge_id(y, contact_partner[y][1]), 3)
+                    state.set(mate_edge[y], 3)
                     break
     return case
 
@@ -363,9 +366,10 @@ def hub_vertex(comp: ConflictComponent, state: ProfileTracker) -> int | None:
 class _Piece:
     vset: set[int]
     rep: int                      # smallest hub neighbour inside the piece
+    hub_edge: int                 # the edge from the hub to rep
     kind: str = "nice"            # nice | bad | tricky
-    lone: int | None = None       # the single even contact, for bad/tricky
-    mate: int | None = None       # lone's 1-mono partner, for tricky
+    lone: int | None = None       # edge from rep to the single even contact, for bad/tricky
+    mate: int | None = None       # edge from that contact to its 1-mono partner, for tricky
 
 
 def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
@@ -386,52 +390,40 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
     for v in comp.vertices:
         if state.d3[v] != 0:
             raise InvariantViolation(f"hub fixer entered with a 3-count at vertex {v}")
-    nbrs = [w for w, _ in _within(g, u, comp.side)]
-    for w in nbrs:
+    nbrs = _within(g, u, comp.side)  # (hub neighbour, hub edge), ascending
+    for w, _ in nbrs:
         if not state.is_mono1(w):
             raise InvariantViolation(f"hub neighbour {w} is not 1-monochromatic")
 
     rest = set(comp.vertices) - {u}  # the vertices no piece holds yet
     pieces: list[_Piece] = []
-    for rep in nbrs:
+    for rep, hub_edge in nbrs:
         if rep not in rest:
             continue
         rest.discard(rep)  # no walk of this piece's blocks may pass through it
-        piece = _Piece({rep}, rep)
+        piece = _Piece({rep}, rep, hub_edge)
         # Normalise every block hanging off the representative with a 1/2
         # parity pass; the block's contact is the one vertex allowed to end
         # with an even 2-count.
-        contacts: list[int] = []
-        for xj, _ in _within(g, rep, rest):
+        contacts: list[tuple[int, int]] = []
+        for xj, exj in _within(g, rep, rest):
             if xj not in rest:
                 continue  # the walk from a smaller contact reached it
             order, tree, bad = _walk(state, rest, xj, 2)
             rest.difference_update(order)
             piece.vset.update(order)
-            contacts.append(xj)
+            contacts.append((xj, exj))
             if len(order) > 1:
                 _flip(state, order, tree, bad, _need(state.d2, comp.side, order, xj, 2), 2)
-        evens = [x for x in contacts if state.d2[x] % 2 == 0]
-        if not evens:
-            piece.kind = "nice"
-        elif len(evens) >= 2:
-            piece.kind = "nice"
-            for z in evens:
-                state.set(g.edge_id(piece.rep, z), 3)
-        else:
-            w = evens[0]
-            if state.d2[w] >= 1:
-                piece.kind = "nice"
-                state.set(g.edge_id(piece.rep, w), 3)
-            else:
-                piece.lone = w
-                mates = [y for y, _ in _within(g, w, piece.vset)
-                         if y != piece.rep and state.is_mono1(y)]
-                if mates:
-                    piece.kind = "tricky"
-                    piece.mate = mates[0]
-                else:
-                    piece.kind = "bad"
+        evens = [(x, ex) for x, ex in contacts if state.d2[x] % 2 == 0]
+        if len(evens) >= 2 or (evens and state.d2[evens[0][0]] >= 1):
+            for _, ez in evens:
+                state.set(ez, 3)  # the piece stays nice
+        elif evens:
+            w, piece.lone = evens[0]
+            piece.mate = next((ey for y, ey in _within(g, w, piece.vset)
+                               if y != piece.rep and state.is_mono1(y)), None)
+            piece.kind = "bad" if piece.mate is None else "tricky"
         pieces.append(piece)
     if rest:
         raise InvariantViolation(f"vertex {min(rest)} is not attached to the hub {u}")
@@ -444,62 +436,61 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
     if tricky:
         chosen = tricky[0]
         for p in tricky[1:] + bad:
-            state.set(g.edge_id(p.rep, p.lone), 2)
-            state.set(g.edge_id(u, p.rep), 2)
+            state.set(p.lone, 2)
+            state.set(p.hub_edge, 2)
         if state.d2[u] % 2 == 0:
-            state.set(g.edge_id(chosen.rep, chosen.lone), 2)
-            state.set(g.edge_id(u, chosen.rep), 2)
+            state.set(chosen.lone, 2)
+            state.set(chosen.hub_edge, 2)
             return "hub-1-even"
-        state.set(g.edge_id(chosen.rep, chosen.lone), 3)
-        state.set(g.edge_id(chosen.lone, chosen.mate), 3)
+        state.set(chosen.lone, 3)
+        state.set(chosen.mate, 3)
         return "hub-1-odd"
 
     if not nice:
         if len(bad) == 1:
             p = bad[0]
-            state.set(g.edge_id(p.rep, p.lone), 2)
-            state.set(g.edge_id(u, p.rep), 2)
+            state.set(p.lone, 2)
+            state.set(p.hub_edge, 2)
             return "hub-2-single"
         for p in bad:
-            state.set(g.edge_id(u, p.rep), 3)
+            state.set(p.hub_edge, 3)
         return "hub-2-many"
 
     if bad:
         for p in bad:
-            state.set(g.edge_id(p.rep, p.lone), 2)
-            state.set(g.edge_id(u, p.rep), 2)
+            state.set(p.lone, 2)
+            state.set(p.hub_edge, 2)
         if state.d2[u] % 2 == 1:
             return "hub-3-odd"
-        state.set(g.edge_id(u, nice[0].rep), 3)
+        state.set(nice[0].hub_edge, 3)
         return "hub-3-even"
 
     if len(pieces) == 1:
         p = pieces[0]
-        v2 = min(w for w in nbrs if w != p.rep)
         if state.is_mono1(p.rep):
-            state.set(g.edge_id(u, p.rep), 3)
-            state.set(g.edge_id(u, v2), 3)
+            state.set(p.hub_edge, 3)
+            state.set(next(e for w, e in nbrs if w != p.rep), 3)
             return "hub-4-plain"
         if state.d2[p.rep] != 0:
             raise InvariantViolation(f"piece representative {p.rep} carries 2s")
-        state.set(g.edge_id(u, p.rep), 3)
+        state.set(p.hub_edge, 3)
         return "hub-4-anchored"
 
     for p in pieces:
         if state.d3[p.rep] < 2:
             continue
-        others = [w for w in nbrs if w in p.vset and w != p.rep]
+        others = [(w, e) for w, e in nbrs if w in p.vset and w != p.rep]
         if not others:
             continue
-        x = others[0]
+        x, ex = others[0]
         for w, eid in _within(g, p.rep, comp.side):
             if state.label(eid) == 3:
                 state.set(eid, 2)
         if state.d2[p.rep] % 2 == 1:
-            state.set(g.edge_id(u, p.rep), 2)
+            state.set(p.hub_edge, 2)
             return "hub-5-odd"
         tree = _walk(state, p.vset, p.rep, 2)[1]
-        cycle = [g.edge_id(u, p.rep), g.edge_id(x, u)]
+        cycle = [p.hub_edge, ex]
         while x != p.rep:  # the tree path from x up to the representative
             x, eid = tree[x]
             cycle.append(eid)
@@ -510,20 +501,19 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
             state.set(eid, 2 if lab == 1 else 1)
         if not _has_conflict(comp, state):
             return "hub-5-cycle"
-        vj = min(q.rep for q in pieces if q is not p)
-        state.set(g.edge_id(u, vj), 3)
+        state.set(min((q.rep, q.hub_edge) for q in pieces if q is not p)[1], 3)
         return "hub-5-cycle-special"
 
-    targets = sorted(w for w in nbrs if state.d2[w] == 0)
+    targets = [(w, e) for w, e in nbrs if state.d2[w] == 0]
     if len(targets) < 2:
         raise InvariantViolation("hub endgame needs two or more clean neighbours")
-    for w in targets:
-        if state.label(g.edge_id(u, w)) != 1:
+    for w, e in targets:
+        if state.label(e) != 1:
             raise InvariantViolation(f"hub edge to {w} already relabelled")
-    zvec = nullstellensatz_assign([state.d3[w] for w in targets])
-    for w, z in zip(targets, zvec):
+    zvec = nullstellensatz_assign([state.d3[w] for w, _ in targets])
+    for (_, e), z in zip(targets, zvec):
         if z:
-            state.set(g.edge_id(u, w), 3)
+            state.set(e, 3)
     return "hub-6"
 
 
@@ -537,7 +527,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     """
     g = comp.g
     pair = None
-    for eid in comp.edge_ids:
+    for eid in comp.eids:
         a, b = g.edges[eid]
         if state.is_mono1(a) and state.is_mono1(b):
             pair = (eid, a, b)
@@ -548,10 +538,10 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
     if comp.degree(u) != 1:
         raise InvariantViolation(f"pendant vertex {u} has degree {comp.degree(u)}")
-    xs = [w for w, _ in _within(g, v, comp.side) if w != u]
+    xs = [(w, e) for w, e in _within(g, v, comp.side) if w != u]
     if not xs:
         raise InvariantViolation("conflict pair is an isolated edge")
-    for x in xs:
+    for x, _ in xs:
         if state.d3[x] != 0 or state.d2[x] < 1:
             raise InvariantViolation(f"side-2 neighbour {x} is not 2-monochromatic")
 
@@ -563,12 +553,12 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     if state.d2[v] >= 2:
         state.set(eid_uv, 3)  # v turns special, u 3-monochromatic
         return "pendant-special-self"
-    ex = g.edge_id(v, xs[0])
+    x, ex = xs[0]
     if state.label(ex) != 1:
         raise InvariantViolation("1-mono vertex carries a labelled edge")
-    if state.d2[xs[0]] < 2 or state.d2[xs[0]] % 2 == 1:
-        raise InvariantViolation(f"reserve neighbour {xs[0]} cannot turn special")
-    state.set(ex, 3)  # xs[0] turns special, v 3-monochromatic
+    if state.d2[x] < 2 or state.d2[x] % 2 == 1:
+        raise InvariantViolation(f"reserve neighbour {x} cannot turn special")
+    state.set(ex, 3)  # x turns special, v 3-monochromatic
     return "pendant-special-reserve"
 
 

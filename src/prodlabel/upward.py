@@ -33,21 +33,28 @@ class UpwardResult:
     trace: list[str] = field(default_factory=list)
 
 
+def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:
+    """The edge from ``u`` (in part i) to its chosen neighbour in part j."""
+    if j not in best:
+        raise InvariantViolation(f"vertex {u} in part {i} has no usable neighbour in part {j}")
+    return best[j][1]
+
+
 def run_upward_pass(g: Graph, p: Partition, trace: bool = False) -> UpwardResult:
     """Relabel upward edges of parts t..3 so every part meets its target.
 
     The input partition must be valid; the returned partition differs from it
-    only by swaps of swappable bottom edges.
+    only by swaps of swappable bottom edges.  Every relabelled edge is taken
+    from the entry of ``g.adj[u]`` that names its other end.
     """
     part = p.copy()
-    part_of = part.part_of
+    part_of, adj = part.part_of, g.adj
     state = ProfileTracker(g)
+    d2, d3, relabel = state.d2, state.d3, state.set
     result = UpwardResult(state.labelling, part)
 
     end_edge = _end_edges(g, part)
     pending = set(end_edge.values())  # swappable edges with both ends still 1-monochromatic
-
-    adjacent = {u: dict(g.adj[u]) for u in range(g.n) if part_of[u] >= 3}
 
     def do_swap(eid: int) -> None:
         a, b = g.edges[eid]
@@ -58,116 +65,108 @@ def run_upward_pass(g: Graph, p: Partition, trace: bool = False) -> UpwardResult
 
     for i in range(part.t, 2, -1):
         even = i % 2 == 0
-        n_level = i // 2
+        target_side = 2 if even else 1
         for u in sorted(part.part(i)):
-            nbrs = adjacent[u]
-            mu = sorted({end_edge[w] for w in nbrs if w in end_edge and end_edge[w] in pending})
-            target_side = 2 if even else 1
-            chosen_ends: list[int] = []
+            # One pass over u's edges: the (end, edge from u) pairs of every
+            # pending edge next to u, and the smallest neighbour of each lower
+            # part that is no pending-edge end.
+            ends: dict[int, list[tuple[int, int]]] = {}
+            best: dict[int, tuple[int, int]] = {}
+            for w, eid in adj[u]:
+                pe = end_edge.get(w)
+                if pe in pending:
+                    ends.setdefault(pe, []).append((w, eid))
+                elif part_of[w] < i and part_of[w] not in best:
+                    best[part_of[w]] = (w, eid)
+            mu = sorted(ends)
+            chosen: list[tuple[int, int]] = []
             swapped_here: list[int] = []
-            for eid in mu:
-                a, b = g.edges[eid]
-                cands = [x for x in (a, b) if x in nbrs]
-                if len(cands) == 2:
-                    end = a if part_of[a] == target_side else b
-                else:
-                    end = cands[0]
-                if part_of[end] != target_side:
-                    do_swap(eid)
-                    swapped_here.append(eid)
-                chosen_ends.append(end)
-            chosen = set(chosen_ends)
-
-            # Smallest neighbour per lower part, preferring ends not reserved
-            # for pending-edge handling.
-            best: dict[int, int] = {}
-            for w in sorted(nbrs):
-                j = part_of[w]
-                if j < i and j not in best and w not in chosen:
-                    best[j] = w
-
-            def x_in(j: int) -> int:
-                if j not in best:
-                    raise InvariantViolation(
-                        f"vertex {u} in part {i} has no usable neighbour in part {j}")
-                return best[j]
-
-            def relabel(w: int, lab: int) -> None:
-                state.set(nbrs[w], lab)
+            for pe in mu:
+                pair = ends[pe]
+                if len(pair) == 2 and part_of[pair[0][0]] != target_side:
+                    pair.reverse()  # the end already on the target side comes first
+                if part_of[pair[0][0]] != target_side:
+                    do_swap(pe)
+                    swapped_here.append(pe)
+                chosen.append(pair[0])
+                if len(pair) == 2:
+                    # The other end is not reserved: it competes for the
+                    # smallest neighbour of the part it now lies in.
+                    w, j = pair[1][0], part_of[pair[1][0]]
+                    if j not in best or w < best[j][0]:
+                        best[j] = pair[1]
+            chosen.sort()
 
             chain_lab = 3 if even else 2
             for j in range(3 if even else 4, i, 2):
-                relabel(x_in(j), chain_lab)
-
-            parity = lambda: (state.d2[u] + state.d3[u]) % 2
+                relabel(_lower(best, u, i, j), chain_lab)
 
             if not mu:
                 branch = "plain"
                 if even:
-                    relabel(x_in(1), 3)
+                    relabel(_lower(best, u, i, 1), 3)
                     if i == 4:
                         # A single knob edge serves both goals here: label it 2
                         # only when that yields the odd total, which also keeps
                         # the 2-count positive.
-                        if parity() == 0:
-                            relabel(x_in(2), 2)
+                        if (d2[u] + d3[u]) % 2 == 0:
+                            relabel(_lower(best, u, i, 2), 2)
                     else:
-                        relabel(x_in(i - 2), 2)
-                        if parity() == 0:
-                            relabel(x_in(2), 2)
+                        relabel(_lower(best, u, i, i - 2), 2)
+                        if (d2[u] + d3[u]) % 2 == 0:
+                            relabel(_lower(best, u, i, 2), 2)
                 else:
-                    relabel(x_in(2), 2)
+                    relabel(_lower(best, u, i, 2), 2)
                     if i > 3:
-                        relabel(x_in(i - 2), 3)
-                    if parity() == 1:
-                        relabel(x_in(1), 3)
+                        relabel(_lower(best, u, i, i - 2), 3)
+                    if (d2[u] + d3[u]) % 2 == 1:
+                        relabel(_lower(best, u, i, 1), 3)
             else:
                 branch = "pending"
-                z = min(chosen)
+                z, ez = chosen[0]
                 z_edge = end_edge[z]
                 other_lab = 2 if even else 3
-                for w in sorted(chosen - {z}):
-                    relabel(w, other_lab)
+                for _, eid in chosen[1:]:
+                    relabel(eid, other_lab)
                 if even:
-                    if parity() == 1:
-                        relabel(z, 2)
-                        relabel(x_in(1), 3)
-                    elif state.d2[u] > 0:
+                    if (d2[u] + d3[u]) % 2 == 1:
+                        relabel(ez, 2)
+                        relabel(_lower(best, u, i, 1), 3)
+                    elif d2[u] > 0:
                         do_swap(z_edge)
                         swapped_here.append(z_edge)
-                        relabel(z, 3)
+                        relabel(ez, 3)
                     else:
                         if i == 4:
                             raise InvariantViolation(
                                 f"part-4 vertex {u} reached the excluded branch "
                                 f"(d2=0, even 2+3 count: profile {state.key(u)})")
                         branch = "pending-fallback"
-                        relabel(x_in(i - 2), 2)
-                        relabel(z, 2)
-                        relabel(x_in(1), 3)
+                        relabel(_lower(best, u, i, i - 2), 2)
+                        relabel(ez, 2)
+                        relabel(_lower(best, u, i, 1), 3)
                 else:
-                    if parity() == 0:
-                        relabel(z, 3)
-                        relabel(x_in(2), 2)
-                    elif state.d3[u] > 0:
+                    if (d2[u] + d3[u]) % 2 == 0:
+                        relabel(ez, 3)
+                        relabel(_lower(best, u, i, 2), 2)
+                    elif d3[u] > 0:
                         do_swap(z_edge)
                         swapped_here.append(z_edge)
-                        relabel(z, 2)
+                        relabel(ez, 2)
                     else:
                         if i <= 4:
                             raise InvariantViolation(
                                 f"part-3 vertex {u} reached the excluded branch "
                                 f"(d3=0, odd 2+3 count: profile {state.key(u)})")
                         branch = "pending-fallback"
-                        relabel(x_in(i - 2), 3)
-                        relabel(z, 3)
-                        relabel(x_in(2), 2)
+                        relabel(_lower(best, u, i, i - 2), 3)
+                        relabel(ez, 3)
+                        relabel(_lower(best, u, i, 2), 2)
                 pending.difference_update(mu)
 
             d2u, d3u = state.key(u)
-            want = n_level if even else (i - 1) // 2
             got = d3u if even else d2u
-            if got != want or d2u == 0 or d3u == 0 or (d2u + d3u) % 2 != (1 if even else 0):
+            if got != i // 2 or d2u == 0 or d3u == 0 or (d2u + d3u) % 2 != (1 if even else 0):
                 raise InvariantViolation(
                     f"vertex {u} in part {i} ended with profile ({d2u},{d3u})")
             if trace:

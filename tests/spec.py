@@ -18,6 +18,15 @@ from prodlabel.partition import Partition
 from prodlabel.repair import _need, _sweep, _within
 
 
+def edge_id(g: Graph, u: int, v: int) -> int:
+    """Index of the edge uv, read from its entry in ``g.adj[u]``; KeyError
+    if there is none."""
+    for w, eid in g.adj[u]:
+        if w == v:
+            return eid
+    raise KeyError((u, v))
+
+
 @dataclass(frozen=True)
 class VertexProfile:
     """Counts of incident edges per label; d1 + d2 + d3 equals the degree."""

@@ -7,6 +7,7 @@ import pytest
 
 import prodlabel.cli
 import prodlabel.engine
+import prodlabel.graph
 from prodlabel import InvariantViolation, parse_graph
 from prodlabel.partition import Partition
 from prodlabel.cli import main
@@ -80,6 +81,20 @@ class TestLabelCommand:
         code, out, _ = run_cli(capsys, "label", path, "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("0 1 1")
+
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "k3.edges", K3)
+        target = tmp_path / "missing_dir" / "out.txt"
+        code, out, err = run_cli(capsys, "label", path, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("cannot write output: [Errno 2]")
+
+    def test_too_many_edges_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(prodlabel.graph, "MAX_EDGES", 2)
+        path = write(tmp_path, "k3.edges", K3)
+        code, out, err = run_cli(capsys, "label", path)
+        assert code == 1 and out == ""
+        assert err == "input error: line 3: more than the limit of 2 edges\n"
 
     def test_trace_goes_to_stderr(self, tmp_path, capsys):
         path = write(tmp_path, "k3.edges", K3)

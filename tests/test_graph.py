@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import prodlabel.graph as graph_module
 from prodlabel.graph import (
     MAX_VERTICES,
     Graph,
@@ -16,6 +17,7 @@ from prodlabel.graph import (
 )
 
 from conftest import path_graph, random_graph
+from spec import edge_id
 
 
 class TestGraph:
@@ -23,10 +25,10 @@ class TestGraph:
         g = Graph(3, [(0, 1), (2, 1)])
         assert g.n == 3 and g.m == 2
         assert g.edges == ((0, 1), (1, 2))
-        assert g.adj[1] == [(0, 0), (2, 1)]
-        assert g.degree(1) == 2
-        assert g.edge_id(2, 1) == 1
-        assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+        assert g.adj == [[(1, 0)], [(0, 0), (2, 1)], [(1, 1)]]
+        assert edge_id(g, 2, 1) == 1
+        with pytest.raises(KeyError):
+            edge_id(g, 0, 2)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -35,6 +37,10 @@ class TestGraph:
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(2, [(0, 1), (1, 0)])
+
+    def test_names_the_first_duplicate(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate edge (1,2)")):
+            Graph(3, [(0, 1), (1, 2), (2, 1)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -89,6 +95,12 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="line 2.*more than the limit"):
             parse_edge_list(f"0 1\n1 {MAX_VERTICES}")
 
+    def test_edges_above_limit(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_EDGES", 2)
+        assert parse_edge_list("# two edges\n0 1\n1 2\n").m == 2
+        with pytest.raises(GraphFormatError, match="line 4: more than the limit of 2 edges"):
+            parse_edge_list("# three edges\n0 1\n1 2\n2 3\n")
+
     # int() alone reads each of these as a number: 1_0 as 10.
     @pytest.mark.parametrize("token", ["+1", "-1", "1_0", "\uff13", "1\u0661"],
                              ids=["plus", "minus", "underscore", "full-width", "arabic-indic"])
@@ -125,6 +137,15 @@ class TestParseDimacs:
     def test_declared_count_above_limit(self):
         with pytest.raises(GraphFormatError, match="line 1.*exceeds the limit"):
             parse_dimacs(f"p edge {MAX_VERTICES + 1} 0")
+
+    def test_edges_above_limit(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_EDGES", 2)
+        assert parse_dimacs("p edge 3 2\ne 1 2\ne 2 3\n").m == 2
+        with pytest.raises(GraphFormatError,
+                           match="line 2: declared edge count 3 exceeds the limit of 2"):
+            parse_dimacs("c path\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+        with pytest.raises(GraphFormatError, match="line 4: more than the limit of 2 edges"):
+            parse_dimacs("p edge 4 2\ne 1 2\ne 2 3\ne 3 4\n")
 
     @pytest.mark.parametrize("text, line", [
         ("p edge 1_1 1\ne 1 2", 1),

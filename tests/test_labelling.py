@@ -156,8 +156,10 @@ class TestFormats:
 
     def test_parse_rejects_unknown_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(GraphFormatError, match="not an edge"):
-            parse_labelling(g, "0 2 1\n0 1 1\n1 2 1\n")
+        # Ends out of range and a loop must not index past g.adj.
+        for line in ("0 2 1", "0 9 1", "9 0 1", "1 1 1"):
+            with pytest.raises(GraphFormatError, match="line 1: .* is not an edge"):
+                parse_labelling(g, line + "\n0 1 1\n1 2 1\n")
 
     def test_parse_rejects_bad_label(self):
         g = Graph(2, [(0, 1)])

@@ -25,7 +25,7 @@ from conftest import (
     star_graph,
     tree_plus_chords,
 )
-from spec import missing_lower_neighbours, potential, validate_partition
+from spec import edge_id, missing_lower_neighbours, potential, validate_partition
 
 # P5 as y-x-w-z-p with ids y=0, x=1, w=2, z=3, p=4.
 P5 = path_graph(5)
@@ -95,12 +95,13 @@ def exhaustive_swap_check(g: Graph, p: Partition) -> bool:
 
 class TestGreedy:
     def test_k3(self):
-        p = greedy_partition(complete_graph(3), order=[0, 1, 2])
+        p = greedy_partition(complete_graph(3))
         assert p.parts == [{0}, {1}, {2}]
 
     def test_p3(self):
-        p = greedy_partition(path_graph(3), order=[0, 1, 2])
-        assert p.parts == [{0, 2}, {1}]
+        # The middle vertex has the highest degree, so it is placed first.
+        p = greedy_partition(path_graph(3))
+        assert p.parts == [{1}, {0, 2}]
 
     def test_edgeless(self):
         p = greedy_partition(Graph(3, []))
@@ -116,10 +117,10 @@ class TestGreedy:
 
 class TestPotential:
     def test_k3(self):
-        assert potential(greedy_partition(complete_graph(3), order=[0, 1, 2])) == 6
+        assert potential(greedy_partition(complete_graph(3))) == 6
 
     def test_p3(self):
-        assert potential(greedy_partition(path_graph(3), order=[0, 1, 2])) == 4
+        assert potential(greedy_partition(path_graph(3))) == 5
 
     def test_single_part(self):
         assert potential(Partition([1] * 7)) == 7
@@ -127,8 +128,8 @@ class TestPotential:
 
 class TestSwappableEdges:
     def test_p5(self):
-        eid_yx = P5.edge_id(0, 1)
-        eid_zp = P5.edge_id(3, 4)
+        eid_yx = edge_id(P5, 0, 1)
+        eid_zp = edge_id(P5, 3, 4)
         assert swappable_edges(P5, P5_SEED) == {eid_yx, eid_zp}
 
     def test_k3(self):
@@ -144,39 +145,39 @@ class TestSwappableEdges:
 class TestSwapEdge:
     def test_k3_swap(self):
         g = complete_graph(3)
-        q = swap_edge(g, Partition([1, 2, 3]), g.edge_id(0, 1))
+        q = swap_edge(g, Partition([1, 2, 3]), edge_id(g, 0, 1))
         assert q.parts == [{1}, {0}, {2}]
 
     def test_involution(self):
         g = complete_graph(3)
         p = Partition([1, 2, 3])
-        eid = g.edge_id(0, 1)
+        eid = edge_id(g, 0, 1)
         assert swap_edge(g, swap_edge(g, p, eid), eid) == p
 
     def test_p5_swap(self):
-        q = swap_edge(P5, P5_SEED, P5.edge_id(0, 1))
+        q = swap_edge(P5, P5_SEED, edge_id(P5, 0, 1))
         assert q.parts == [{0, 4}, {1, 3}, {2}]
 
     def test_preserves_potential_and_set(self):
-        q = swap_edge(P5, P5_SEED, P5.edge_id(0, 1))
+        q = swap_edge(P5, P5_SEED, edge_id(P5, 0, 1))
         assert potential(q) == potential(P5_SEED)
         assert swappable_edges(P5, q) == swappable_edges(P5, P5_SEED)
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError, match="not swappable"):
-            swap_edge(P5, P5_SEED, P5.edge_id(1, 2))
+            swap_edge(P5, P5_SEED, edge_id(P5, 1, 2))
 
 
 class TestMissingLowerNeighbours:
     def test_k3_greedy_clean(self):
-        p = greedy_partition(complete_graph(3), order=[0, 1, 2])
+        p = greedy_partition(complete_graph(3))
         assert missing_lower_neighbours(complete_graph(3), p) == []
 
     def test_p3_bipartition_clean(self):
         assert missing_lower_neighbours(path_graph(3), Partition([1, 2, 1])) == []
 
     def test_p5_after_swap(self):
-        q = swap_edge(P5, P5_SEED, P5.edge_id(0, 1))
+        q = swap_edge(P5, P5_SEED, edge_id(P5, 0, 1))
         assert missing_lower_neighbours(P5, q) == [(2, 1)]
 
 
@@ -185,7 +186,7 @@ class TestSwapSafety:
         w = swap_witness(P5, P5_SEED)
         assert w is not None
         assert w.vertex == 2 and w.side == 1
-        assert w.edges == frozenset({P5.edge_id(0, 1)})
+        assert w.edges == frozenset({edge_id(P5, 0, 1)})
 
     def test_k3_safe(self):
         assert swap_witness(complete_graph(3), Partition([1, 2, 3])) is None
@@ -385,7 +386,7 @@ BROKEN_STARTS = {
 def break_greedy_start(monkeypatch, name):
     part_of, _ = BROKEN_STARTS[name]
     monkeypatch.setattr(partition_module, "greedy_partition",
-                        lambda g, order=None: Partition(list(part_of)))
+                        lambda g: Partition(list(part_of)))
 
 
 class TestBrokenStart:

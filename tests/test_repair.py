@@ -248,7 +248,7 @@ class TestConflictComponents:
         g.adj = CountingAdj(g.adj)
         comps = conflict_components(g, p, state)
         assert [c.vertices for c in comps] == [[centre] + leaves]
-        assert comps[0].edge_ids == [0, 1, 2]
+        assert comps[0].eids == [0, 1, 2]
         assert [comps[0].degree(v) for v in comps[0].vertices] == [3, 1, 1, 1]
         assert g.adj.read <= 2 * star_degrees
 
@@ -260,7 +260,7 @@ class TestConflictComponents:
         g, p, state = fixture(parts, edges)
         comps = conflict_components(g, p, state)
         assert [c.vertices for c in comps] == [[0, 1, 2], [3, 4, 5, 6]]
-        assert [c.edge_ids for c in comps] == [[3, 4], [0, 1, 2]]
+        assert [c.eids for c in comps] == [[3, 4], [0, 1, 2]]
 
 
 class TestFixAnchored:

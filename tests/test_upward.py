@@ -15,7 +15,7 @@ from conftest import (
     random_connected_nice_graph,
     star_graph,
 )
-from spec import VertexKind, classify, profile, target_profile
+from spec import VertexKind, classify, edge_id, profile, target_profile
 
 
 class TestTargetProfile:
@@ -187,7 +187,7 @@ class TestPartFourKnobCorner:
                     continue
                 u = int(line.split("vertex=")[1].split()[0])
                 x2 = min(w for w, _ in sub.adj[u] if part_of[w] == 2)
-                if res.labelling.labels[sub.edge_id(u, x2)] != 2:
+                if res.labelling.labels[edge_id(sub, u, x2)] != 2:
                     d2 = sum(1 for _, eid in sub.adj[u] if res.labelling.labels[eid] == 2)
                     assert d2 % 2 == 1
                     skipped += 1
