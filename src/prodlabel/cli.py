@@ -35,16 +35,22 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return parse_graph(_read(path), fmt)
 
 
+def _save_repro(path: str, text: str) -> None:
+    """Save a graph that reproduces a failure; a file that cannot be
+    written is reported, and the run carries on."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+    else:
+        print(f"wrote {path}", file=sys.stderr)
+
+
 def _internal_error(g: Graph, what: str) -> int:
     """Report a broken construction and save the graph that hit it."""
     print(f"internal error: {what}", file=sys.stderr)
-    try:
-        with open(LABEL_REPRO, "w", encoding="utf-8") as fh:
-            fh.write(g.to_edge_list())
-    except OSError as exc:
-        print(f"cannot write {LABEL_REPRO}: {exc}", file=sys.stderr)
-    else:
-        print(f"wrote {LABEL_REPRO}", file=sys.stderr)
+    _save_repro(LABEL_REPRO, g.to_edge_list())
     return EXIT_CONFLICTS
 
 
@@ -118,11 +124,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 tally[case] = tally.get(case, 0) + count
         if bad:
             failures += 1
-            repro = f"fuzz_fail_{trial}.edges"
-            with open(repro, "w", encoding="utf-8") as fh:
-                fh.write(f"# trial {trial} seed {seed} n {args.n} p {args.p}\n")
-                fh.write(g.to_edge_list())
-            print(f"trial {trial} FAILED (seed {seed}); wrote {repro}", file=sys.stderr)
+            print(f"trial {trial} FAILED (seed {seed})", file=sys.stderr)
+            _save_repro(f"fuzz_fail_{trial}.edges",
+                        f"# trial {trial} seed {seed} n {args.n} p {args.p}\n" + g.to_edge_list())
     print(f"{args.trials - failures}/{args.trials} ok")
     for case in sorted(tally):
         print(f"  {case}: {tally[case]}")

@@ -7,9 +7,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .graph import Graph, connected_components
+from .graph import Graph
 from .labelling import Labelling, find_conflicts
-from .partition import Partition, build_valid_partition
+from .partition import build_valid_partition
 from .repair import run_repair_pass
 from .upward import run_upward_pass
 
@@ -19,12 +19,13 @@ class PipelineReport:
     """Outcome of labelling one graph; the verdict is recomputed from the
     labels by the independent conflict scan, never trusted from the pipeline.
 
-    ``partition`` is the valid partition of the whole graph after the upward
-    pass's swaps; it is None only when the graph has no edges.
+    ``part_of`` is the part (1..t) of each vertex in the valid partition of
+    the whole graph, after the upward pass's swaps; it is None only when
+    the graph has no edges.
     """
 
     labelling: Labelling
-    partition: Partition | None = None
+    part_of: list[int] | None = None
     swaps: int = 0
     components_fixed: int = 0
     tally: Counter = field(default_factory=Counter)
@@ -48,11 +49,12 @@ def label_graph(g: Graph, trace: bool = False) -> PipelineReport:
     """
     if g.m == 0:
         return PipelineReport(Labelling([]))
-    up = run_upward_pass(g, build_valid_partition(g), trace=trace)
-    rep = run_repair_pass(g, up.partition, up.labelling, trace=trace)
+    part_of, end_edge = build_valid_partition(g)
+    up = run_upward_pass(g, part_of, end_edge, trace=trace)
+    rep = run_repair_pass(g, up.part_of, up.labelling, trace=trace)
     return PipelineReport(
         labelling=rep.labelling,
-        partition=up.partition,
+        part_of=up.part_of,
         swaps=up.swaps,
         components_fixed=len(rep.component_vertices),
         tally=rep.tally,
@@ -158,8 +160,9 @@ def brute_force_labelling(g: Graph, k: int) -> list[int] | None:
 def random_nice_graph(n: int, p: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi draw, patched to contain no two-vertex component.
 
-    Every two-vertex component either gains an edge from its smaller end to
-    the lowest-id vertex outside it, or loses its edge when n == 2.
+    Every two-vertex component (an edge whose two ends both have degree 1)
+    either gains an edge from its smaller end to the lowest-id vertex
+    outside it, or loses its edge when n == 2.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -168,16 +171,15 @@ def random_nice_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     g = Graph(n, edges)
-    lonely = [c for c in connected_components(g) if len(c) == 2]
+    lonely = [(a, b) for a, b in edges if len(g.adj[a]) == len(g.adj[b]) == 1]
     if not lonely:
         return g
     if n == 2:
         return Graph(n, [])
     patched = list(edges)
     seen = set(edges)
-    for comp in lonely:
-        a = comp[0]
-        w = min(v for v in range(n) if v not in comp)
+    for a, b in lonely:  # drawn with a < b, by ascending a
+        w = min({0, 1, 2} - {a, b})
         e = (min(a, w), max(a, w))
         if e in seen:
             continue  # an earlier patch already attached this pair

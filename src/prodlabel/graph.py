@@ -1,4 +1,4 @@
-"""Immutable simple-graph representation, parsers, and connectivity helpers."""
+"""Immutable simple-graph representation, parsers, and the nice-graph test."""
 
 from __future__ import annotations
 
@@ -65,11 +65,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.append((u, v) if u < v else (v, u))
         if len(set(norm)) != len(norm):
-            seen: set[tuple[int, int]] = set()
-            for e in norm:
-                if e in seen:
-                    raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-                seen.add(e)
+            u, v = norm[_first_repeat(norm)]
+            raise ValueError(f"duplicate edge ({u},{v})")
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(norm):
             adj[u].append((v, eid))
@@ -100,6 +97,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _first_repeat(edges) -> int | None:
+    """Index of the first edge equal to an earlier one, or None."""
+    seen: set[tuple[int, int]] = set()
+    for i, e in enumerate(edges):
+        if e in seen:
+            return i
+        seen.add(e)
+    return None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines (0-based ids) into a Graph.
 
@@ -109,7 +116,7 @@ def parse_edge_list(text: str) -> Graph:
     or above it and more than MAX_EDGES edges are rejected.
     """
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    lines: list[int] = []  # the line of each edge, to name a duplicate's
     declared: int | None = None
     max_id = -1
     first_content = True
@@ -140,16 +147,18 @@ def parse_edge_list(text: str) -> Graph:
                 f"vertex id {max(u, v)} needs more than the limit of {MAX_VERTICES} vertices", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})", lineno)
-        seen.add(key)
-        edges.append(key)
+        edges.append((u, v) if u < v else (v, u))
+        lines.append(lineno)
         max_id = max(max_id, u, v)
     n = declared if declared is not None else max_id + 1
     if declared is not None and max_id >= declared:
         raise GraphFormatError(f"vertex id {max_id} out of range for declared n={declared}")
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError:  # the only error left for Graph to find is a duplicate
+        i = _first_repeat(edges)
+        u, v = edges[i]
+        raise GraphFormatError(f"duplicate edge ({u},{v})", lines[i]) from None
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -161,7 +170,7 @@ def parse_dimacs(text: str) -> Graph:
     n = None
     m_declared = 0
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    lines: list[int] = []  # the line of each edge, to name a duplicate's
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -191,18 +200,21 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"vertex id out of range in {line!r}", lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
-            seen.add(key)
-            edges.append(key)
+            edges.append((u - 1, v - 1) if u < v else (v - 1, u - 1))
+            lines.append(lineno)
         else:
             raise GraphFormatError(f"unrecognised line {line!r}", lineno)
     if n is None:
         raise GraphFormatError("missing problem line")
     if len(edges) != m_declared:
         raise GraphFormatError(f"edge count mismatch: declared {m_declared}, found {len(edges)}")
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError:  # the only error left for Graph to find is a duplicate
+        i = _first_repeat(edges)
+        # Named as its own line spells it, 1-based and in its own order.
+        u, v = (int(t) for t in text.splitlines()[lines[i] - 1].split()[1:])
+        raise GraphFormatError(f"duplicate edge ({u},{v})", lines[i]) from None
 
 
 def detect_format(text: str) -> str:
@@ -225,28 +237,6 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     if fmt == "edgelist":
         return parse_edge_list(text)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by
-    minimum id."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            for w, _ in g.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
 
 
 def is_nice(g: Graph) -> bool:

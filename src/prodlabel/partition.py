@@ -4,7 +4,8 @@ A partition (V1, ..., Vt) is *valid* when every part is independent, every
 vertex of Vi has a neighbour in each lower part Vj (j < i), and both
 properties survive swapping any subset of the swappable bottom edges (the
 isolated edges of the subgraph induced by V1 and V2, whose two ends may be
-exchanged between the two parts).
+exchanged between the two parts).  A partition is the list ``part_of`` of
+each vertex's part index; the parts are 1..max(part_of), none empty.
 """
 
 from __future__ import annotations
@@ -15,51 +16,10 @@ from dataclasses import dataclass
 from .graph import Graph, InvariantViolation, NotNiceError, is_nice
 
 
-class Partition:
-    """Vertex partition into parts indexed 1..t; parts hold vertex sets."""
-
-    __slots__ = ("part_of", "parts")
-
-    def __init__(self, part_of: list[int]):
-        self.part_of = part_of
-        t = max(part_of) if part_of else 0
-        self.parts: list[set[int]] = [set() for _ in range(t)]
-        for v, i in enumerate(part_of):
-            if i < 1:
-                raise ValueError("part indices are 1-based")
-            self.parts[i - 1].add(v)
-
-    @property
-    def t(self) -> int:
-        return len(self.parts)
-
-    def part(self, i: int) -> set[int]:
-        return self.parts[i - 1]
-
-    def copy(self) -> "Partition":
-        return Partition(list(self.part_of))
-
-    def move(self, v: int, i: int) -> None:
-        self.parts[self.part_of[v] - 1].discard(v)
-        self.part_of[v] = i
-        self.parts[i - 1].add(v)
-
-    def compact(self) -> None:
-        """Drop trailing empty parts."""
-        while self.parts and not self.parts[-1]:
-            self.parts.pop()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.part_of == other.part_of
-
-    def __repr__(self) -> str:
-        sizes = ",".join(str(len(p)) for p in self.parts)
-        return f"Partition(t={self.t}, sizes=[{sizes}])"
-
-
-def greedy_partition(g: Graph) -> Partition:
-    """Assign each vertex the smallest part free of already-placed neighbours,
-    placing the vertices by descending degree, ties by ascending id.
+def greedy_partition(g: Graph) -> list[int]:
+    """The part of each vertex: the smallest part free of already-placed
+    neighbours, placing the vertices by descending degree, ties by ascending
+    id.
 
     By construction every vertex in part i ends up with a placed neighbour in
     every part below i, so the lower-neighbour property holds on the output.
@@ -73,15 +33,15 @@ def greedy_partition(g: Graph) -> Partition:
         while i in used:
             i += 1
         part_of[v] = i
-    return Partition(part_of)
+    return part_of
 
 
-def _end_edges(g: Graph, p: Partition) -> dict[int, int]:
+def _end_edges(g: Graph, part_of: list[int]) -> dict[int, int]:
     """Each end of a swappable edge mapped to that edge, from one pass over
     the edges; ValueError if a part is not independent.  The swappable edges
     are the isolated edges of the subgraph induced by V1 and V2, so swapping
     the two ends of one keeps both parts independent."""
-    part_of, edges = p.part_of, g.edges
+    edges = g.edges
     bottom_degree = [0] * g.n
     bottom = []
     for eid, (u, v) in enumerate(edges):
@@ -173,16 +133,20 @@ def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
     return first[1] if back is not None and back[0] == v else None
 
 
-def _certificate(g: Graph, p: Partition) -> tuple[dict[int, int], dict[int, SwapWitness]]:
-    """One pass over the edges and one over the vertices: ValueError on an
-    empty part, an edge inside a part or a vertex with no neighbour in some
-    lower part, else ``_end_edges`` and the witness of every vertex that has
-    one, by ascending vertex (``p`` is valid exactly when there is none)."""
-    for i, vs in enumerate(p.parts, start=1):
-        if not vs:
+def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, SwapWitness]]:
+    """One pass over the edges and one over the vertices: ValueError on a
+    part index below 1, an empty part among 1..max(part_of), an edge inside
+    a part or a vertex with no neighbour in some lower part, else
+    ``_end_edges`` and the witness of every vertex that has one, by
+    ascending vertex (``part_of`` is valid exactly when there is none)."""
+    present = set(part_of)
+    if min(present) < 1:
+        raise ValueError("part indices are 1-based")
+    for i in range(1, max(present) + 1):
+        if i not in present:
             raise ValueError(f"part {i} is empty")
-    end_edge = _end_edges(g, p)
-    part_of, adj = p.part_of, g.adj
+    end_edge = _end_edges(g, part_of)
+    adj = g.adj
     witnesses: dict[int, SwapWitness] = {}
     for v in range(g.n):
         i = part_of[v]
@@ -195,8 +159,10 @@ def _certificate(g: Graph, p: Partition) -> tuple[dict[int, int], dict[int, Swap
     return end_edge, witnesses
 
 
-def build_valid_partition(g: Graph) -> Partition:
-    """Deterministic valid partition of a nice graph.
+def build_valid_partition(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """Deterministic valid partition of a nice graph, as the part (1..t) of
+    each vertex, and the end map of its swappable edges (each end mapped to
+    its edge id).
 
     Local search from the greedy partition with two moves, each of which
     lowers the sum of part index times part size: (a) drop a vertex that
@@ -206,20 +172,22 @@ def build_valid_partition(g: Graph) -> Partition:
     vertices stay in part 1.
     Every later check is a ``_certificate`` sweep, on the start and, if a
     witness round ran, on the result; a failure is an InvariantViolation.
+    The end map is the one the last sweep found.
     """
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
-    p = greedy_partition(g)
+    part_of = greedy_partition(g)
     try:
-        _local_search(g, p)
+        end_edge = _local_search(g, part_of)
     except ValueError as exc:
         raise InvariantViolation(f"valid-partition builder: {exc}") from exc
-    return p
+    return part_of, end_edge
 
 
-def _local_search(g: Graph, p: Partition) -> None:
-    """The moves of ``build_valid_partition``, made on ``p`` in place, in the
-    order a full rescan per round would make them.
+def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
+    """The moves of ``build_valid_partition``, made on ``part_of`` in place,
+    in the order a full rescan per round would make them; returns the end
+    map of the last certificate sweep.
 
     A settle round moves, in id order, each dirty vertex that misses a lower
     neighbour when the round starts and still does when its turn comes; the
@@ -231,7 +199,7 @@ def _local_search(g: Graph, p: Partition) -> None:
     two of the moved vertices, and witnesses next to moved vertices and
     changed ends.  If a witness round ran, a second sweep checks the result.
     """
-    part_of, adj = p.part_of, g.adj
+    adj = g.adj
 
     def closed_neighbourhood(vs) -> set[int]:
         out = set(vs)
@@ -258,16 +226,15 @@ def _local_search(g: Graph, p: Partition) -> None:
                 # Earlier moves in this round may have filled the gap already.
                 target = lower_gap(v)
                 if target is not None:
-                    p.move(v, target)
+                    part_of[v] = target
                     moved.append(v)
-            p.compact()
             moved_all.update(moved)
             todo = gaps(closed_neighbourhood(moved))
         return moved_all
 
-    end_edge, witnesses = _certificate(g, p)
+    end_edge, witnesses = _certificate(g, part_of)
     if not witnesses:
-        return
+        return end_edge
     heap = list(witnesses)  # every vertex in witnesses, plus stale ones; sorted, so a heap
     while witnesses:
         while heap[0] not in witnesses:
@@ -275,9 +242,7 @@ def _local_search(g: Graph, p: Partition) -> None:
         swapped: list[int] = []
         for eid in sorted(witnesses[heap[0]].edges):
             u, v = g.edges[eid]
-            pu, pv = part_of[u], part_of[v]
-            p.move(u, pv)
-            p.move(v, pu)
+            part_of[u], part_of[v] = part_of[v], part_of[u]
             swapped += (u, v)
         moved = settle(gaps(closed_neighbourhood(swapped))).union(swapped)
         changed = []
@@ -297,5 +262,7 @@ def _local_search(g: Graph, p: Partition) -> None:
                 if v not in witnesses:
                     heapq.heappush(heap, v)
                 witnesses[v] = w
-    if _certificate(g, p)[1]:
+    end_edge, witnesses = _certificate(g, part_of)
+    if witnesses:
         raise InvariantViolation("the witness worklist missed a swap-safety witness")
+    return end_edge

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
-from .partition import Partition
 
 
 @dataclass
@@ -73,7 +72,8 @@ def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
     return False
 
 
-def conflict_components(g: Graph, p: Partition, l: Labelling | ProfileTracker) -> list[ConflictComponent]:
+def conflict_components(g: Graph, part_of: list[int],
+                        l: Labelling | ProfileTracker) -> list[ConflictComponent]:
     """Connected components of the bottom subgraph that contain a conflict,
     ordered by smallest vertex.
 
@@ -85,7 +85,7 @@ def conflict_components(g: Graph, p: Partition, l: Labelling | ProfileTracker) -
     pass failed to break up an isolated bottom edge.
     """
     state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
-    part_of, d2, d3, adj = p.part_of, state.d2, state.d3, g.adj
+    d2, d3, adj = state.d2, state.d3, g.adj
     covered: set[int] = set()
     out = []
     for u, v in g.edges:
@@ -574,7 +574,7 @@ class RepairResult:
     trace: list[str] = field(default_factory=list)
 
 
-def run_repair_pass(g: Graph, p: Partition, l: Labelling, trace: bool = False) -> RepairResult:
+def run_repair_pass(g: Graph, part_of: list[int], l: Labelling, trace: bool = False) -> RepairResult:
     """Fix every conflicting bottom component; returns the new labelling.
 
     For each component exactly one fixer runs, chosen by trigger order, and
@@ -584,7 +584,7 @@ def run_repair_pass(g: Graph, p: Partition, l: Labelling, trace: bool = False) -
     labelling = l.copy()
     state = ProfileTracker(g, labelling)
     result = RepairResult(labelling, Counter())
-    for comp in conflict_components(g, p, state):
+    for comp in conflict_components(g, part_of, state):
         start = anchor_trigger(comp, state)
         if start is not None:
             case = fix_anchored(comp, state, *start)

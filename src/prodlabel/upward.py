@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
-from .partition import Partition, _end_edges
 
 
 @dataclass
 class UpwardResult:
     labelling: Labelling
-    partition: Partition
+    part_of: list[int]
     swaps: int = 0
     trace: list[str] = field(default_factory=list)
 
@@ -40,33 +39,36 @@ def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:
     return best[j][1]
 
 
-def run_upward_pass(g: Graph, p: Partition, trace: bool = False) -> UpwardResult:
+def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
+                    trace: bool = False) -> UpwardResult:
     """Relabel upward edges of parts t..3 so every part meets its target.
 
-    The input partition must be valid; the returned partition differs from it
-    only by swaps of swappable bottom edges.  Every relabelled edge is taken
-    from the entry of ``g.adj[u]`` that names its other end.
+    ``part_of`` must be a valid partition and ``end_edge`` the end map of
+    its swappable edges, as ``build_valid_partition`` returns them; neither
+    is changed.  The returned partition differs from ``part_of`` only by
+    swaps of swappable bottom edges.  Every relabelled edge is taken from
+    the entry of ``g.adj[u]`` that names its other end.
     """
-    part = p.copy()
-    part_of, adj = part.part_of, g.adj
+    part_of, adj = list(part_of), g.adj
     state = ProfileTracker(g)
     d2, d3, relabel = state.d2, state.d3, state.set
-    result = UpwardResult(state.labelling, part)
+    result = UpwardResult(state.labelling, part_of)
 
-    end_edge = _end_edges(g, part)
     pending = set(end_edge.values())  # swappable edges with both ends still 1-monochromatic
+    # Swaps move vertices between parts 1 and 2 only, which the loop never reads.
+    parts: list[list[int]] = [[] for _ in range(max(part_of) + 1)]
+    for v, i in enumerate(part_of):
+        parts[i].append(v)
 
     def do_swap(eid: int) -> None:
         a, b = g.edges[eid]
-        pa, pb = part_of[a], part_of[b]
-        part.move(a, pb)
-        part.move(b, pa)
+        part_of[a], part_of[b] = part_of[b], part_of[a]
         result.swaps += 1
 
-    for i in range(part.t, 2, -1):
+    for i in range(len(parts) - 1, 2, -1):
         even = i % 2 == 0
         target_side = 2 if even else 1
-        for u in sorted(part.part(i)):
+        for u in parts[i]:
             # One pass over u's edges: the (end, edge from u) pairs of every
             # pending edge next to u, and the smallest neighbour of each lower
             # part that is no pending-edge end.

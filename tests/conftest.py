@@ -7,7 +7,7 @@ import random
 from hypothesis import settings
 
 from prodlabel.graph import Graph, NotNiceError, is_nice
-from prodlabel.partition import Partition, _certificate, greedy_partition
+from prodlabel.partition import _certificate, greedy_partition
 
 from spec import missing_lower_neighbours, validate_partition
 
@@ -114,18 +114,18 @@ def disjoint_union(graphs) -> Graph:
 
 
 
-def reference_build_valid_partition(g: Graph) -> Partition:
+def reference_build_valid_partition(g: Graph) -> list[int]:
     """The valid-partition builder as a full rescan per round: every settle
     round and every witness round scans the whole graph again.  The
     production worklist must make exactly the same moves."""
     if not is_nice(g):
         raise NotNiceError("graph has a two-vertex component")
-    p = greedy_partition(g)
-    validate_partition(g, p)
+    part_of = greedy_partition(g)
+    validate_partition(g, part_of)
 
     def settle_lower_links() -> None:
         while True:
-            violations = missing_lower_neighbours(g, p)
+            violations = missing_lower_neighbours(g, part_of)
             if not violations:
                 return
             moved: set[int] = set()
@@ -133,26 +133,22 @@ def reference_build_valid_partition(g: Graph) -> Partition:
                 if v in moved:
                     continue
                 # Earlier moves in this sweep may have filled the gap already.
-                neighbour_parts = {p.part_of[w] for w, _ in g.adj[v]}
-                target = next((k for k in range(1, p.part_of[v]) if k not in neighbour_parts), None)
+                neighbour_parts = {part_of[w] for w, _ in g.adj[v]}
+                target = next((k for k in range(1, part_of[v]) if k not in neighbour_parts), None)
                 if target is None:
                     continue
-                p.move(v, target)
+                part_of[v] = target
                 moved.add(v)
-            p.compact()
 
     settle_lower_links()
     while True:
-        validate_partition(g, p)
-        witness = next(iter(_certificate(g, p)[1].values()), None)
+        validate_partition(g, part_of)
+        witness = next(iter(_certificate(g, part_of)[1].values()), None)
         if witness is None:
             break
         for eid in sorted(witness.edges):
             u, v = g.edges[eid]
-            pu, pv = p.part_of[u], p.part_of[v]
-            p.move(u, pv)
-            p.move(v, pu)
+            part_of[u], part_of[v] = part_of[v], part_of[u]
         settle_lower_links()
-    p.compact()
-    validate_partition(g, p)
-    return p
+    validate_partition(g, part_of)
+    return part_of

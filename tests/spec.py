@@ -2,9 +2,10 @@
 
 Vertex profiles and their classes, the per-part targets of the upward pass,
 the partition properties and the partition potential are written straight
-from their definitions.  ``parity_relabel`` checks its input and then runs
-the repair pass's own parity sweep, so tests of it drive the production
-``repair._sweep``.
+from their definitions, and so are connected components.  A partition is
+the ``part_of`` list the pipeline uses: each vertex's part index.
+``parity_relabel`` checks its input and then runs the repair pass's own
+parity sweep, so tests of it drive the production ``repair._sweep``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 from prodlabel.graph import Graph
 from prodlabel.labelling import Labelling, ProfileTracker
-from prodlabel.partition import Partition
 from prodlabel.repair import _need, _sweep, _within
 
 
@@ -121,35 +121,35 @@ def target_profile(i: int, t: int | None = None) -> PartTarget:
     return PartTarget(i, (i - 1) // 2, None, 0, ("BICHROMATIC",))
 
 
-def potential(p: Partition) -> int:
-    """Sum of part_index * part_size; strictly decreases on every repair move."""
-    return sum(i * len(vs) for i, vs in enumerate(p.parts, start=1))
+def potential(part_of: list[int]) -> int:
+    """Sum of part_index * part_size, which is the sum of the vertices' part
+    indices; strictly decreases on every repair move."""
+    return sum(part_of)
 
 
-def validate_partition(g: Graph, p: Partition) -> None:
-    """ValueError unless ``p`` covers the vertices with non-empty, consistent
-    and independent parts."""
-    if len(p.part_of) != g.n:
+def validate_partition(g: Graph, part_of: list[int]) -> None:
+    """ValueError unless ``part_of`` gives every vertex a part in 1..t, with
+    no part empty and every part independent."""
+    if len(part_of) != g.n:
         raise ValueError("partition does not cover the vertex set")
-    for i, vs in enumerate(p.parts, start=1):
-        if not vs:
+    present = set(part_of)
+    if min(present) < 1:
+        raise ValueError("part indices are 1-based")
+    for i in range(1, max(present) + 1):
+        if i not in present:
             raise ValueError(f"part {i} is empty")
-        for v in vs:
-            if p.part_of[v] != i:
-                raise ValueError("part_of inconsistent with parts")
     for u, v in g.edges:
-        if p.part_of[u] == p.part_of[v]:
-            raise ValueError(f"part {p.part_of[u]} is not independent: edge ({u},{v})")
+        if part_of[u] == part_of[v]:
+            raise ValueError(f"part {part_of[u]} is not independent: edge ({u},{v})")
 
 
-def missing_lower_neighbours(g: Graph, p: Partition) -> list[tuple[int, int]]:
+def missing_lower_neighbours(g: Graph, part_of: list[int]) -> list[tuple[int, int]]:
     """All pairs (v, j) where v sits in part i > j yet has no neighbour in part j.
 
     Empty exactly when the lower-neighbour property holds.  Ordered by vertex
     id, then part index.
     """
     out: list[tuple[int, int]] = []
-    part_of = p.part_of
     for v in range(g.n):
         i = part_of[v]
         if i < 2:
@@ -161,6 +161,28 @@ def missing_lower_neighbours(g: Graph, p: Partition) -> list[tuple[int, int]]:
                 seen[j] = True
         out.extend((v, j) for j in range(1, i) if not seen[j])
     return out
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex sets of the connected components, each sorted, ordered by
+    minimum id."""
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            for w, _ in g.adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,

@@ -17,14 +17,13 @@ from prodlabel import (
     label_graph,
 )
 from prodlabel.engine import random_nice_graph
-from prodlabel.graph import connected_components
 from prodlabel.labelling import ProfileTracker
 from prodlabel.partition import build_valid_partition, greedy_partition
 from prodlabel.repair import nullstellensatz_assign, run_repair_pass
 from prodlabel.upward import run_upward_pass
 
 from conftest import complete_graph, exact_conflicts, induced_subgraph, path_graph
-from spec import missing_lower_neighbours, parity_relabel, validate_partition
+from spec import connected_components, missing_lower_neighbours, parity_relabel, validate_partition
 from test_partition import exhaustive_swap_check, swap_witness, swappable_edges
 from test_upward import check_items
 
@@ -121,7 +120,7 @@ def test_criterion_4_valid_partition_suite():
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            built = build_valid_partition(sub)
+            built, _ = build_valid_partition(sub)
             try:
                 validate_partition(sub, built)
             except ValueError:
@@ -151,9 +150,9 @@ def test_criterion_5_upward_postconditions():
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            res = run_upward_pass(sub, build_valid_partition(sub))
+            res = run_upward_pass(sub, *build_valid_partition(sub))
             try:
-                check_items(sub, res.partition, res.labelling)
+                check_items(sub, res.part_of, res.labelling)
             except AssertionError:
                 failures += 1
     report(5, failures == 0,
@@ -236,9 +235,9 @@ def test_criterion_8_locality():
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            up = run_upward_pass(sub, build_valid_partition(sub))
+            up = run_upward_pass(sub, *build_valid_partition(sub))
             before = ProfileTracker(sub, up.labelling.copy())
-            res = run_repair_pass(sub, up.partition, up.labelling)
+            res = run_repair_pass(sub, up.part_of, up.labelling)
             after = ProfileTracker(sub, res.labelling)
             touched = {v for vs in res.component_vertices for v in vs}
             for v in range(sub.n):

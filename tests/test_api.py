@@ -72,6 +72,14 @@ def test_every_definition_is_reached():
     assert sorted(set(uses) - reached) == []
 
 
+def test_no_sibling_internals():
+    """A module's underscore names stay in the module: no module of the
+    package imports one from a sibling."""
+    _, imported = package_definitions()
+    assert sorted(f"{module} imports {source}.{name}" for (module, _), (source, name)
+                  in imported.items() if name.startswith("_")) == []
+
+
 def package_classes() -> dict[str, ast.ClassDef]:
     return {node.name: node for tree in package_trees().values()
             for node in tree.body if isinstance(node, ast.ClassDef)}

@@ -9,10 +9,9 @@ import prodlabel.cli
 import prodlabel.engine
 import prodlabel.graph
 from prodlabel import InvariantViolation, parse_graph
-from prodlabel.partition import Partition
 from prodlabel.cli import main
 
-from test_partition import WITNESS_PATH, break_greedy_start
+from test_partition import break_greedy_start
 
 K3 = "0 1\n0 2\n1 2\n"
 K2 = "0 1\n"
@@ -137,16 +136,16 @@ class TestLabelCommand:
         assert_repro(tmp_path, err, K3)
 
     def test_broken_partition_builder_exit_3(self, tmp_path, capsys, monkeypatch):
-        # Without compact() the builder leaves an empty part behind; its own
-        # validity checks must report that as a broken construction.
-        monkeypatch.setattr(Partition, "compact", lambda self: None)
+        # A start with an empty part; the builder's own validity checks must
+        # report that as a broken construction.
+        break_greedy_start(monkeypatch, "empty part")
         monkeypatch.chdir(tmp_path)
-        path = write(tmp_path, "witness.edges", WITNESS_PATH.to_edge_list())
+        path = write(tmp_path, "p5.edges", "0 1\n1 2\n2 3\n3 4\n")
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
-        assert err.startswith("internal error:") and "part 3 is empty" in err
+        assert err.startswith("internal error:") and "part 2 is empty" in err
         assert "Traceback" not in err
-        assert_repro(tmp_path, err, WITNESS_PATH.to_edge_list())
+        assert_repro(tmp_path, err, "0 1\n1 2\n2 3\n3 4\n")
 
     def test_broken_greedy_start_exit_3(self, tmp_path, capsys, monkeypatch):
         break_greedy_start(monkeypatch, "edge inside a part")
@@ -302,6 +301,20 @@ class TestFuzzCommand:
         code, out, err = run_cli(capsys, "fuzz", "--trials", "1", "--n", "6", "--p", "0.5")
         assert code == 3 and "0/1 ok" in out
         assert "trial 0 FAILED" in err and (tmp_path / "fuzz_fail_0.edges").exists()
+
+    def test_unwritable_repro_does_not_stop_the_run(self, capsys, tmp_path, monkeypatch):
+        # A directory in the repro file's place: open() fails even for root,
+        # which permission bits would not stop.
+        def broken(g, trace=False):
+            raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
+        (tmp_path / "fuzz_fail_0.edges").mkdir()
+        code, out, err = run_cli(capsys, "fuzz", "--trials", "3", "--n", "6", "--p", "0.5")
+        assert code == 3 and "0/3 ok" in out
+        assert "cannot write fuzz_fail_0.edges:" in err
+        assert "trial 2 FAILED" in err and (tmp_path / "fuzz_fail_2.edges").is_file()
 
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--trials", "0")

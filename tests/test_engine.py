@@ -14,7 +14,7 @@ from prodlabel import (
     label_graph,
 )
 from prodlabel.engine import random_nice_graph
-from prodlabel.graph import connected_components, is_nice
+from prodlabel.graph import is_nice
 
 from conftest import (
     complete_graph,
@@ -26,7 +26,7 @@ from conftest import (
     star_graph,
     tree_plus_chords,
 )
-from spec import validate_partition
+from spec import connected_components, validate_partition
 
 
 def python_min_k(g: Graph, k_max: int) -> int | None:
@@ -55,8 +55,8 @@ class TestLabelGraph:
         g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6)])
         rep = label_graph(g)
         assert rep.verified
-        assert len(rep.partition.part_of) == g.n
-        validate_partition(g, rep.partition)
+        assert len(rep.part_of) == g.n
+        validate_partition(g, rep.part_of)
         prods = exact_products(g, rep.labelling.labels)
         assert sorted(prods[:3]) == [2, 3, 6]
         assert sorted(prods[3:]) == [1, 3, 3, 9]
@@ -65,9 +65,9 @@ class TestLabelGraph:
         g = Graph(5, [(1, 2), (2, 3)])
         rep = label_graph(g)
         assert rep.verified
-        assert len(rep.partition.part_of) == g.n
-        validate_partition(g, rep.partition)
-        assert rep.partition.part_of[0] == rep.partition.part_of[4] == 1
+        assert len(rep.part_of) == g.n
+        validate_partition(g, rep.part_of)
+        assert rep.part_of[0] == rep.part_of[4] == 1
 
     def test_star_products(self):
         rep = label_graph(star_graph(3))
@@ -88,7 +88,7 @@ class TestLabelGraph:
     def test_edgeless(self):
         rep = label_graph(Graph(4, []))
         assert rep.verified and rep.labelling.labels == []
-        assert rep.partition is None
+        assert rep.part_of is None
 
 
 def _shuffled_union(pieces, rng: random.Random) -> Graph:
@@ -131,7 +131,7 @@ class TestComponentLocality:
                 sub, edge_ids = induced_subgraph(g, comp)
                 alone = label_graph(sub)
                 assert [whole.labelling.labels[e] for e in edge_ids] == alone.labelling.labels
-                assert [whole.partition.part_of[v] for v in comp] == alone.partition.part_of
+                assert [whole.part_of[v] for v in comp] == alone.part_of
                 swaps += alone.swaps
                 fixed += alone.components_fixed
                 tally += alone.tally
@@ -341,6 +341,24 @@ class TestConstructionNeverBeatsOracle:
 
 
 class TestRandomNiceGraph:
+    def test_matches_component_patching(self):
+        # The same graphs as when the lone edges were found by walking every
+        # component, smallest first.
+        lonely = 0
+        for seed in range(500):
+            draw = random.Random(seed)
+            n, p = draw.randint(3, 40), draw.choice((0.02, 0.05, 0.1, 0.3))
+            rng = random.Random(seed)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            patched = list(edges)
+            for a, b in (c for c in connected_components(Graph(n, edges)) if len(c) == 2):
+                lonely += 1
+                e = tuple(sorted((a, min(set(range(n)) - {a, b}))))
+                if e not in patched:
+                    patched.append(e)
+            assert random_nice_graph(n, p, seed) == Graph(n, patched), seed
+        assert lonely >= 300
+
     def test_single_vertex(self):
         g = random_nice_graph(1, 0.9, 7)
         assert g.n == 1 and g.m == 0

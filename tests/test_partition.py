@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import prodlabel.graph as graph_module
 import prodlabel.partition as partition_module
+import prodlabel.upward as upward_module
+from prodlabel import label_graph
 from prodlabel.graph import Graph, InvariantViolation, NotNiceError
 from prodlabel.partition import (
-    Partition,
     _certificate,
     _end_edges,
     build_valid_partition,
@@ -29,7 +29,7 @@ from spec import edge_id, missing_lower_neighbours, potential, validate_partitio
 
 # P5 as y-x-w-z-p with ids y=0, x=1, w=2, z=3, p=4.
 P5 = path_graph(5)
-P5_SEED = Partition([2, 1, 3, 2, 1])
+P5_SEED = [2, 1, 3, 2, 1]
 
 # The path 0-1-5-3-2-4: its greedy start fails swap robustness once.
 WITNESS_PATH = Graph(6, [(0, 1), (1, 5), (2, 3), (2, 4), (3, 5)])
@@ -52,31 +52,29 @@ WORKLIST_CASES = {
 }
 
 
-def swappable_edges(g: Graph, p: Partition) -> set[int]:
+def swappable_edges(g: Graph, part_of: list[int]) -> set[int]:
     """Edge ids of the swappable edges; the partition may miss lower
     neighbours, as it does midway through an exhaustive check."""
-    return set(_end_edges(g, p).values())
+    return set(_end_edges(g, part_of).values())
 
 
-def swap_witness(g: Graph, p: Partition):
+def swap_witness(g: Graph, part_of: list[int]):
     """The witness the builder's certificate sweep finds first, or None."""
-    return next(iter(_certificate(g, p)[1].values()), None)
+    return next(iter(_certificate(g, part_of)[1].values()), None)
 
 
-def swap_edge(g: Graph, p: Partition, eid: int) -> Partition:
-    """A copy of ``p`` with the two ends of swappable edge ``eid`` exchanged:
-    the step of the exhaustive check, which TestSwapEdge tests."""
-    if eid not in swappable_edges(g, p):
+def swap_edge(g: Graph, part_of: list[int], eid: int) -> list[int]:
+    """A copy of ``part_of`` with the two ends of swappable edge ``eid``
+    exchanged: the step of the exhaustive check, which TestSwapEdge tests."""
+    if eid not in swappable_edges(g, part_of):
         raise ValueError(f"edge {eid} is not swappable in this partition")
-    q = p.copy()
+    q = list(part_of)
     u, v = g.edges[eid]
-    pu, pv = q.part_of[u], q.part_of[v]
-    q.move(u, pv)
-    q.move(v, pu)
+    q[u], q[v] = q[v], q[u]
     return q
 
 
-def exhaustive_swap_check(g: Graph, p: Partition) -> bool:
+def exhaustive_swap_check(g: Graph, p: list[int]) -> bool:
     """Ground truth for swap robustness: try all 2**|M0| swap subsets."""
     m0 = sorted(swappable_edges(g, p))
     for r in range(len(m0) + 1):
@@ -95,17 +93,14 @@ def exhaustive_swap_check(g: Graph, p: Partition) -> bool:
 
 class TestGreedy:
     def test_k3(self):
-        p = greedy_partition(complete_graph(3))
-        assert p.parts == [{0}, {1}, {2}]
+        assert greedy_partition(complete_graph(3)) == [1, 2, 3]
 
     def test_p3(self):
         # The middle vertex has the highest degree, so it is placed first.
-        p = greedy_partition(path_graph(3))
-        assert p.parts == [{1}, {0, 2}]
+        assert greedy_partition(path_graph(3)) == [2, 1, 2]
 
     def test_edgeless(self):
-        p = greedy_partition(Graph(3, []))
-        assert p.parts == [{0, 1, 2}]
+        assert greedy_partition(Graph(3, [])) == [1, 1, 1]
 
     @given(st.integers(min_value=0, max_value=299))
     def test_output_is_independent_and_linked(self, seed):
@@ -123,7 +118,7 @@ class TestPotential:
         assert potential(greedy_partition(path_graph(3))) == 5
 
     def test_single_part(self):
-        assert potential(Partition([1] * 7)) == 7
+        assert potential([1] * 7) == 7
 
 
 class TestSwappableEdges:
@@ -133,30 +128,30 @@ class TestSwappableEdges:
         assert swappable_edges(P5, P5_SEED) == {eid_yx, eid_zp}
 
     def test_k3(self):
-        assert swappable_edges(complete_graph(3), Partition([1, 2, 3])) == {0}
+        assert swappable_edges(complete_graph(3), [1, 2, 3]) == {0}
 
     def test_star_whole_component(self):
-        assert swappable_edges(star_graph(3), Partition([2, 1, 1, 1])) == set()
+        assert swappable_edges(star_graph(3), [2, 1, 1, 1]) == set()
 
     def test_single_part(self):
-        assert swappable_edges(Graph(3, []), Partition([1, 1, 1])) == set()
+        assert swappable_edges(Graph(3, []), [1, 1, 1]) == set()
 
 
 class TestSwapEdge:
     def test_k3_swap(self):
         g = complete_graph(3)
-        q = swap_edge(g, Partition([1, 2, 3]), edge_id(g, 0, 1))
-        assert q.parts == [{1}, {0}, {2}]
+        q = swap_edge(g, [1, 2, 3], edge_id(g, 0, 1))
+        assert q == [2, 1, 3]
 
     def test_involution(self):
         g = complete_graph(3)
-        p = Partition([1, 2, 3])
+        p = [1, 2, 3]
         eid = edge_id(g, 0, 1)
         assert swap_edge(g, swap_edge(g, p, eid), eid) == p
 
     def test_p5_swap(self):
         q = swap_edge(P5, P5_SEED, edge_id(P5, 0, 1))
-        assert q.parts == [{0, 4}, {1, 3}, {2}]
+        assert q == [1, 2, 3, 2, 1]
 
     def test_preserves_potential_and_set(self):
         q = swap_edge(P5, P5_SEED, edge_id(P5, 0, 1))
@@ -174,7 +169,7 @@ class TestMissingLowerNeighbours:
         assert missing_lower_neighbours(complete_graph(3), p) == []
 
     def test_p3_bipartition_clean(self):
-        assert missing_lower_neighbours(path_graph(3), Partition([1, 2, 1])) == []
+        assert missing_lower_neighbours(path_graph(3), [1, 2, 1]) == []
 
     def test_p5_after_swap(self):
         q = swap_edge(P5, P5_SEED, edge_id(P5, 0, 1))
@@ -189,10 +184,10 @@ class TestSwapSafety:
         assert w.edges == frozenset({edge_id(P5, 0, 1)})
 
     def test_k3_safe(self):
-        assert swap_witness(complete_graph(3), Partition([1, 2, 3])) is None
+        assert swap_witness(complete_graph(3), [1, 2, 3]) is None
 
     def test_empty_swap_set_safe(self):
-        assert swap_witness(star_graph(3), Partition([2, 1, 1, 1])) is None
+        assert swap_witness(star_graph(3), [2, 1, 1, 1]) is None
 
     def test_witness_strands_its_vertex(self):
         w = swap_witness(P5, P5_SEED)
@@ -214,32 +209,25 @@ class TestSwapSafety:
 
 class TestBuildValidPartition:
     def test_k3(self):
-        p = build_valid_partition(complete_graph(3))
-        assert p.parts == [{0}, {1}, {2}]
+        assert build_valid_partition(complete_graph(3)) == ([1, 2, 3], {0: 0, 1: 0})
 
     def test_star(self):
-        p = build_valid_partition(star_graph(3))
+        p, end_edge = build_valid_partition(star_graph(3))
         validate_partition(star_graph(3), p)
-        assert p.t == 2
+        assert max(p) == 2 and end_edge == {}
 
     def test_rejects_k2(self):
         with pytest.raises(NotNiceError):
             build_valid_partition(Graph(2, [(0, 1)]))
 
-    def test_broken_construction_is_internal(self, monkeypatch):
-        monkeypatch.setattr(Partition, "compact", lambda self: None)
-        with pytest.raises(InvariantViolation, match="part 3 is empty"):
-            build_valid_partition(WITNESS_PATH)
-
     def test_accepts_disconnected(self):
         g = Graph(4, [(0, 1), (1, 2)])
-        p = build_valid_partition(g)
+        p, _ = build_valid_partition(g)
         validate_partition(g, p)
-        assert p.part_of[3] == 1
+        assert p[3] == 1
 
     def test_single_vertex(self):
-        p = build_valid_partition(Graph(1, []))
-        assert p.parts == [{0}]
+        assert build_valid_partition(Graph(1, [])) == ([1], {})
 
     def test_deterministic(self):
         for seed in range(25):
@@ -250,7 +238,7 @@ class TestBuildValidPartition:
     @given(st.integers(min_value=0, max_value=9999))
     def test_output_fully_valid(self, seed):
         g = random_connected_nice_graph(random.Random(seed + 31337))
-        p = build_valid_partition(g)
+        p, _ = build_valid_partition(g)
         validate_partition(g, p)
         assert missing_lower_neighbours(g, p) == []
         assert swap_witness(g, p) is None
@@ -276,7 +264,6 @@ def many_components(rng: random.Random, count: int) -> Graph:
 FULL_SCANS = {
     "_end_edges": partition_module,
     "is_nice": partition_module,
-    "connected_components": graph_module,
 }
 
 
@@ -326,8 +313,9 @@ class TestWorklistMatchesFullScan:
             else:
                 n = rng.randint(10, 300)
                 g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
-            p, sweeps, calls = build_with_scans(monkeypatch, g)
+            (p, end_edge), sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
+            assert end_edge == _end_edges(g, p), seed
             assert_greedy_scans(sweeps, calls)
             with_rounds += bool(sweeps[0])
         assert with_rounds >= 50
@@ -337,7 +325,7 @@ class TestWorklistMatchesFullScan:
         for seed in range(400):
             rng = random.Random(seed)
             g = many_components(rng, rng.randint(2, 40))
-            p, sweeps, calls = build_with_scans(monkeypatch, g)
+            (p, _), sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
             assert_greedy_scans(sweeps, calls)
             with_rounds += bool(sweeps[0])
@@ -346,14 +334,14 @@ class TestWorklistMatchesFullScan:
     @pytest.mark.parametrize("name", sorted(WORKLIST_CASES))
     def test_pinned(self, monkeypatch, name):
         g = WORKLIST_CASES[name]
-        p, sweeps, _ = build_with_scans(monkeypatch, g)
+        (p, _), sweeps, _ = build_with_scans(monkeypatch, g)
         assert sweeps[0]
         assert p == reference_build_valid_partition(g)
 
     def test_witness_round(self, monkeypatch):
-        p, sweeps, _ = build_with_scans(monkeypatch, WITNESS_PATH)
+        (p, _), sweeps, _ = build_with_scans(monkeypatch, WITNESS_PATH)
         assert sweeps[0] and sweeps[1:] == [{}]
-        assert p.parts == [{0, 2, 5}, {1, 3, 4}]
+        assert p == [1, 2, 1, 2, 2, 1]
         assert p == reference_build_valid_partition(WITNESS_PATH)
 
 
@@ -374,9 +362,25 @@ class TestNoRescanPerRound:
         assert sweeps[0]
         assert_greedy_scans(sweeps, calls)
 
+    @pytest.mark.parametrize("make, sweeps", [
+        (lambda: complete_graph(4), 1), (lambda: WITNESS_PATH, 2),
+        (lambda: tree_plus_chords(random.Random(20_000), 20_000, 60_000), 2),
+    ], ids=["K4", "witness-path", "sparse"])
+    def test_label_graph_builds_one_end_map_per_sweep(self, monkeypatch, make, sweeps):
+        # The upward pass takes the end map of the builder's last sweep, so
+        # label_graph makes one _end_edges pass per certificate sweep.  K4
+        # makes no witness round, the other two make at least one.
+        calls, end_edges = [], partition_module._end_edges
+        for module in (partition_module, upward_module):
+            if hasattr(module, "_end_edges"):
+                monkeypatch.setattr(module, "_end_edges", lambda *a: calls.append(1) or end_edges(*a))
+        assert label_graph(make()).verified
+        assert len(calls) == sweeps
+
 
 # Greedy starts on P5 (the path 0-1-2-3-4) that break one property each.
 BROKEN_STARTS = {
+    "part index 0": ([0, 1, 2, 1, 2], "part indices are 1-based"),
     "edge inside a part": ([1, 1, 2, 1, 2], "part 1 is not independent"),
     "missing lower neighbour": ([1, 2, 1, 3, 1], "vertex 3 in part 3 misses"),
     "empty part": ([1, 3, 1, 3, 1], "part 2 is empty"),
@@ -386,7 +390,7 @@ BROKEN_STARTS = {
 def break_greedy_start(monkeypatch, name):
     part_of, _ = BROKEN_STARTS[name]
     monkeypatch.setattr(partition_module, "greedy_partition",
-                        lambda g: Partition(list(part_of)))
+                        lambda g: list(part_of))
 
 
 class TestBrokenStart:

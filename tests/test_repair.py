@@ -6,7 +6,7 @@ import pytest
 
 from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts
 from prodlabel.labelling import ProfileTracker
-from prodlabel.partition import Partition, build_valid_partition
+from prodlabel.partition import build_valid_partition
 import prodlabel.repair as repair_module
 from prodlabel.repair import (
     ConflictComponent,
@@ -38,7 +38,7 @@ def fixture(parts, edges, labels=None):
     """Graph + partition + tracker for handcrafted repair scenarios."""
     part_of = {v: i for i, vs in enumerate(parts, start=1) for v in vs}
     g = Graph(len(part_of), edges)
-    p = Partition([part_of[v] for v in range(g.n)])
+    p = [part_of[v] for v in range(g.n)]
     l = Labelling(list(labels) if labels is not None else [1] * g.m)
     return g, p, ProfileTracker(g, l)
 
@@ -202,27 +202,25 @@ class TestNullstellensatzAssign:
 class TestConflictComponents:
     def test_k3_clean(self):
         g = complete_graph(3)
-        p = build_valid_partition(g)
-        res = run_upward_pass(g, p)
-        assert conflict_components(g, res.partition, res.labelling) == []
+        res = run_upward_pass(g, *build_valid_partition(g))
+        assert conflict_components(g, res.part_of, res.labelling) == []
 
     def test_star_whole(self):
         g = star_graph(3)
-        p = build_valid_partition(g)
+        p, _ = build_valid_partition(g)
         comps = conflict_components(g, p, Labelling.all_ones(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3]
 
     def test_p5_whole(self):
         g = path_graph(5)
-        p = build_valid_partition(g)
+        p, _ = build_valid_partition(g)
         comps = conflict_components(g, p, Labelling.all_ones(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3, 4]
 
     def test_single_edge_component_asserts(self):
         g = Graph(2, [(0, 1)])
-        p = Partition([1, 2])
         with pytest.raises(InvariantViolation, match="fewer than two edges"):
-            conflict_components(g, p, Labelling([1]))
+            conflict_components(g, [1, 2], Labelling([1]))
 
     @pytest.mark.parametrize("clean", [1, 40, 400])
     def test_clean_components_never_walked(self, clean):
@@ -295,7 +293,7 @@ class TestFixAnchored:
     @staticmethod
     def _merged(g, p, vertices):
         """One ConflictComponent over any vertex set, connected or not."""
-        side = {v: p.part_of[v] for v in vertices}
+        side = {v: p[v] for v in vertices}
         edge_ids = sorted(eid for eid, (a, b) in enumerate(g.edges) if a in side and b in side)
         degrees = {v: sum(1 for w, _ in g.adj[v] if w in side) for v in vertices}
         return ConflictComponent(g, sorted(vertices), side, edge_ids, degrees)
@@ -590,8 +588,8 @@ def spy_walks(monkeypatch, fixer, graphs):
             inside.pop()
     monkeypatch.setattr(repair_module, fixer, tracked)
     for g in graphs:
-        up = run_upward_pass(g, build_valid_partition(g))
-        res = run_repair_pass(g, up.partition, up.labelling)
+        up = run_upward_pass(g, *build_valid_partition(g))
+        res = run_repair_pass(g, up.part_of, up.labelling)
         assert find_conflicts(g, res.labelling) == []
         tally.update(res.tally)
     return walks, flips, tally
@@ -610,9 +608,9 @@ class TestRunRepairPass:
         # A scan of a high-degree vertex's whole adjacency list per block,
         # piece or neighbour would read about legs**2 entries here.
         g = spider(1000)
-        up = run_upward_pass(g, build_valid_partition(g))
+        up = run_upward_pass(g, *build_valid_partition(g))
         g.adj = CountingAdj(g.adj)
-        res = run_repair_pass(g, up.partition, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling)
         assert res.tally == {"hub-3-even": 1}
         assert find_conflicts(g, res.labelling) == []
         assert g.adj.read <= 20 * g.m
@@ -626,9 +624,9 @@ class TestRunRepairPass:
                             lambda comp, state: calls.append(1) or seed_of(comp, state))
         for case in sorted(PINNED_CASES):
             g = PINNED_CASES[case]
-            up = run_upward_pass(g, build_valid_partition(g))
+            up = run_upward_pass(g, *build_valid_partition(g))
             calls.clear()
-            res = run_repair_pass(g, up.partition, up.labelling)
+            res = run_repair_pass(g, up.part_of, up.labelling)
             assert len(calls) == len(res.component_vertices) == 1, case
 
     def test_one_walk_per_anchored_piece(self, monkeypatch):
@@ -662,24 +660,22 @@ class TestRunRepairPass:
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_pinned_case(self, case):
         g = PINNED_CASES[case]
-        up = run_upward_pass(g, build_valid_partition(g))
-        res = run_repair_pass(g, up.partition, up.labelling)
+        up = run_upward_pass(g, *build_valid_partition(g))
+        res = run_repair_pass(g, up.part_of, up.labelling)
         assert res.tally == {case: 1}
         assert find_conflicts(g, res.labelling) == []
 
     def test_k3_untouched(self):
         g = complete_graph(3)
-        p = build_valid_partition(g)
-        up = run_upward_pass(g, p)
-        res = run_repair_pass(g, up.partition, up.labelling)
+        up = run_upward_pass(g, *build_valid_partition(g))
+        res = run_repair_pass(g, up.part_of, up.labelling)
         assert res.labelling.labels == up.labelling.labels
         assert res.tally == {}
 
     def test_star_products(self):
         g = star_graph(3)
-        p = build_valid_partition(g)
-        up = run_upward_pass(g, p)
-        res = run_repair_pass(g, up.partition, up.labelling)
+        up = run_upward_pass(g, *build_valid_partition(g))
+        res = run_repair_pass(g, up.part_of, up.labelling)
         assert find_conflicts(g, res.labelling) == []
         from conftest import exact_products
 
@@ -687,27 +683,24 @@ class TestRunRepairPass:
 
     def test_p5_proper(self):
         g = path_graph(5)
-        p = build_valid_partition(g)
-        up = run_upward_pass(g, p)
-        res = run_repair_pass(g, up.partition, up.labelling)
+        up = run_upward_pass(g, *build_valid_partition(g))
+        res = run_repair_pass(g, up.part_of, up.labelling)
         assert find_conflicts(g, res.labelling) == []
 
     def test_one_fixer_per_component(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 17), n_max=14)
-            p = build_valid_partition(g)
-            up = run_upward_pass(g, p)
-            res = run_repair_pass(g, up.partition, up.labelling)
+            up = run_upward_pass(g, *build_valid_partition(g))
+            res = run_repair_pass(g, up.part_of, up.labelling)
             assert sum(res.tally.values()) == len(res.component_vertices)
             assert find_conflicts(g, res.labelling) == []
 
     def test_locality_outside_components(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 4321), n_max=14, p=0.3)
-            p = build_valid_partition(g)
-            up = run_upward_pass(g, p)
+            up = run_upward_pass(g, *build_valid_partition(g))
             before = ProfileTracker(g, up.labelling.copy())
-            res = run_repair_pass(g, up.partition, up.labelling)
+            res = run_repair_pass(g, up.part_of, up.labelling)
             after = ProfileTracker(g, res.labelling)
             touched = {v for comp in res.component_vertices for v in comp}
             for v in range(g.n):
@@ -716,17 +709,15 @@ class TestRunRepairPass:
 
     def test_input_labelling_never_mutated(self):
         g = path_graph(5)
-        p = build_valid_partition(g)
-        up = run_upward_pass(g, p)
+        up = run_upward_pass(g, *build_valid_partition(g))
         snapshot = list(up.labelling.labels)
-        run_repair_pass(g, up.partition, up.labelling)
+        run_repair_pass(g, up.part_of, up.labelling)
         assert up.labelling.labels == snapshot
 
     def test_trace(self):
         g = path_graph(5)
-        p = build_valid_partition(g)
-        up = run_upward_pass(g, p)
-        res = run_repair_pass(g, up.partition, up.labelling, trace=True)
+        up = run_upward_pass(g, *build_valid_partition(g))
+        res = run_repair_pass(g, up.part_of, up.labelling, trace=True)
         assert len(res.trace) == len(res.component_vertices) == 1
         assert "case=" in res.trace[0]
 
@@ -735,10 +726,9 @@ class TestRunRepairPass:
         # their exact upward-pass profile.
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 9876), n_max=14, p=0.4)
-            p = build_valid_partition(g)
-            up = run_upward_pass(g, p)
-            res = run_repair_pass(g, up.partition, up.labelling)
-            part_of = up.partition.part_of
+            up = run_upward_pass(g, *build_valid_partition(g))
+            res = run_repair_pass(g, up.part_of, up.labelling)
+            part_of = up.part_of
             for v in range(g.n):
                 prof = profile(g, res.labelling, v)
                 cls = classify(prof)

@@ -4,8 +4,7 @@ import pytest
 
 from prodlabel import Graph, Labelling
 from prodlabel.engine import random_nice_graph
-from prodlabel.graph import connected_components
-from prodlabel.partition import Partition, _end_edges, build_valid_partition
+from prodlabel.partition import _end_edges, build_valid_partition
 from prodlabel.upward import run_upward_pass
 
 from conftest import (
@@ -15,7 +14,12 @@ from conftest import (
     random_connected_nice_graph,
     star_graph,
 )
-from spec import VertexKind, classify, edge_id, profile, target_profile
+from spec import VertexKind, classify, connected_components, edge_id, profile, target_profile
+
+
+def upward(g: Graph, part_of: list[int]):
+    """The upward pass on a hand-made partition, with its end map."""
+    return run_upward_pass(g, part_of, _end_edges(g, part_of))
 
 
 class TestTargetProfile:
@@ -50,23 +54,21 @@ class TestTargetProfile:
         assert not target_profile(1).matches(1, 4)
 
 
-def check_items(g: Graph, p: Partition, l: Labelling) -> None:
+def check_items(g: Graph, part_of: list[int], l: Labelling) -> None:
     """The six contract checks of the upward pass, straight off profiles."""
-    part_of = p.part_of
     profs = {v: profile(g, l, v) for v in range(g.n)}
     classes = {v: classify(profs[v]) for v in range(g.n)}
-    # 1 and 2: parts 1/2 are monochromatic in their own colour.
-    for v in p.part(1):
-        assert classes[v].kind in (VertexKind.MONO1, VertexKind.MONO3)
-    if p.t >= 2:
-        for v in p.part(2):
+    t = max(part_of)
+    for v, i in enumerate(part_of):
+        if i == 1:
+            # 1 and 2: parts 1/2 are monochromatic in their own colour.
+            assert classes[v].kind in (VertexKind.MONO1, VertexKind.MONO3)
+        elif i == 2:
             assert classes[v].kind in (VertexKind.MONO1, VertexKind.MONO2)
-    # 3: deeper parts are bichromatic and match their exact targets.
-    for i in range(3, p.t + 1):
-        tgt = target_profile(i, p.t)
-        for v in p.part(i):
+        else:
+            # 3: deeper parts are bichromatic and match their exact targets.
             assert classes[v].kind is VertexKind.BICHROMATIC
-            assert tgt.matches(profs[v].d2, profs[v].d3), (v, i, profs[v])
+            assert target_profile(i, t).matches(profs[v].d2, profs[v].d3), (v, i, profs[v])
     # 4: nobody special.
     assert not any(c.special for c in classes.values())
     # 5: edges within the bottom two parts still carry 1.
@@ -82,72 +84,68 @@ def check_items(g: Graph, p: Partition, l: Labelling) -> None:
             assert others, f"conflict edge ({a},{b}) is isolated in the bottom subgraph"
 
 
-def check_downward_invariant(g: Graph, p: Partition, l: Labelling) -> None:
+def check_downward_invariant(g: Graph, part_of: list[int], l: Labelling) -> None:
     """Edges point 3s at odd parts and 2s at even parts."""
     for eid, (a, b) in enumerate(g.edges):
         lab = l.labels[eid]
         if lab == 1:
             continue
-        lo = min((a, b), key=lambda v: p.part_of[v])
-        assert lab == (3 if p.part_of[lo] % 2 == 1 else 2)
+        assert lab == (3 if min(part_of[a], part_of[b]) % 2 == 1 else 2)
 
 
 class TestRunUpwardPass:
     def test_k3_exact_labels(self):
         g = complete_graph(3)
-        p = Partition([1, 2, 3])
-        res = run_upward_pass(g, p)
+        p = [1, 2, 3]
+        res = upward(g, p)
         assert res.labelling.labels == [1, 3, 2]
-        assert res.partition == p
+        assert res.part_of == p
 
     def test_star_given_partition_stays_all_one(self):
         g = star_graph(3)
-        p = Partition([2, 1, 1, 1])
-        res = run_upward_pass(g, p)
+        res = upward(g, [2, 1, 1, 1])
         assert res.labelling.labels == [1, 1, 1]
 
     def test_bipartite_stays_all_one(self):
         g = path_graph(6)
-        p = build_valid_partition(g)
-        assert p.t == 2
-        res = run_upward_pass(g, p)
+        p, end_edge = build_valid_partition(g)
+        assert max(p) == 2
+        res = run_upward_pass(g, p, end_edge)
         assert res.labelling.labels == [1] * g.m
         check_items(g, p, res.labelling)
 
     def test_partition_only_changed_by_swaps(self):
         for seed in range(200):
             g = random_connected_nice_graph(random.Random(seed), n_max=10)
-            p = build_valid_partition(g)
-            res = run_upward_pass(g, p)
-            moved = [v for v in range(g.n) if res.partition.part_of[v] != p.part_of[v]]
-            assert set(moved) <= set(_end_edges(g, p))
+            p, end_edge = build_valid_partition(g)
+            res = run_upward_pass(g, p, end_edge)
+            moved = [v for v in range(g.n) if res.part_of[v] != p[v]]
+            assert set(moved) <= set(end_edge)
             for v in moved:
-                assert {p.part_of[v], res.partition.part_of[v]} == {1, 2}
+                assert {p[v], res.part_of[v]} == {1, 2}
 
     def test_only_upward_edges_of_deep_vertices_change(self):
         for seed in range(200):
             g = random_connected_nice_graph(random.Random(seed + 7000), n_max=10)
-            p = build_valid_partition(g)
-            res = run_upward_pass(g, p)
+            p, end_edge = build_valid_partition(g)
+            res = run_upward_pass(g, p, end_edge)
             for eid, (a, b) in enumerate(g.edges):
                 if res.labelling.labels[eid] != 1:
-                    assert max(p.part_of[a], p.part_of[b]) >= 3
+                    assert max(p[a], p[b]) >= 3
 
     def test_postconditions_random(self):
         for seed in range(400):
             g = random_connected_nice_graph(random.Random(seed + 1234), n_max=14, p=0.45)
-            p = build_valid_partition(g)
-            res = run_upward_pass(g, p)
-            check_items(g, res.partition, res.labelling)
-            check_downward_invariant(g, res.partition, res.labelling)
+            res = run_upward_pass(g, *build_valid_partition(g))
+            check_items(g, res.part_of, res.labelling)
+            check_downward_invariant(g, res.part_of, res.labelling)
 
     def test_cross_part_separation(self):
         # Adjacent vertices in two distinct deep parts differ in d2, d3, or parity.
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 555), n_max=14, p=0.6)
-            p = build_valid_partition(g)
-            res = run_upward_pass(g, p)
-            part_of = res.partition.part_of
+            res = run_upward_pass(g, *build_valid_partition(g))
+            part_of = res.part_of
             for a, b in g.edges:
                 ia, ib = part_of[a], part_of[b]
                 if ia >= 3 and ib >= 3 and ia != ib:
@@ -156,15 +154,16 @@ class TestRunUpwardPass:
 
     def test_trace_lines(self):
         g = complete_graph(4)
-        res = run_upward_pass(g, build_valid_partition(g), trace=True)
-        assert len(res.trace) == sum(len(res.partition.part(i)) for i in range(3, res.partition.t + 1))
+        res = run_upward_pass(g, *build_valid_partition(g), trace=True)
+        assert len(res.trace) == sum(i >= 3 for i in res.part_of)
         assert all("part=" in line and "branch=" in line for line in res.trace)
 
     def test_deterministic(self):
         for seed in range(40):
             g = random_connected_nice_graph(random.Random(seed + 99), n_max=12)
-            p = build_valid_partition(g)
-            assert run_upward_pass(g, p).labelling.labels == run_upward_pass(g, p).labelling.labels
+            p, end_edge = build_valid_partition(g)
+            assert (run_upward_pass(g, p, end_edge).labelling.labels
+                    == run_upward_pass(g, p, end_edge).labelling.labels)
 
 
 class TestPartFourKnobCorner:
@@ -179,9 +178,9 @@ class TestPartFourKnobCorner:
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            res = run_upward_pass(sub, build_valid_partition(sub), trace=True)
-            check_items(sub, res.partition, res.labelling)
-            part_of = res.partition.part_of
+            res = run_upward_pass(sub, *build_valid_partition(sub), trace=True)
+            check_items(sub, res.part_of, res.labelling)
+            part_of = res.part_of
             for line in res.trace:
                 if "part=4" not in line or "branch=plain" not in line:
                     continue
@@ -199,7 +198,7 @@ class TestPendingEdgeHandling:
         # The lone bottom edge of the K3 partition must lose 1-mono status on
         # one end once vertex 2 is processed.
         g = complete_graph(3)
-        res = run_upward_pass(g, Partition([1, 2, 3]))
+        res = upward(g, [1, 2, 3])
         p0 = profile(g, res.labelling, 0)
         p1 = profile(g, res.labelling, 1)
         assert p0.key != (0, 0) or p1.key != (0, 0)
@@ -207,6 +206,5 @@ class TestPendingEdgeHandling:
     def test_no_isolated_conflict_edges_on_dense_graphs(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 4242), n_max=16, p=0.25)
-            p = build_valid_partition(g)
-            res = run_upward_pass(g, p)
-            check_items(g, res.partition, res.labelling)
+            res = run_upward_pass(g, *build_valid_partition(g))
+            check_items(g, res.part_of, res.labelling)
