@@ -63,12 +63,16 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="line 1.*self-loop"):
             parse_edge_list("0 0")
 
+    def test_duplicate_reports_line(self):
+        with pytest.raises(GraphFormatError, match="line 2.*duplicate"):
+            parse_edge_list("0 1\n0 1")
+
     @pytest.mark.parametrize("text, line, edge", [
         ("0 1\n0 1", 2, "(0,1)"),
         ("0 1\n1 2\n2 1\n1 0\n", 3, "(1,2)"),  # a reversed pair, named by its ends in order
         ("c x\np edge 3 4\ne 1 2\ne 2 3\ne 3 2\ne 2 1\n", 5, "(3,2)"),  # DIMACS, as written
     ])
-    def test_duplicate_reports_line(self, text, line, edge):
+    def test_duplicate_names_line_and_edge(self, text, line, edge):
         with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
         assert str(info.value) == f"line {line}: duplicate edge {edge}" and info.value.line == line
