@@ -10,7 +10,9 @@ to ``label_fail.edges`` in the working directory).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
 
 from .engine import brute_force_min_k, label_graph, random_nice_graph
 from .graph import Graph, GraphFormatError, InvariantViolation, NotNiceError, parse_graph
@@ -57,12 +59,11 @@ def _internal_error(g: Graph, what: str) -> int:
 def cmd_label(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     try:
-        report = label_graph(g, trace=args.trace)
+        report = label_graph(g)
     except InvariantViolation as exc:
         return _internal_error(g, str(exc))
-    if args.trace:
-        for line in report.trace:
-            print(line, file=sys.stderr)
+    if args.stats:
+        print(json.dumps(report.stats, sort_keys=True), file=sys.stderr)
     # label_graph recomputes its verdict from the labels with the independent
     # conflict scan; refuse to report success unless that scan agrees.
     if not report.verified:
@@ -108,7 +109,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print("trials must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     failures = 0
-    tally: dict[str, int] = {}
+    stats: Counter = Counter()
     for trial in range(args.trials):
         seed = args.seed + trial
         g = random_nice_graph(args.n, args.p, seed)
@@ -120,16 +121,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             bad = True
             report = None
         if report is not None:
-            for case, count in report.tally.items():
-                tally[case] = tally.get(case, 0) + count
+            stats.update(report.stats)
         if bad:
             failures += 1
             print(f"trial {trial} FAILED (seed {seed})", file=sys.stderr)
             _save_repro(f"fuzz_fail_{trial}.edges",
                         f"# trial {trial} seed {seed} n {args.n} p {args.p}\n" + g.to_edge_list())
     print(f"{args.trials - failures}/{args.trials} ok")
-    for case in sorted(tally):
-        print(f"  {case}: {tally[case]}")
+    print(json.dumps(stats, sort_keys=True))
     return EXIT_OK if failures == 0 else EXIT_CONFLICTS
 
 
@@ -147,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="label a graph and print labels plus products")
     p.add_argument("graph", help="graph file, or - for stdin")
     add_format(p)
-    p.add_argument("--trace", action="store_true", help="print pipeline trace to stderr")
+    p.add_argument("--stats", action="store_true",
+                   help="print the construction's counters to stderr as one JSON object")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_label)
 
@@ -164,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=3, help="largest k to try (default 3)")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("fuzz", help="random end-to-end trials with verification")
+    p = sub.add_parser("fuzz", help="random end-to-end trials with verification; "
+                       "prints the counters summed over the trials as one JSON line")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n", type=int, default=20, help="vertex count per trial")
     p.add_argument("--p", type=float, default=0.3, help="edge probability")

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import MAX_EDGES, Graph
 from .labelling import Labelling, find_conflicts
 from .partition import build_valid_partition
 from .repair import run_repair_pass
@@ -22,22 +21,24 @@ class PipelineReport:
     ``part_of`` is the part (1..t) of each vertex in the valid partition of
     the whole graph, after the upward pass's swaps; it is None only when
     the graph has no edges.
+
+    ``stats`` counts the construction's decisions under the keys README.md
+    lists: ``upward.swaps``, ``upward.branch.<branch>``,
+    ``repair.conflicts_in``, ``repair.components`` and
+    ``repair.case.<case>``.  A count of 0 is left out: the key is absent.
     """
 
     labelling: Labelling
     part_of: list[int] | None = None
-    swaps: int = 0
-    components_fixed: int = 0
-    tally: Counter = field(default_factory=Counter)
     conflicts: list[int] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def verified(self) -> bool:
         return not self.conflicts
 
 
-def label_graph(g: Graph, trace: bool = False) -> PipelineReport:
+def label_graph(g: Graph) -> PipelineReport:
     """Product-proper 3-labelling of a nice graph.
 
     The partition builder, the upward pass and the repair pass each run once
@@ -50,16 +51,20 @@ def label_graph(g: Graph, trace: bool = False) -> PipelineReport:
     if g.m == 0:
         return PipelineReport(Labelling([]))
     part_of, end_edge = build_valid_partition(g)
-    up = run_upward_pass(g, part_of, end_edge, trace=trace)
-    rep = run_repair_pass(g, up.part_of, up.labelling, trace=trace)
+    up = run_upward_pass(g, part_of, end_edge)
+    rep = run_repair_pass(g, up.part_of, up.labelling)
+    stats = {key: count for key, count in (
+        ("upward.swaps", up.swaps), ("repair.conflicts_in", rep.conflicts_in),
+        ("repair.components", len(rep.component_vertices))) if count}
+    for branch, count in up.branches.items():
+        stats["upward.branch." + branch] = count
+    for case, count in rep.tally.items():
+        stats["repair.case." + case] = count
     return PipelineReport(
         labelling=rep.labelling,
         part_of=up.part_of,
-        swaps=up.swaps,
-        components_fixed=len(rep.component_vertices),
-        tally=rep.tally,
         conflicts=find_conflicts(g, rep.labelling),
-        trace=up.trace + rep.trace,
+        stats=stats,
     )
 
 
@@ -162,10 +167,13 @@ def random_nice_graph(n: int, p: float, seed: int) -> Graph:
 
     Every two-vertex component (an edge whose two ends both have degree 1)
     either gains an edge from its smaller end to the lowest-id vertex
-    outside it, or loses its edge when n == 2.
+    outside it, or loses its edge when n == 2.  An n with more than
+    MAX_EDGES vertex pairs is refused before any coin is drawn.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n * (n - 1) // 2 > MAX_EDGES:
+        raise ValueError(f"n = {n} has more than the limit of {MAX_EDGES} vertex pairs")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = random.Random(seed)

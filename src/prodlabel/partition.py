@@ -11,7 +11,6 @@ each vertex's part index; the parts are 1..max(part_of), none empty.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .graph import Graph, InvariantViolation, NotNiceError, is_nice
 
@@ -60,22 +59,10 @@ def _end_edges(g: Graph, part_of: list[int]) -> dict[int, int]:
     return end_edge
 
 
-@dataclass(frozen=True)
-class SwapWitness:
-    """Certificate that swap robustness fails.
-
-    Swapping exactly ``edges`` leaves ``vertex`` with no neighbour in part
-    ``side`` (side is 1 or 2).
-    """
-
-    vertex: int
-    side: int
-    edges: frozenset[int]
-
-
 def _side_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
-                  v: int, side: int) -> SwapWitness | None:
-    """The swaps that leave ``v`` with no neighbour in part ``side``, or None.
+                  v: int, side: int) -> frozenset[int] | None:
+    """The swappable edges whose swap leaves ``v`` with no neighbour in part
+    ``side`` (a witness that swap robustness fails), or None.
 
     ``end_edge`` maps each swappable-edge end to its edge.  The vertex keeps
     a neighbour on that side under every swap subset iff it has a neighbour
@@ -92,18 +79,17 @@ def _side_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
             return None
         else:
             adjacent_end[eid] = w
-    return SwapWitness(v, side, frozenset(eid for eid, w in adjacent_end.items()
-                                          if part_of[w] == side))
+    return frozenset(eid for eid, w in adjacent_end.items() if part_of[w] == side)
 
 
 def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
-                    v: int) -> SwapWitness | None:
+                    v: int) -> frozenset[int] | None:
     """The first witness at ``v``: sides 1 then 2 above part 2, side 1 for a
     part-2 vertex that is no swappable-edge end, none otherwise."""
     i = part_of[v]
     if i >= 3:
-        return (_side_witness(g, part_of, end_edge, v, 1)
-                or _side_witness(g, part_of, end_edge, v, 2))
+        w = _side_witness(g, part_of, end_edge, v, 1)
+        return w if w is not None else _side_witness(g, part_of, end_edge, v, 2)
     if i == 2 and v not in end_edge:
         return _side_witness(g, part_of, end_edge, v, 1)
     return None
@@ -133,7 +119,7 @@ def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
     return first[1] if back is not None and back[0] == v else None
 
 
-def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, SwapWitness]]:
+def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, frozenset[int]]]:
     """One pass over the edges and one over the vertices: ValueError on a
     part index below 1, an empty part among 1..max(part_of), an edge inside
     a part or a vertex with no neighbour in some lower part, else
@@ -147,7 +133,7 @@ def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int
             raise ValueError(f"part {i} is empty")
     end_edge = _end_edges(g, part_of)
     adj = g.adj
-    witnesses: dict[int, SwapWitness] = {}
+    witnesses: dict[int, frozenset[int]] = {}
     for v in range(g.n):
         i = part_of[v]
         if i >= 2 and not {part_of[w] for w, _ in adj[v]}.issuperset(range(1, i)):
@@ -240,7 +226,7 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
         while heap[0] not in witnesses:
             heapq.heappop(heap)
         swapped: list[int] = []
-        for eid in sorted(witnesses[heap[0]].edges):
+        for eid in sorted(witnesses[heap[0]]):
             u, v = g.edges[eid]
             part_of[u], part_of[v] = part_of[v], part_of[u]
             swapped += (u, v)

@@ -73,24 +73,28 @@ def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
 
 
 def conflict_components(g: Graph, part_of: list[int],
-                        l: Labelling | ProfileTracker) -> list[ConflictComponent]:
+                        l: Labelling | ProfileTracker) -> tuple[list[ConflictComponent], int]:
     """Connected components of the bottom subgraph that contain a conflict,
-    ordered by smallest vertex.
+    ordered by smallest vertex, and the number of conflicting edges.
 
-    One pass over ``g.edges`` finds the conflicting bottom edges; one walk
-    from each edge not yet covered collects its component's vertices, sides,
-    edges and inner degrees.  Components without a conflict are never
-    walked.  Each returned component is guaranteed (and asserted) to span at
-    least two edges; a single-edge conflict component would mean the upward
-    pass failed to break up an isolated bottom edge.
+    One pass over ``g.edges`` counts the conflicting edges and finds the
+    bottom ones; one walk from each edge not yet covered collects its
+    component's vertices, sides, edges and inner degrees.  Components
+    without a conflict are never walked.  Each returned component is
+    guaranteed (and asserted) to span at least two edges; a single-edge
+    conflict component would mean the upward pass failed to break up an
+    isolated bottom edge.
     """
     state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
     d2, d3, adj = state.d2, state.d3, g.adj
     covered: set[int] = set()
     out = []
+    conflicts = 0
     for u, v in g.edges:
-        if (d2[u] != d2[v] or d3[u] != d3[v] or part_of[u] > 2 or part_of[v] > 2
-                or u in covered):
+        if d2[u] != d2[v] or d3[u] != d3[v]:
+            continue
+        conflicts += 1
+        if part_of[u] > 2 or part_of[v] > 2 or u in covered:
             continue
         side = {u: part_of[u]}
         degrees: dict[int, int] = {}
@@ -117,7 +121,7 @@ def conflict_components(g: Graph, part_of: list[int],
         eids.sort()
         out.append(ConflictComponent(g, vertices, side, eids, degrees))
     out.sort(key=lambda comp: comp.vertices[0])
-    return out
+    return out, conflicts
 
 
 def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list[str]:
@@ -569,12 +573,12 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
 @dataclass
 class RepairResult:
     labelling: Labelling
-    tally: Counter
+    conflicts_in: int                        # conflicting edges of the input labelling
+    tally: Counter = field(default_factory=Counter)  # components by fixer case
     component_vertices: list[list[int]] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
 
 
-def run_repair_pass(g: Graph, part_of: list[int], l: Labelling, trace: bool = False) -> RepairResult:
+def run_repair_pass(g: Graph, part_of: list[int], l: Labelling) -> RepairResult:
     """Fix every conflicting bottom component; returns the new labelling.
 
     For each component exactly one fixer runs, chosen by trigger order, and
@@ -583,8 +587,9 @@ def run_repair_pass(g: Graph, part_of: list[int], l: Labelling, trace: bool = Fa
     """
     labelling = l.copy()
     state = ProfileTracker(g, labelling)
-    result = RepairResult(labelling, Counter())
-    for comp in conflict_components(g, part_of, state):
+    comps, conflicts_in = conflict_components(g, part_of, state)
+    result = RepairResult(labelling, conflicts_in)
+    for comp in comps:
         start = anchor_trigger(comp, state)
         if start is not None:
             case = fix_anchored(comp, state, *start)
@@ -600,6 +605,4 @@ def run_repair_pass(g: Graph, part_of: list[int], l: Labelling, trace: bool = Fa
                 f"component {comp.vertices} not settled after {case}: {violations}")
         result.tally[case] += 1
         result.component_vertices.append(comp.vertices)
-        if trace:
-            result.trace.append(f"component={comp.vertices[0]} case={case}")
     return result

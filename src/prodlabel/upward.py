@@ -29,7 +29,7 @@ class UpwardResult:
     labelling: Labelling
     part_of: list[int]
     swaps: int = 0
-    trace: list[str] = field(default_factory=list)
+    branches: dict[str, int] = field(default_factory=dict)  # vertices of parts >= 3 by branch
 
 
 def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:
@@ -39,8 +39,7 @@ def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:
     return best[j][1]
 
 
-def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
-                    trace: bool = False) -> UpwardResult:
+def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> UpwardResult:
     """Relabel upward edges of parts t..3 so every part meets its target.
 
     ``part_of`` must be a valid partition and ``end_edge`` the end map of
@@ -53,6 +52,7 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
     state = ProfileTracker(g)
     d2, d3, relabel = state.d2, state.d3, state.set
     result = UpwardResult(state.labelling, part_of)
+    branches = result.branches
 
     pending = set(end_edge.values())  # swappable edges with both ends still 1-monochromatic
     # Swaps move vertices between parts 1 and 2 only, which the loop never reads.
@@ -82,14 +82,12 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
                     best[part_of[w]] = (w, eid)
             mu = sorted(ends)
             chosen: list[tuple[int, int]] = []
-            swapped_here: list[int] = []
             for pe in mu:
                 pair = ends[pe]
                 if len(pair) == 2 and part_of[pair[0][0]] != target_side:
                     pair.reverse()  # the end already on the target side comes first
                 if part_of[pair[0][0]] != target_side:
                     do_swap(pe)
-                    swapped_here.append(pe)
                 chosen.append(pair[0])
                 if len(pair) == 2:
                     # The other end is not reserved: it competes for the
@@ -136,7 +134,6 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
                         relabel(_lower(best, u, i, 1), 3)
                     elif d2[u] > 0:
                         do_swap(z_edge)
-                        swapped_here.append(z_edge)
                         relabel(ez, 3)
                     else:
                         if i == 4:
@@ -153,7 +150,6 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
                         relabel(_lower(best, u, i, 2), 2)
                     elif d3[u] > 0:
                         do_swap(z_edge)
-                        swapped_here.append(z_edge)
                         relabel(ez, 2)
                     else:
                         if i <= 4:
@@ -171,8 +167,5 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int],
             if got != i // 2 or d2u == 0 or d3u == 0 or (d2u + d3u) % 2 != (1 if even else 0):
                 raise InvariantViolation(
                     f"vertex {u} in part {i} ended with profile ({d2u},{d3u})")
-            if trace:
-                result.trace.append(
-                    f"part={i} vertex={u} branch={branch} profile=({d2u},{d3u}) "
-                    f"swaps={swapped_here}")
+            branches[branch] = branches.get(branch, 0) + 1
     return result

@@ -146,7 +146,7 @@ def reference_build_valid_partition(g: Graph) -> list[int]:
         witness = next(iter(_certificate(g, part_of)[1].values()), None)
         if witness is None:
             break
-        for eid in sorted(witness.edges):
+        for eid in sorted(witness):
             u, v = g.edges[eid]
             part_of[u], part_of[v] = part_of[v], part_of[u]
         settle_lower_links()

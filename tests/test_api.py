@@ -3,8 +3,9 @@
 Helpers that only tests use live in ``tests/spec.py``; a module-level
 function or class in ``src/prodlabel`` must be reachable from ``cli.main``
 or from a name in ``prodlabel.__all__``, every method and property of a
-class must be read by the package itself, and every parameter default must
-be overridden by some call inside the package.
+class and every field of an unexported dataclass must be read by the
+package itself, and every parameter default must be overridden by some
+call inside the package.
 """
 
 import ast
@@ -139,6 +140,20 @@ def test_every_method_is_read():
     unread = [f"{name}.{node.name}" for name, cls in classes.items() for node in cls.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
               and name not in reads.get(node.name, ())]
+    assert unread == []
+
+
+def test_every_field_is_read():
+    """Fields of the exported dataclasses (``PipelineReport``,
+    ``Labelling``) are exempt: callers outside the package read them."""
+    classes = package_classes()
+    reads = attribute_reads(classes)
+    dataclasses = [cls for name, cls in classes.items() if name not in prodlabel.__all__
+                   and any(isinstance(n, ast.Name) and n.id == "dataclass"
+                           for d in cls.decorator_list for n in ast.walk(d))]
+    unread = [f"{cls.name}.{node.target.id}" for cls in dataclasses for node in cls.body
+              if isinstance(node, ast.AnnAssign) and cls.name not in reads.get(node.target.id, ())]
+    assert dataclasses
     assert unread == []
 
 

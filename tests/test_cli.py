@@ -1,7 +1,9 @@
 import io
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -10,12 +12,14 @@ import prodlabel.engine
 import prodlabel.graph
 from prodlabel import InvariantViolation, parse_graph
 from prodlabel.cli import main
+from prodlabel.engine import random_nice_graph
 
-from test_partition import break_greedy_start
+from test_partition import BROKEN_STARTS, break_greedy_start
 
 K3 = "0 1\n0 2\n1 2\n"
 K2 = "0 1\n"
 P3 = "0 1\n1 2\n"
+P5 = "0 1\n1 2\n2 3\n3 4\n"
 K3_DIMACS = "c triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
 
@@ -29,6 +33,17 @@ def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
     return str(path)
+
+
+def broken(g):
+    raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")
+
+
+def unverified(g):
+    """The real labelling, reported as failing verification."""
+    report = prodlabel.engine.label_graph(g)
+    report.conflicts = [0]
+    return report
 
 
 def assert_repro(tmp_path, err, content):
@@ -95,11 +110,16 @@ class TestLabelCommand:
         assert code == 1 and out == ""
         assert err == "input error: line 3: more than the limit of 2 edges\n"
 
-    def test_trace_goes_to_stderr(self, tmp_path, capsys):
-        path = write(tmp_path, "k3.edges", K3)
-        code, out, err = run_cli(capsys, "label", path, "--trace")
-        assert code == 0
-        assert "part=" in err and "part=" not in out
+    @pytest.mark.parametrize("content, stats", [
+        (P5, {"repair.case.hub-2-many": 1, "repair.components": 1, "repair.conflicts_in": 4}),
+        ("n 3\n", {}),
+    ], ids=["p5", "edgeless"])
+    def test_stats_one_json_line_on_stderr(self, tmp_path, capsys, content, stats):
+        path = write(tmp_path, "g.edges", content)
+        code, plain, _ = run_cli(capsys, "label", path)
+        code_stats, out, err = run_cli(capsys, "label", path, "--stats")
+        assert code == code_stats == 0 and out == plain
+        assert err == json.dumps(stats, sort_keys=True) + "\n"
 
     def test_huge_declared_count_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "huge.edges", "n 99999999999\n0 1\n1 2\n")
@@ -123,9 +143,6 @@ class TestLabelCommand:
         assert err == "input error: line 2: malformed number '1_0'\n"
 
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
-        def broken(g, trace=False):
-            raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")
-
         monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
         monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "k3.edges", K3)
@@ -135,27 +152,18 @@ class TestLabelCommand:
         assert "Traceback" not in err
         assert_repro(tmp_path, err, K3)
 
-    def test_broken_partition_builder_exit_3(self, tmp_path, capsys, monkeypatch):
-        # A start with an empty part; the builder's own validity checks must
-        # report that as a broken construction.
-        break_greedy_start(monkeypatch, "empty part")
+    @pytest.mark.parametrize("name", sorted(BROKEN_STARTS))
+    def test_broken_start_exit_3(self, tmp_path, capsys, monkeypatch, name):
+        # A start that breaks one property; the builder's own validity checks
+        # must report it as a broken construction.
+        break_greedy_start(monkeypatch, name)
         monkeypatch.chdir(tmp_path)
-        path = write(tmp_path, "p5.edges", "0 1\n1 2\n2 3\n3 4\n")
+        path = write(tmp_path, "p5.edges", P5)
         code, out, err = run_cli(capsys, "label", path)
         assert code == 3 and out == ""
-        assert err.startswith("internal error:") and "part 2 is empty" in err
+        assert err.startswith("internal error:") and BROKEN_STARTS[name][1] in err
         assert "Traceback" not in err
-        assert_repro(tmp_path, err, "0 1\n1 2\n2 3\n3 4\n")
-
-    def test_broken_greedy_start_exit_3(self, tmp_path, capsys, monkeypatch):
-        break_greedy_start(monkeypatch, "edge inside a part")
-        monkeypatch.chdir(tmp_path)
-        path = write(tmp_path, "p5.edges", "0 1\n1 2\n2 3\n3 4\n")
-        code, out, err = run_cli(capsys, "label", path)
-        assert code == 3 and out == ""
-        assert err.startswith("internal error:") and "part 1 is not independent" in err
-        assert "Traceback" not in err
-        assert_repro(tmp_path, err, "0 1\n1 2\n2 3\n3 4\n")
+        assert_repro(tmp_path, err, P5)
 
     def test_checker_runs_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -173,11 +181,6 @@ class TestLabelCommand:
         assert code == 0 and len(calls) == 1
 
     def test_failed_verification_exit_3(self, tmp_path, capsys, monkeypatch):
-        def unverified(g, trace=False):
-            report = prodlabel.engine.label_graph(g, trace)
-            report.conflicts = [0]
-            return report
-
         monkeypatch.setattr(prodlabel.cli, "label_graph", unverified)
         monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "k3.edges", K3)
@@ -284,18 +287,23 @@ class TestFuzzCommand:
         assert code == 0 and "1/1 ok" in out
 
     def test_deterministic_summary(self, capsys, tmp_path, monkeypatch):
+        # The trials' stats records, summed, as one JSON line.
         monkeypatch.chdir(tmp_path)
         args = ("fuzz", "--trials", "30", "--n", "14", "--p", "0.4", "--seed", "9")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
+        stats = Counter()
+        for seed in range(9, 39):
+            stats.update(prodlabel.engine.label_graph(random_nice_graph(14, 0.4, seed)).stats)
+        assert stats["repair.components"] > 0
+        assert out1 == out2 == "30/30 ok\n" + json.dumps(stats, sort_keys=True) + "\n"
+
+    def test_too_many_vertex_pairs_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--trials", "1", "--n", "2897")
+        assert code == 1 and out == ""
+        assert err == "error: n = 2897 has more than the limit of 4194304 vertex pairs\n"
 
     def test_failed_verification_counts(self, capsys, tmp_path, monkeypatch):
-        def unverified(g, trace=False):
-            report = prodlabel.engine.label_graph(g, trace)
-            report.conflicts = [0]
-            return report
-
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(prodlabel.cli, "label_graph", unverified)
         code, out, err = run_cli(capsys, "fuzz", "--trials", "1", "--n", "6", "--p", "0.5")
@@ -305,9 +313,6 @@ class TestFuzzCommand:
     def test_unwritable_repro_does_not_stop_the_run(self, capsys, tmp_path, monkeypatch):
         # A directory in the repro file's place: open() fails even for root,
         # which permission bits would not stop.
-        def broken(g, trace=False):
-            raise InvariantViolation("vertex 0 in part 3 ended with profile (0,0)")
-
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
         (tmp_path / "fuzz_fail_0.edges").mkdir()

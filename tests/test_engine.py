@@ -18,6 +18,7 @@ from prodlabel.graph import is_nice
 
 from conftest import (
     complete_graph,
+    cycle_graph,
     exact_conflicts,
     exact_products,
     induced_subgraph,
@@ -88,7 +89,17 @@ class TestLabelGraph:
     def test_edgeless(self):
         rep = label_graph(Graph(4, []))
         assert rep.verified and rep.labelling.labels == []
-        assert rep.part_of is None
+        assert rep.part_of is None and rep.stats == {}
+
+    @pytest.mark.parametrize("g, stats", [
+        (random_nice_graph(6, 0.4, 105), {"upward.swaps": 2, "upward.branch.plain": 1,
+                                          "upward.branch.pending": 1}),
+        (random_nice_graph(6, 0.5, 28), {"upward.branch.plain": 3,
+                                         "upward.branch.pending-fallback": 1}),
+    ], ids=["swaps", "pending-fallback"])
+    def test_stats_pinned(self, g, stats):
+        # The repair keys are pinned through the CLI on P5 (test_cli.py).
+        assert label_graph(g).stats == stats
 
 
 def _shuffled_union(pieces, rng: random.Random) -> Graph:
@@ -126,16 +137,14 @@ class TestComponentLocality:
                 continue
             checked += 1
             whole = label_graph(g)
-            swaps, fixed, tally = 0, 0, Counter()
+            stats = Counter()
             for comp in comps:
                 sub, edge_ids = induced_subgraph(g, comp)
                 alone = label_graph(sub)
                 assert [whole.labelling.labels[e] for e in edge_ids] == alone.labelling.labels
                 assert [whole.part_of[v] for v in comp] == alone.part_of
-                swaps += alone.swaps
-                fixed += alone.components_fixed
-                tally += alone.tally
-            assert (whole.swaps, whole.components_fixed, whole.tally) == (swaps, fixed, tally)
+                stats += alone.stats
+            assert whole.stats == stats
         assert checked >= 180
 
 
@@ -386,6 +395,9 @@ class TestRandomNiceGraph:
             random_nice_graph(0, 0.5, 1)
         with pytest.raises(ValueError):
             random_nice_graph(3, 1.5, 1)
+        # 2897 * 2896 / 2 vertex pairs exceed MAX_EDGES = 2**22.
+        with pytest.raises(ValueError, match="n = 2897 has more than the limit of 4194304 vertex pairs"):
+            random_nice_graph(2897, 0.0, 1)
 
 
 class TestReportVerdictIndependent:
@@ -397,10 +409,6 @@ class TestReportVerdictIndependent:
 
 def _complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def _cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _hypercube(d):
@@ -420,9 +428,9 @@ class TestNamedFamilies:
         families = {
             "K33": _complete_bipartite(3, 3),
             "K45": _complete_bipartite(4, 5),
-            "C5": _cycle(5),
-            "C6": _cycle(6),
-            "C7": _cycle(7),
+            "C5": cycle_graph(5),
+            "C6": cycle_graph(6),
+            "C7": cycle_graph(7),
             "Q3": _hypercube(3),
             "Q4": _hypercube(4),
             "petersen": _petersen(),
@@ -437,7 +445,7 @@ class TestNamedFamilies:
             assert not exact_conflicts(g, rep.labelling.labels), name
 
     def test_small_families_against_oracle(self):
-        for g in (_cycle(5), _cycle(6), _complete_bipartite(2, 3), path_graph(6)):
+        for g in (cycle_graph(5), cycle_graph(6), _complete_bipartite(2, 3), path_graph(6)):
             k = brute_force_min_k(g, 3)
             assert k is not None and k <= 3
             rep = label_graph(g)

@@ -44,7 +44,7 @@ def fixture(parts, edges, labels=None):
 
 
 def the_component(g, p, state):
-    comps = conflict_components(g, p, state)
+    comps, _ = conflict_components(g, p, state)
     assert len(comps) == 1
     return comps[0]
 
@@ -203,19 +203,21 @@ class TestConflictComponents:
     def test_k3_clean(self):
         g = complete_graph(3)
         res = run_upward_pass(g, *build_valid_partition(g))
-        assert conflict_components(g, res.part_of, res.labelling) == []
+        assert conflict_components(g, res.part_of, res.labelling) == ([], 0)
 
     def test_star_whole(self):
         g = star_graph(3)
         p, _ = build_valid_partition(g)
-        comps = conflict_components(g, p, Labelling.all_ones(g))
+        comps, conflicts = conflict_components(g, p, Labelling.all_ones(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3]
+        assert conflicts == 3
 
     def test_p5_whole(self):
         g = path_graph(5)
         p, _ = build_valid_partition(g)
-        comps = conflict_components(g, p, Labelling.all_ones(g))
+        comps, conflicts = conflict_components(g, p, Labelling.all_ones(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3, 4]
+        assert conflicts == 4
 
     def test_single_edge_component_asserts(self):
         g = Graph(2, [(0, 1)])
@@ -244,8 +246,9 @@ class TestConflictComponents:
         g, p, state = fixture(parts, edges, labels)
         star_degrees = sum(len(g.adj[v]) for v in [centre] + leaves)
         g.adj = CountingAdj(g.adj)
-        comps = conflict_components(g, p, state)
+        comps, conflicts = conflict_components(g, p, state)
         assert [c.vertices for c in comps] == [[centre] + leaves]
+        assert conflicts == 3 + clean  # the star's edges and every b-d
         assert comps[0].eids == [0, 1, 2]
         assert [comps[0].degree(v) for v in comps[0].vertices] == [3, 1, 1, 1]
         assert g.adj.read <= 2 * star_degrees
@@ -256,8 +259,9 @@ class TestConflictComponents:
         parts = [{0, 2, 3}, {1, 4, 5, 6}]
         edges = [(3, 4), (3, 5), (3, 6), (0, 1), (1, 2)]
         g, p, state = fixture(parts, edges)
-        comps = conflict_components(g, p, state)
+        comps, conflicts = conflict_components(g, p, state)
         assert [c.vertices for c in comps] == [[0, 1, 2], [3, 4, 5, 6]]
+        assert conflicts == 5
         assert [c.eids for c in comps] == [[3, 4], [0, 1, 2]]
 
 
@@ -714,12 +718,15 @@ class TestRunRepairPass:
         run_repair_pass(g, up.part_of, up.labelling)
         assert up.labelling.labels == snapshot
 
-    def test_trace(self):
-        g = path_graph(5)
-        up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling, trace=True)
-        assert len(res.trace) == len(res.component_vertices) == 1
-        assert "case=" in res.trace[0]
+    def test_conflicts_in_matches_the_checker(self):
+        nonzero = 0
+        for seed in range(150):
+            g = random_connected_nice_graph(random.Random(seed + 1618), n_max=14)
+            up = run_upward_pass(g, *build_valid_partition(g))
+            res = run_repair_pass(g, up.part_of, up.labelling)
+            assert res.conflicts_in == len(find_conflicts(g, up.labelling))
+            nonzero += res.conflicts_in > 0
+        assert nonzero >= 50
 
     def test_final_state_by_part(self):
         # Bottom vertices end monochromatic or special; deeper vertices keep

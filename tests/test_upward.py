@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -152,11 +153,15 @@ class TestRunUpwardPass:
                     pa, pb = profile(g, res.labelling, a), profile(g, res.labelling, b)
                     assert (pa.d2, pa.d3) != (pb.d2, pb.d3)
 
-    def test_trace_lines(self):
-        g = complete_graph(4)
-        res = run_upward_pass(g, *build_valid_partition(g), trace=True)
-        assert len(res.trace) == sum(i >= 3 for i in res.part_of)
-        assert all("part=" in line and "branch=" in line for line in res.trace)
+    def test_branches_count_every_deep_vertex(self):
+        branches = Counter()
+        for seed in range(150):
+            g = random_connected_nice_graph(random.Random(seed + 2718), n_max=14, p=0.4)
+            res = run_upward_pass(g, *build_valid_partition(g))
+            assert sum(res.branches.values()) == sum(i >= 3 for i in res.part_of)
+            branches += res.branches
+        assert set(branches) <= {"plain", "pending", "pending-fallback"}
+        assert branches["plain"] and branches["pending"]
 
     def test_deterministic(self):
         for seed in range(40):
@@ -178,13 +183,14 @@ class TestPartFourKnobCorner:
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            res = run_upward_pass(sub, *build_valid_partition(sub), trace=True)
+            part_of, end_edge = build_valid_partition(sub)
+            res = run_upward_pass(sub, part_of, end_edge)
             check_items(sub, res.part_of, res.labelling)
-            part_of = res.part_of
-            for line in res.trace:
-                if "part=4" not in line or "branch=plain" not in line:
+            # A vertex with no swappable-edge end next to it takes the plain
+            # branch, and none of its neighbours changes part.
+            for u in range(sub.n):
+                if part_of[u] != 4 or any(w in end_edge for w, _ in sub.adj[u]):
                     continue
-                u = int(line.split("vertex=")[1].split()[0])
                 x2 = min(w for w, _ in sub.adj[u] if part_of[w] == 2)
                 if res.labelling.labels[edge_id(sub, u, x2)] != 2:
                     d2 = sum(1 for _, eid in sub.adj[u] if res.labelling.labels[eid] == 2)
