@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .graph import MAX_EDGES, Graph
 from .labelling import Labelling, find_conflicts
@@ -13,7 +12,6 @@ from .repair import run_repair_pass
 from .upward import run_upward_pass
 
 
-@dataclass
 class PipelineReport:
     """Outcome of labelling one graph; the verdict is recomputed from the
     labels by the independent conflict scan, never trusted from the pipeline.
@@ -26,12 +24,29 @@ class PipelineReport:
     lists: ``upward.swaps``, ``upward.branch.<branch>``,
     ``repair.conflicts_in``, ``repair.components`` and
     ``repair.case.<case>``.  A count of 0 is left out: the key is absent.
+    ``upward.swaps`` counts swaps made, not edges moved: a vertex that
+    swaps an edge's ends and then swaps them back adds 2.
+
+    Two reports are equal when all four fields are.
     """
 
-    labelling: Labelling
-    part_of: list[int] | None = None
-    conflicts: list[int] = field(default_factory=list)
-    stats: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("labelling", "part_of", "conflicts", "stats")
+
+    def __init__(self, labelling: Labelling, part_of: list[int] | None,
+                 conflicts: list[int], stats: dict[str, int]):
+        self.labelling = labelling
+        self.part_of = part_of
+        self.conflicts = conflicts
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is not PipelineReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"PipelineReport({fields})"
 
     @property
     def verified(self) -> bool:
@@ -49,7 +64,7 @@ def label_graph(g: Graph) -> PipelineReport:
     edges is always nice.
     """
     if g.m == 0:
-        return PipelineReport(Labelling([]))
+        return PipelineReport(Labelling([]), None, [], {})
     part_of, end_edge = build_valid_partition(g)
     up = run_upward_pass(g, part_of, end_edge)
     rep = run_repair_pass(g, up.part_of, up.labelling)

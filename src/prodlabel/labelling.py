@@ -8,18 +8,31 @@ overflow-free product key.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .graph import Graph, GraphFormatError, read_int
 
 LABELS = (1, 2, 3)
 
 
-@dataclass
 class Labelling:
-    """Total mapping edge index -> label in {1,2,3}."""
+    """Total mapping edge index -> label in {1,2,3}.
 
-    labels: list[int]
+    Two labellings are equal when their label lists are; like a list, a
+    labelling is mutable and so unhashable.
+    """
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: list[int]):
+        self.labels = labels
+
+    def __eq__(self, other):
+        if other.__class__ is not Labelling:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __repr__(self) -> str:
+        return f"Labelling(labels={self.labels!r})"
 
     @classmethod
     def all_ones(cls, g: Graph) -> "Labelling":

@@ -31,14 +31,10 @@ Three mutually exclusive fixers cover all components, tried in order:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-
 from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
 
 
-@dataclass
 class ConflictComponent:
     """One connected component of the bottom subgraph holding a conflict.
 
@@ -47,11 +43,15 @@ class ConflictComponent:
     walk that finds the component also counts ``degrees``.
     """
 
-    g: Graph
-    vertices: list[int]                      # sorted global ids
-    side: dict[int, int]                     # 1 or 2, from the partition
-    eids: list[int]                          # sorted global edge ids
-    degrees: dict[int, int]                  # degree inside the component
+    __slots__ = ("g", "vertices", "side", "eids", "degrees")
+
+    def __init__(self, g: Graph, vertices: list[int], side: dict[int, int],
+                 eids: list[int], degrees: dict[int, int]):
+        self.g = g
+        self.vertices = vertices                 # sorted global ids
+        self.side = side                         # 1 or 2, from the partition
+        self.eids = eids                         # sorted global edge ids
+        self.degrees = degrees                   # degree inside the component
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -366,14 +366,16 @@ def hub_vertex(comp: ConflictComponent, state: ProfileTracker) -> int | None:
     return None
 
 
-@dataclass
 class _Piece:
-    vset: set[int]
-    rep: int                      # smallest hub neighbour inside the piece
-    hub_edge: int                 # the edge from the hub to rep
-    kind: str = "nice"            # nice | bad | tricky
-    lone: int | None = None       # edge from rep to the single even contact, for bad/tricky
-    mate: int | None = None       # edge from that contact to its 1-mono partner, for tricky
+    __slots__ = ("vset", "rep", "hub_edge", "kind", "lone", "mate")
+
+    def __init__(self, vset: set[int], rep: int, hub_edge: int):
+        self.vset = vset
+        self.rep = rep                    # smallest hub neighbour inside the piece
+        self.hub_edge = hub_edge          # the edge from the hub to rep
+        self.kind = "nice"                # nice | bad | tricky
+        self.lone: int | None = None      # edge from rep to the single even contact, for bad/tricky
+        self.mate: int | None = None      # edge from that contact to its 1-mono partner, for tricky
 
 
 def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
@@ -570,12 +572,14 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
 # Driver
 
 
-@dataclass
 class RepairResult:
-    labelling: Labelling
-    conflicts_in: int                        # conflicting edges of the input labelling
-    tally: Counter = field(default_factory=Counter)  # components by fixer case
-    component_vertices: list[list[int]] = field(default_factory=list)
+    __slots__ = ("labelling", "conflicts_in", "tally", "component_vertices")
+
+    def __init__(self, labelling: Labelling, conflicts_in: int):
+        self.labelling = labelling
+        self.conflicts_in = conflicts_in     # conflicting edges of the input labelling
+        self.tally: dict[str, int] = {}      # components by fixer case
+        self.component_vertices: list[list[int]] = []
 
 
 def run_repair_pass(g: Graph, part_of: list[int], l: Labelling) -> RepairResult:
@@ -603,6 +607,6 @@ def run_repair_pass(g: Graph, part_of: list[int], l: Labelling) -> RepairResult:
         if violations:
             raise InvariantViolation(
                 f"component {comp.vertices} not settled after {case}: {violations}")
-        result.tally[case] += 1
+        result.tally[case] = result.tally.get(case, 0) + 1
         result.component_vertices.append(comp.vertices)
     return result

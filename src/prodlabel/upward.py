@@ -18,18 +18,18 @@ That guarantees no surviving conflict pair forms an isolated bottom edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
 
 
-@dataclass
 class UpwardResult:
-    labelling: Labelling
-    part_of: list[int]
-    swaps: int = 0
-    branches: dict[str, int] = field(default_factory=dict)  # vertices of parts >= 3 by branch
+    __slots__ = ("labelling", "part_of", "swaps", "branches")
+
+    def __init__(self, labelling: Labelling, part_of: list[int]):
+        self.labelling = labelling
+        self.part_of = part_of
+        self.swaps = 0  # swaps made; a swap undone at the same vertex counts twice
+        self.branches: dict[str, int] = {}  # vertices of parts >= 3 by branch
 
 
 def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:

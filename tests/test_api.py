@@ -3,9 +3,9 @@
 Helpers that only tests use live in ``tests/spec.py``; a module-level
 function or class in ``src/prodlabel`` must be reachable from ``cli.main``
 or from a name in ``prodlabel.__all__``, every method and property of a
-class and every field of an unexported dataclass must be read by the
-package itself, and every parameter default must be overridden by some
-call inside the package.
+class must be read by the package itself, every unexported class lists
+its fields in ``__slots__`` and the package reads each of them, and every
+parameter default must be overridden by some call inside the package.
 """
 
 import ast
@@ -143,17 +143,26 @@ def test_every_method_is_read():
     assert unread == []
 
 
+def slot_fields(cls: ast.ClassDef) -> list[str]:
+    """The entries of a class's ``__slots__``; empty when it declares none."""
+    return [name for node in cls.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def test_every_field_is_read():
-    """Fields of the exported dataclasses (``PipelineReport``,
-    ``Labelling``) are exempt: callers outside the package read them."""
+    """A field is an entry of ``__slots__``.  The exported classes
+    (``Graph``, ``PipelineReport``, ``Labelling``) are exempt: callers
+    outside the package read their fields.  Every other class declares
+    ``__slots__``, so none of its fields escapes the check."""
     classes = package_classes()
     reads = attribute_reads(classes)
-    dataclasses = [cls for name, cls in classes.items() if name not in prodlabel.__all__
-                   and any(isinstance(n, ast.Name) and n.id == "dataclass"
-                           for d in cls.decorator_list for n in ast.walk(d))]
-    unread = [f"{cls.name}.{node.target.id}" for cls in dataclasses for node in cls.body
-              if isinstance(node, ast.AnnAssign) and cls.name not in reads.get(node.target.id, ())]
-    assert dataclasses
+    unexported = {name: slot_fields(cls) for name, cls in classes.items()
+                  if name not in prodlabel.__all__}
+    assert sorted(name for name, fields in unexported.items() if not fields) == []
+    assert "ProfileTracker" in unexported and "RepairResult" in unexported
+    unread = [f"{name}.{field}" for name, fields in unexported.items() for field in fields
+              if name not in reads.get(field, ())]
     assert unread == []
 
 

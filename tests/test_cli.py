@@ -326,17 +326,36 @@ class TestFuzzCommand:
         assert code == 1
 
 
-def test_imports_only_the_standard_library():
-    """A fresh interpreter that imports the package and its CLI loads no
-    module from outside the standard library."""
+def run_fresh(code: str, *flags: str) -> str:
+    """What ``code`` prints in a fresh interpreter that finds the package
+    under test first on its path."""
     src = os.path.dirname(os.path.dirname(prodlabel.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_imports_only_the_standard_library():
+    """A fresh interpreter that imports the package and its CLI loads no
+    module from outside the standard library."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import prodlabel, prodlabel.cli\n"
             "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(loaded - sys.stdlib_module_names - {'prodlabel'}))\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert run_fresh(code) == "[]\n"
+
+
+def test_cold_start_skips_dataclasses_and_inspect():
+    """Importing the CLI and labelling the triangle with a pendant loads
+    neither ``dataclasses`` nor ``inspect``, which pulls in ``ast``,
+    ``dis`` and ``tokenize`` as well.  ``-S`` leaves out the ``site``
+    module, so no installed ``.pth`` file can load them first."""
+    code = ("import sys\n"
+            "import prodlabel.cli\n"
+            "g = prodlabel.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])\n"
+            "assert prodlabel.label_graph(g).verified\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    assert run_fresh(code, "-S") == "[]\n"

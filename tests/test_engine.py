@@ -84,12 +84,24 @@ class TestLabelGraph:
     def test_deterministic(self):
         for seed in range(30):
             g = random_nice_graph(15, 0.25, seed)
-            assert label_graph(g).labelling.labels == label_graph(g).labelling.labels
+            assert label_graph(g) == label_graph(g)
 
     def test_edgeless(self):
         rep = label_graph(Graph(4, []))
         assert rep.verified and rep.labelling.labels == []
         assert rep.part_of is None and rep.stats == {}
+
+    def test_reports_compare_by_value(self):
+        g = random_nice_graph(6, 0.4, 105)
+        a, b = label_graph(g), label_graph(g)
+        assert a == b and a is not b
+        b.stats["upward.swaps"] += 1
+        assert a != b
+        assert a != a.labelling
+
+    def test_report_repr_names_its_fields(self):
+        assert repr(label_graph(Graph(2, []))) == (
+            "PipelineReport(labelling=Labelling(labels=[]), part_of=None, conflicts=[], stats={})")
 
     @pytest.mark.parametrize("g, stats", [
         (random_nice_graph(6, 0.4, 105), {"upward.swaps": 2, "upward.branch.plain": 1,

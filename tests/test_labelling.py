@@ -133,6 +133,20 @@ class TestProfileTracker:
             assert tracker.key(v) == (p.d2, p.d3)
 
 
+class TestLabellingValue:
+    def test_equal_labels_compare_equal(self):
+        l = Labelling([2, 3])
+        assert l == Labelling([2, 3]) and l.copy() == l and l.copy().labels is not l.labels
+        assert l != Labelling([3, 2]) and l != [2, 3]
+
+    def test_repr_names_its_field(self):
+        assert repr(Labelling([2, 3])) == "Labelling(labels=[2, 3])"
+
+    def test_unhashable_like_its_list(self):
+        with pytest.raises(TypeError):
+            hash(Labelling([1]))
+
+
 class TestFormats:
     def test_labelling_lines(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -147,7 +161,7 @@ class TestFormats:
     def test_parse_round_trip(self):
         g = Graph(3, [(0, 1), (1, 2)])
         l = Labelling([2, 3])
-        assert parse_labelling(g, format_labelling(g, l)).labels == l.labels
+        assert parse_labelling(g, format_labelling(g, l)) == l
 
     def test_parse_rejects_missing_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])

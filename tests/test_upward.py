@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from prodlabel import Graph, Labelling
+from prodlabel import Graph, Labelling, label_graph
 from prodlabel.engine import random_nice_graph
 from prodlabel.partition import _end_edges, build_valid_partition
 from prodlabel.upward import run_upward_pass
@@ -124,6 +124,16 @@ class TestRunUpwardPass:
             assert set(moved) <= set(end_edge)
             for v in moved:
                 assert {p[v], res.part_of[v]} == {1, 2}
+
+    def test_swaps_counts_swaps_made(self):
+        # Vertex 4 (part 3) swaps the ends of the pending edge (3, 6) and then
+        # swaps them back in its z-branch: two swaps, and no vertex moves.
+        g = Graph(7, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 4), (1, 5), (2, 4), (2, 5),
+                      (3, 5), (3, 6), (4, 6)])
+        p, end_edge = build_valid_partition(g)
+        res = run_upward_pass(g, p, end_edge)
+        assert res.swaps == 2 and res.part_of == p
+        assert label_graph(g).stats["upward.swaps"] == 2
 
     def test_only_upward_edges_of_deep_vertices_change(self):
         for seed in range(200):
