@@ -22,7 +22,8 @@ up by its ends.  ``fix_anchored`` and ``fix_hub`` find each piece or block
 with one breadth-first walk from its smallest contact, and that walk is the
 spanning tree of its parity pass.
 
-Three mutually exclusive fixers cover all components, tried in order:
+Three fixers cover all components, tried in order; each returns None, with
+no label touched, when it does not apply:
 
 * ``fix_anchored``  - the component has (or gains) a 3-anchored side-1 vertex;
 * ``fix_hub``       - a 1-monochromatic side-2 vertex has two neighbours;
@@ -43,18 +44,14 @@ class ConflictComponent:
     walk that finds the component also counts ``degrees``.
     """
 
-    __slots__ = ("g", "vertices", "side", "eids", "degrees")
+    __slots__ = ("vertices", "side", "eids", "degrees")
 
-    def __init__(self, g: Graph, vertices: list[int], side: dict[int, int],
+    def __init__(self, vertices: list[int], side: dict[int, int],
                  eids: list[int], degrees: dict[int, int]):
-        self.g = g
         self.vertices = vertices                 # sorted global ids
         self.side = side                         # 1 or 2, from the partition
         self.eids = eids                         # sorted global edge ids
         self.degrees = degrees                   # degree inside the component
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
 
 def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
@@ -64,7 +61,7 @@ def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
 
 
 def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
-    edges, d2, d3 = comp.g.edges, state.d2, state.d3
+    edges, d2, d3 = state.g.edges, state.d2, state.d3
     for eid in comp.eids:
         u, v = edges[eid]
         if d2[u] == d2[v] and d3[u] == d3[v]:
@@ -73,7 +70,7 @@ def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
 
 
 def conflict_components(g: Graph, part_of: list[int],
-                        l: Labelling | ProfileTracker) -> tuple[list[ConflictComponent], int]:
+                        state: ProfileTracker) -> tuple[list[ConflictComponent], int]:
     """Connected components of the bottom subgraph that contain a conflict,
     ordered by smallest vertex, and the number of conflicting edges.
 
@@ -85,7 +82,6 @@ def conflict_components(g: Graph, part_of: list[int],
     conflict component would mean the upward pass failed to break up an
     isolated bottom edge.
     """
-    state = l if isinstance(l, ProfileTracker) else ProfileTracker(g, l)
     d2, d3, adj = state.d2, state.d3, g.adj
     covered: set[int] = set()
     out = []
@@ -119,7 +115,7 @@ def conflict_components(g: Graph, part_of: list[int],
             raise InvariantViolation(
                 f"conflict component {vertices} has fewer than two edges")
         eids.sort()
-        out.append(ConflictComponent(g, vertices, side, eids, degrees))
+        out.append(ConflictComponent(vertices, side, eids, degrees))
     out.sort(key=lambda comp: comp.vertices[0])
     return out, conflicts
 
@@ -127,7 +123,7 @@ def conflict_components(g: Graph, part_of: list[int],
 def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list[str]:
     """Empty iff the component has no internal conflict and every vertex is
     monochromatic or special."""
-    edges, d2, d3 = comp.g.edges, state.d2, state.d3
+    edges, d2, d3 = state.g.edges, state.d2, state.d3
     out = []
     for eid in comp.eids:
         u, v = edges[eid]
@@ -167,24 +163,25 @@ def _walk(state: ProfileTracker, vset, root: int, s: int):
 
 
 def _flip(state: ProfileTracker, order: list[int], tree, bad: int | None,
-          need: dict[int, bool], s: int) -> None:
-    """Toggle the tree edges of a ``_walk`` (1 <-> s) bottom-up so every
-    vertex with ``need`` set has its s-parity flipped; the root absorbs the
-    slack.  Each non-root vertex owns exactly one tree edge towards the root,
-    processed after all edges below it, so one pass settles every requested
-    flip exactly.  ``need`` is consumed.  A walk that met a label other than
-    1 or s (``bad``) is a broken construction."""
+          side, odd_side: int, s: int) -> None:
+    """Toggle the tree edges of a ``_walk`` (1 <-> s) bottom-up so that each
+    vertex but the root ends with an odd s-count iff its ``side`` is
+    ``odd_side``; the root absorbs the slack.  A vertex reaches the pass after
+    every vertex below it, so its live s-count in the tracker already holds
+    their flips, and the one tree edge above it flips iff that count has the
+    wrong parity.  A walk that met a label other than 1 or s (``bad``) is a
+    broken construction."""
     if bad is not None:
         raise InvariantViolation(f"edge {bad} carries label {state.label(bad)}, expected 1 or {s}")
+    counts = state.d2 if s == 2 else state.d3
     for v in order[:0:-1]:  # reverse visit order, root excluded
-        if need.get(v):
-            parent, eid = tree[v]
+        if (counts[v] % 2 == 1) != (side[v] == odd_side):
+            eid = tree[v][1]
             state.set(eid, s if state.label(eid) == 1 else 1)
-            need[parent] = not need.get(parent, False)
 
 
 def _sweep(state: ProfileTracker, vset: set[int], root: int,
-           need_flip: dict[int, bool], s: int) -> None:
+           side, odd_side: int, s: int) -> None:
     """``_flip`` over a spanning tree of the subgraph induced by ``vset``,
     which must be connected and contain the root, and every edge of which
     must carry label 1 or s.  The fixers guarantee both, so a failure here
@@ -193,14 +190,7 @@ def _sweep(state: ProfileTracker, vset: set[int], root: int,
     order, tree, bad = _walk(state, vset, root, s)
     if len(order) != len(vset):
         raise InvariantViolation("parity sweep requires a connected subgraph")
-    _flip(state, order, tree, bad, dict(need_flip), s)
-
-
-def _need(counts: list[int], side: dict[int, int], vertices, root: int,
-          odd_side: int) -> dict[int, bool]:
-    """The vertices other than the root whose parity in ``counts`` must flip
-    so that exactly those on side ``odd_side`` end odd."""
-    return {v: (counts[v] % 2 == 1) != (side[v] == odd_side) for v in vertices if v != root}
+    _flip(state, order, tree, bad, side, odd_side, s)
 
 
 def nullstellensatz_assign(counts) -> list[int]:
@@ -248,24 +238,13 @@ def nullstellensatz_assign(counts) -> list[int]:
 # Fixers
 
 
-def anchor_trigger(comp: ConflictComponent, state: ProfileTracker):
-    """None unless the component has a 3-anchored side-1 vertex or a seed
-    for one; else a one-tuple holding ``_anchor_seed``'s result (None when
-    an anchor exists but no seed), the argument ``fix_anchored`` takes."""
-    seed = _anchor_seed(comp, state)
-    if seed is not None or any(comp.side[v] == 1 and state.d3[v] > 0 and state.d2[v] == 0
-                               for v in comp.vertices):
-        return (seed,)
-    return None
-
-
 def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
     """Smallest 1-mono side-1 vertex with two 1-mono pendant side-2 neighbours."""
-    g, degrees = comp.g, comp.degrees
+    adj, degrees = state.g.adj, comp.degrees
     for v in comp.vertices:
         if comp.side[v] == 1 and state.is_mono1(v):
             first = None
-            for w, eid in g.adj[v]:
+            for w, eid in adj[v]:
                 if degrees.get(w) == 1 and state.is_mono1(w):
                     if first is not None:
                         return v, first, (w, eid)
@@ -273,16 +252,17 @@ def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
     return None
 
 
-def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
-    """Settle a component around its 3-anchored side-1 vertices.
+def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
+    """Settle a component around its 3-anchored side-1 vertices; None, with
+    no label touched, when it has neither an anchor nor a seed for one.
 
-    ``seed`` is ``_anchor_seed``'s result, as ``anchor_trigger`` hands it
-    over.  If there is one, its 1-mono side-1 vertex is turned into a new
-    anchor through its two 1-mono pendant side-2 neighbours (both pendant
-    edges get label 3).  Pieces hanging off the anchors are given
-    alternating 2-parities, leftover 1-mono contact vertices are absorbed by
-    a second 1/3 parity pass over the anchor contact graph, and odd anchors
-    are evened out by rerouting one 3 onto a reserve neighbour.
+    The seed is ``_anchor_seed``'s result, searched once.  If there is one,
+    its 1-mono side-1 vertex is turned into a new anchor through its two
+    1-mono pendant side-2 neighbours (both pendant edges get label 3).
+    Pieces hanging off the anchors are given alternating 2-parities,
+    leftover 1-mono contact vertices are absorbed by a second 1/3 parity
+    pass over the anchor contact graph, and odd anchors are evened out by
+    rerouting one 3 onto a reserve neighbour.
 
     Both passes find their pieces in ascending vertex order: the first
     vertex not yet covered that touches an anchor is the smallest contact
@@ -290,11 +270,11 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
     its part of the contact graph), and one breadth-first walk from it
     collects the piece and is the spanning tree of its parity pass.
     """
-    g = comp.g
-    adj, side, d2, d3 = g.adj, comp.side, state.d2, state.d3
+    adj, side, d2, d3 = state.g.adj, comp.side, state.d2, state.d3
+    seed = _anchor_seed(comp, state)
     case = "anchor"
     if seed is not None:
-        v1, (u1, e1), (u2, e2) = seed
+        _, (_, e1), (_, e2) = seed
         state.set(e1, 3)
         state.set(e2, 3)
         case = "anchor-seeded"
@@ -303,6 +283,8 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
 
     anchors = [v for v in comp.vertices if side[v] == 1 and d3[v] > 0 and d2[v] == 0]
     if not anchors:
+        if seed is None:
+            return None
         raise InvariantViolation("anchored fixer ran without any 3-anchored vertex")
     anchor_set = set(anchors)
 
@@ -322,7 +304,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
         if any(side[v] == 2 and d3[v] > 0 for v in order):
             continue  # pendant vertices already retyped by the seeding step
         if len(order) > 1:
-            _flip(state, order, tree, bad, _need(d2, side, order, y, 2), 2)
+            _flip(state, order, tree, bad, side, 2, 2)
         if d2[y] % 2 == 1:
             continue
         if d2[y] > 0:
@@ -348,7 +330,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
             if len(order) == 1:
                 continue  # an anchor without contacts: nothing to flip
             covered.update(order)
-            _flip(state, order, tree, bad, _need(d3, side, order, xk, 2), 3)
+            _flip(state, order, tree, bad, side, 2, 3)
             if d3[xk] % 2 == 1:
                 for y, exy in adj[xk]:
                     if y not in tree or side[y] != 2 or state.key(y) != state.key(xk):
@@ -361,7 +343,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker, seed) -> str:
 
 def hub_vertex(comp: ConflictComponent, state: ProfileTracker) -> int | None:
     for v in comp.vertices:
-        if comp.side[v] == 2 and state.is_mono1(v) and comp.degree(v) >= 2:
+        if comp.side[v] == 2 and state.is_mono1(v) and comp.degrees[v] >= 2:
             return v
     return None
 
@@ -378,8 +360,9 @@ class _Piece:
         self.mate: int | None = None      # edge from that contact to its 1-mono partner, for tricky
 
 
-def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
-    """Settle a component around a 1-mono side-2 hub with >= 2 neighbours.
+def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
+    """Settle a component around the 1-mono side-2 hub with >= 2 neighbours
+    that ``hub_vertex`` finds; None, with no label touched, if there is none.
 
     Every piece of the component minus the hub is first normalised by 1/2
     parity passes; pieces are then classified by their contact vertices and
@@ -392,7 +375,10 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
     smallest contact collects the block and is the spanning tree of its
     parity pass, as in ``fix_anchored``.
     """
-    g = comp.g
+    u = hub_vertex(comp, state)
+    if u is None:
+        return None
+    g = state.g
     for v in comp.vertices:
         if state.d3[v] != 0:
             raise InvariantViolation(f"hub fixer entered with a 3-count at vertex {v}")
@@ -420,7 +406,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker, u: int) -> str:
             piece.vset.update(order)
             contacts.append((xj, exj))
             if len(order) > 1:
-                _flip(state, order, tree, bad, _need(state.d2, comp.side, order, xj, 2), 2)
+                _flip(state, order, tree, bad, comp.side, 2, 2)
         evens = [(x, ex) for x, ex in contacts if state.d2[x] % 2 == 0]
         if len(evens) >= 2 or (evens and state.d2[evens[0][0]] >= 1):
             for _, ez in evens:
@@ -531,7 +517,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     from below.  One 1/2 parity pass over the component minus the pendant
     leaves at most the partner unbalanced, and a single 3 repairs it.
     """
-    g = comp.g
+    g = state.g
     pair = None
     for eid in comp.eids:
         a, b = g.edges[eid]
@@ -542,8 +528,8 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
         raise InvariantViolation("pendant fixer ran on a settled component")
     eid_uv, a, b = pair
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
-    if comp.degree(u) != 1:
-        raise InvariantViolation(f"pendant vertex {u} has degree {comp.degree(u)}")
+    if comp.degrees[u] != 1:
+        raise InvariantViolation(f"pendant vertex {u} has degree {comp.degrees[u]}")
     xs = [(w, e) for w, e in _within(g, v, comp.side) if w != u]
     if not xs:
         raise InvariantViolation("conflict pair is an isolated edge")
@@ -552,7 +538,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
             raise InvariantViolation(f"side-2 neighbour {x} is not 2-monochromatic")
 
     rest = set(comp.vertices) - {u}
-    _sweep(state, rest, v, _need(state.d2, comp.side, rest, v, 1), 2)
+    _sweep(state, rest, v, comp.side, 1, 2)
 
     if state.d2[v] % 2 == 1:
         return "pendant-balanced"
@@ -585,24 +571,16 @@ class RepairResult:
 def run_repair_pass(g: Graph, part_of: list[int], l: Labelling) -> RepairResult:
     """Fix every conflicting bottom component; returns the new labelling.
 
-    For each component exactly one fixer runs, chosen by trigger order, and
-    the settled state (no internal conflict, all vertices monochromatic or
-    special) is re-checked before moving on.
+    For each component the first fixer that applies runs, and the settled
+    state (no internal conflict, all vertices monochromatic or special) is
+    re-checked before moving on.
     """
     labelling = l.copy()
     state = ProfileTracker(g, labelling)
     comps, conflicts_in = conflict_components(g, part_of, state)
     result = RepairResult(labelling, conflicts_in)
     for comp in comps:
-        start = anchor_trigger(comp, state)
-        if start is not None:
-            case = fix_anchored(comp, state, *start)
-        else:
-            u = hub_vertex(comp, state)
-            if u is not None:
-                case = fix_hub(comp, state, u)
-            else:
-                case = fix_pendant(comp, state)
+        case = fix_anchored(comp, state) or fix_hub(comp, state) or fix_pendant(comp, state)
         violations = component_violations(comp, state)
         if violations:
             raise InvariantViolation(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from prodlabel.graph import Graph
 from prodlabel.labelling import Labelling, ProfileTracker
-from prodlabel.repair import _need, _sweep, _within
+from prodlabel.repair import _sweep, _within
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -231,7 +231,11 @@ def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
             u, v = g.edges[eid]
             within[u] += 1
             within[v] += 1
-    need = _need(within, colour, vset, exempt, 0 if odd_on_exempt_side else 1)
+    # The sweep sets the parity of each vertex's whole s-count, so a vertex
+    # with an odd number of s-edges leaving the set wants the other parity.
+    counts = state.d2 if s == 2 else state.d3
+    odd_colour = 0 if odd_on_exempt_side else 1
+    odd = {v: (colour[v] == odd_colour) != ((counts[v] - within[v]) % 2 == 1) for v in vset}
     before = {eid: state.label(eid) for eid in edge_ids}
-    _sweep(state, vset, exempt, need, s)
+    _sweep(state, vset, exempt, odd, True, s)
     return [eid for eid in edge_ids if state.label(eid) != before[eid]]

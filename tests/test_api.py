@@ -93,6 +93,17 @@ def classes_named(node, classes) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in classes}
 
 
+def test_no_parameter_takes_two_package_classes():
+    """A parameter annotated with two package classes makes its function
+    fork on which one it was given; each parameter takes one kind."""
+    classes = package_classes()
+    forks = [f"{module}.{func.name}({arg.arg})" for module, tree in package_trees().items()
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for arg in func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+             if arg.annotation and len(classes_named(arg.annotation, classes)) > 1]
+    assert forks == []
+
+
 def attribute_reads(classes) -> dict[str, set[str]]:
     """Each attribute name the package reads, mapped to the classes whose
     instances the receiver may be.

@@ -10,8 +10,8 @@ from prodlabel.partition import build_valid_partition
 import prodlabel.repair as repair_module
 from prodlabel.repair import (
     ConflictComponent,
+    _anchor_seed,
     _sweep,
-    anchor_trigger,
     component_violations,
     conflict_components,
     fix_anchored,
@@ -47,6 +47,12 @@ def the_component(g, p, state):
     comps, _ = conflict_components(g, p, state)
     assert len(comps) == 1
     return comps[0]
+
+
+# Hub u=0 in part 2 with three pendant part-1 leaves.
+HUB_6 = ([{1, 2, 3}, {0}], [(0, 1), (0, 2), (0, 3)])
+# Path u(0)-v(1)-x(2); x carries one downward 2.
+PENDANT_BALANCED = ([{1}, {0, 2}, {3}], [(0, 1), (1, 2), (2, 3)], [1, 1, 2])
 
 
 class TestParityRelabel:
@@ -131,13 +137,23 @@ class TestParityRelabel:
             parity_relabel(g, l, [0, 1], s=2, exempt=0)
         assert l.labels == [1, 1, 1]
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_parity_counts_subgraph_edges_only(self, s):
+        # Path 0-1-2-3 with the set {0, 1, 2}: vertex 2's s-labelled edge to
+        # 3 leaves the set, so its subgraph s-count starts even and must turn
+        # odd although its whole s-count is odd already.
+        g = path_graph(4)
+        l = Labelling([1, 1, s])
+        assert parity_relabel(g, l, [0, 1], s=s, exempt=0) == [0, 1]
+        assert l.labels == [s, s, s]
+
     def test_sweep_disconnected_is_internal(self):
         # parity_relabel checks connectivity first, so only a fixer can hand
         # the sweep a disconnected piece: that is a broken construction.
         g = Graph(4, [(0, 1), (2, 3)])
         state = ProfileTracker(g, Labelling.all_ones(g))
         with pytest.raises(InvariantViolation, match="connected"):
-            _sweep(state, {0, 1, 2, 3}, 0, {1: True, 3: True}, 2)
+            _sweep(state, {0, 1, 2, 3}, 0, {0: 1, 1: 2, 2: 1, 3: 2}, 1, 2)
         assert state.labelling.labels == [1, 1]
 
     def test_sweep_wrong_label_is_internal(self):
@@ -146,7 +162,7 @@ class TestParityRelabel:
         g = path_graph(3)
         state = ProfileTracker(g, Labelling([1, 3]))
         with pytest.raises(InvariantViolation, match="expected 1 or 2"):
-            _sweep(state, {0, 1, 2}, 0, {1: True, 2: True}, 2)
+            _sweep(state, {0, 1, 2}, 0, {0: 1, 1: 2, 2: 1}, 1, 2)
         assert state.labelling.labels == [1, 3]
 
     def test_sweep_keeps_to_its_vertex_set(self):
@@ -154,7 +170,7 @@ class TestParityRelabel:
         # labels checked.
         g = path_graph(4)
         state = ProfileTracker(g, Labelling([1, 1, 3]))
-        _sweep(state, {0, 1, 2}, 0, {1: True, 2: True}, 2)
+        _sweep(state, {0, 1, 2}, 0, {0: 1, 1: 1, 2: 1}, 1, 2)
         assert state.labelling.labels == [1, 2, 3]
 
 
@@ -203,26 +219,26 @@ class TestConflictComponents:
     def test_k3_clean(self):
         g = complete_graph(3)
         res = run_upward_pass(g, *build_valid_partition(g))
-        assert conflict_components(g, res.part_of, res.labelling) == ([], 0)
+        assert conflict_components(g, res.part_of, ProfileTracker(g, res.labelling)) == ([], 0)
 
     def test_star_whole(self):
         g = star_graph(3)
         p, _ = build_valid_partition(g)
-        comps, conflicts = conflict_components(g, p, Labelling.all_ones(g))
+        comps, conflicts = conflict_components(g, p, ProfileTracker(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3]
         assert conflicts == 3
 
     def test_p5_whole(self):
         g = path_graph(5)
         p, _ = build_valid_partition(g)
-        comps, conflicts = conflict_components(g, p, Labelling.all_ones(g))
+        comps, conflicts = conflict_components(g, p, ProfileTracker(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3, 4]
         assert conflicts == 4
 
     def test_single_edge_component_asserts(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(InvariantViolation, match="fewer than two edges"):
-            conflict_components(g, [1, 2], Labelling([1]))
+            conflict_components(g, [1, 2], ProfileTracker(g))
 
     @pytest.mark.parametrize("clean", [1, 40, 400])
     def test_clean_components_never_walked(self, clean):
@@ -250,7 +266,7 @@ class TestConflictComponents:
         assert [c.vertices for c in comps] == [[centre] + leaves]
         assert conflicts == 3 + clean  # the star's edges and every b-d
         assert comps[0].eids == [0, 1, 2]
-        assert [comps[0].degree(v) for v in comps[0].vertices] == [3, 1, 1, 1]
+        assert [comps[0].degrees[v] for v in comps[0].vertices] == [3, 1, 1, 1]
         assert g.adj.read <= 2 * star_degrees
 
     def test_ordered_by_smallest_vertex(self):
@@ -270,9 +286,8 @@ class TestFixAnchored:
         # 1-mono centre in part 1 with three 1-mono pendant part-2 leaves.
         g, p, state = fixture([{0}, {1, 2, 3}], [(0, 1), (0, 2), (0, 3)])
         comp = the_component(g, p, state)
-        start = anchor_trigger(comp, state)
-        assert start == ((0, (1, 0), (2, 1)),)  # centre 0 with pendants 1 and 2
-        case = fix_anchored(comp, state, *start)
+        assert _anchor_seed(comp, state) == (0, (1, 0), (2, 1))  # centre 0 with pendants 1 and 2
+        case = fix_anchored(comp, state)
         assert case == "anchor-seeded-done"
         assert state.labelling.labels == [3, 3, 1]
         assert [state.key(v) for v in range(4)] == [(0, 2), (0, 1), (0, 1), (0, 0)]
@@ -287,9 +302,8 @@ class TestFixAnchored:
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
         assert comp.vertices == [0, 1, 2, 3, 4, 5]
-        start = anchor_trigger(comp, state)
-        assert start == (None,)  # anchored already, no seed
-        fix_anchored(comp, state, *start)
+        assert _anchor_seed(comp, state) is None  # anchored already, no seed
+        assert fix_anchored(comp, state) == "anchor"
         assert state.key(1) == (2, 1)  # special contact
         assert state.labelling.labels[0] == 3
         assert component_violations(comp, state) == []
@@ -300,7 +314,7 @@ class TestFixAnchored:
         side = {v: p[v] for v in vertices}
         edge_ids = sorted(eid for eid, (a, b) in enumerate(g.edges) if a in side and b in side)
         degrees = {v: sum(1 for w, _ in g.adj[v] if w in side) for v in vertices}
-        return ConflictComponent(g, sorted(vertices), side, edge_ids, degrees)
+        return ConflictComponent(sorted(vertices), side, edge_ids, degrees)
 
     @pytest.mark.parametrize("retyped", [False, True])
     def test_piece_without_contact(self, retyped):
@@ -314,11 +328,11 @@ class TestFixAnchored:
         g, p, state = fixture(parts, edges, labels)
         comp = self._merged(g, p, range(10))
         if retyped:
-            fix_anchored(comp, state, None)
+            fix_anchored(comp, state)
             assert state.labelling.labels[6:] == [1, 1, 3]
         else:
             with pytest.raises(InvariantViolation, match="piece without contact"):
-                fix_anchored(comp, state, None)
+                fix_anchored(comp, state)
 
     def test_retyped_piece_left_alone(self):
         # test_contact_turns_special with a 3 on the side-2 vertex 3 of the
@@ -330,7 +344,7 @@ class TestFixAnchored:
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
         assert comp.vertices == [0, 1, 2, 3, 4, 5]
-        assert fix_anchored(comp, state, *anchor_trigger(comp, state)) == "anchor"
+        assert fix_anchored(comp, state) == "anchor"
         assert state.labelling.labels == labels
 
     def test_leftover_one_mono_contacts(self):
@@ -341,19 +355,18 @@ class TestFixAnchored:
         labels = [1, 1, 1, 1, 1, 3]
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
-        fix_anchored(comp, state, *anchor_trigger(comp, state))
+        fix_anchored(comp, state)
         assert component_violations(comp, state) == []
 
 
 class TestFixHub:
     def test_star_nullstellensatz(self):
-        # Hub u=0 in part 2, three pendant part-1 leaves: endgame assignment
-        # (1,1,0) labels the first two hub edges 3.
-        g, p, state = fixture([{1, 2, 3}, {0}], [(0, 1), (0, 2), (0, 3)])
+        # Endgame assignment (1,1,0) labels the first two hub edges 3.
+        g, p, state = fixture(*HUB_6)
         comp = the_component(g, p, state)
-        assert not anchor_trigger(comp, state)
+        assert fix_anchored(comp, state) is None
         assert hub_vertex(comp, state) == 0
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-6"
         assert state.labelling.labels == [3, 3, 1]
         assert [state.key(v) for v in range(4)] == [(0, 2), (0, 1), (0, 1), (0, 0)]
@@ -369,9 +382,9 @@ class TestFixHub:
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
         assert comp.vertices == [0, 1, 2, 3, 4, 5]
-        assert not anchor_trigger(comp, state)
+        assert fix_anchored(comp, state) is None
         assert hub_vertex(comp, state) == 0
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-2-single"
         assert state.d2[3] == 1 and state.d2[1] == 2 and state.d2[0] == 1
         assert component_violations(comp, state) == []
@@ -399,9 +412,9 @@ class TestFixHub:
     def test_case5_cycle(self):
         g, p, state = self._case5_fixture(extra_singleton=False)
         comp = the_component(g, p, state)
-        assert not anchor_trigger(comp, state)
+        assert fix_anchored(comp, state) is None
         assert hub_vertex(comp, state) == 0
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-5-cycle"
         assert state.key(0) == (2, 0)
         assert component_violations(comp, state) == []
@@ -409,7 +422,7 @@ class TestFixHub:
     def test_case5_odd(self):
         g, p, state = self._case5_fixture(extra_singleton=True)
         comp = the_component(g, p, state)
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-5-odd"
         assert state.key(0) == (1, 0)
         assert component_violations(comp, state) == []
@@ -422,7 +435,7 @@ class TestFixHub:
         edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4)]
         g, p, state = fixture(parts, edges)
         comp = the_component(g, p, state)
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-5-cycle-special"
         assert state.key(0) == (2, 1)  # hub went special
         assert component_violations(comp, state) == []
@@ -434,7 +447,7 @@ class TestFixHub:
         edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
         g, p, state = fixture(parts, edges)
         comp = the_component(g, p, state)
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-1-even"
         assert component_violations(comp, state) == []
         # Tricky plus bad piece: the bad rewiring makes the hub odd first.
@@ -442,7 +455,7 @@ class TestFixHub:
         edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)]
         g, p, state = fixture(parts, edges)
         comp = the_component(g, p, state)
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-1-odd"
         assert component_violations(comp, state) == []
 
@@ -454,7 +467,7 @@ class TestFixHub:
         labels = [1, 1, 1, 1, 2]
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-4-plain"
         assert state.key(0) == (0, 2)
         assert component_violations(comp, state) == []
@@ -466,7 +479,7 @@ class TestFixHub:
                               [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
         comp = TestFixAnchored._merged(g, p, range(7))
         with pytest.raises(InvariantViolation, match="vertex 4 is not attached to the hub 0"):
-            fix_hub(comp, state, 0)
+            fix_hub(comp, state)
 
     def test_case4_anchored(self):
         # The single even contact has two downward 2s, so the nice fix makes
@@ -476,7 +489,7 @@ class TestFixHub:
         labels = [1, 1, 1, 1, 2, 2]
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
-        case = fix_hub(comp, state, 0)
+        case = fix_hub(comp, state)
         assert case == "hub-4-anchored"
         assert state.key(3) == (2, 1)  # contact turned special
         assert component_violations(comp, state) == []
@@ -490,7 +503,7 @@ class TestFixPendant:
         labels = [1, 1, 2, 2]
         g, p, state = fixture(parts, edges, labels)
         comp = the_component(g, p, state)
-        assert not anchor_trigger(comp, state)
+        assert fix_anchored(comp, state) is None
         assert hub_vertex(comp, state) is None
         case = fix_pendant(comp, state)
         assert case == "pendant-special-reserve"
@@ -516,14 +529,26 @@ class TestFixPendant:
 
     def test_balanced_needs_no_extra_edit(self):
         # One odd reserve contact: the parity pass alone settles v.
-        parts = [{1}, {0, 2}, {3}]
-        edges = [(0, 1), (1, 2), (2, 3)]
-        labels = [1, 1, 2]
-        g, p, state = fixture(parts, edges, labels)
+        g, p, state = fixture(*PENDANT_BALANCED)
         comp = the_component(g, p, state)
         case = fix_pendant(comp, state)
         assert case == "pendant-balanced"
         assert component_violations(comp, state) == []
+
+
+@pytest.mark.parametrize("fixer, scenario, case", [
+    (fix_anchored, PENDANT_BALANCED, "pendant-balanced"),
+    (fix_hub, PENDANT_BALANCED, "pendant-balanced"),
+    (fix_anchored, HUB_6, "hub-6"),
+], ids=["anchored-on-pendant", "hub-on-pendant", "anchored-on-hub"])
+def test_fixer_that_does_not_apply(fixer, scenario, case):
+    # Returns None and touches no label; the driver then tries the next one.
+    g, p, state = fixture(*scenario)
+    comp = the_component(g, p, state)
+    before = (list(state.labelling.labels), list(state.d2), list(state.d3))
+    assert fixer(comp, state) is None
+    assert (state.labelling.labels, state.d2, state.d3) == before
+    assert run_repair_pass(g, p, state.labelling).tally == {case: 1}
 
 
 # One minimal graph per fixer case not pinned above, found by seeded search
@@ -620,8 +645,8 @@ class TestRunRepairPass:
         assert g.adj.read <= 20 * g.m
 
     def test_one_anchor_seed_search_per_component(self, monkeypatch):
-        # The trigger hands its seed to the anchored fixer, which does not
-        # search for it again.
+        # The anchored fixer searches for its seed once, whether or not it
+        # applies; no other fixer searches for one.
         calls = []
         seed_of = repair_module._anchor_seed
         monkeypatch.setattr(repair_module, "_anchor_seed",
@@ -639,13 +664,13 @@ class TestRunRepairPass:
         # smallest anchor): no component search, every vertex walked at most
         # once per pass, and no parity flip on a one-vertex piece.
         graphs = [PINNED_CASES["anchor"], PINNED_CASES["anchor-seeded"]] + seeded_graphs()
-        walks, flips, _ = spy_walks(monkeypatch, "fix_anchored", graphs)
+        walks, flips, tally = spy_walks(monkeypatch, "fix_anchored", graphs)
         assert not hasattr(repair_module, "connected_components")
         assert_one_walk_per_vertex(walks, flips)
         # Not vacuous: one-vertex pieces and both passes were reached.
         pieces = [order for per_pass in walks for (s, _), orders in per_pass.items()
                   if s == 2 for order in orders]
-        assert len(walks) > 150
+        assert sum(count for case, count in tally.items() if case.startswith("anchor")) > 150
         assert any(len(order) == 1 for order in pieces)
         assert any(len(order) > 1 for order in pieces)
         assert any(s == 3 for per_pass in walks for s, _ in per_pass)
