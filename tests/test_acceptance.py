@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 as they pass; each test also asserts its criterion at full strength.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -40,13 +42,22 @@ def seeded_nice_graph(trial: int, n_max: int) -> Graph:
     return random_nice_graph(n, p, seed=trial)
 
 
+# sha256 over criterion 1's trials, in order, of
+# json.dumps([labels, part_of, sorted(stats.items())]).  A change that
+# alters labels on purpose says so and updates the pin.
+CRITERION_1_DIGEST = "e16d5b22c99ffda9ed261ec7d06bb62f1dca3e830011d8762f78cc9a19184a94"
+
+
 def test_criterion_1_end_to_end_theorem():
     trials = 10_000
     start = time.time()
     failures = 0
+    digest = hashlib.sha256()
     for trial in range(trials):
         g = seeded_nice_graph(trial, 60)
         rep = label_graph(g)
+        digest.update(json.dumps([rep.labelling.labels, rep.part_of,
+                                  sorted(rep.stats.items())]).encode())
         if any(lab not in (1, 2, 3) for lab in rep.labelling.labels):
             failures += 1
         elif exact_conflicts(g, rep.labelling.labels):
@@ -54,6 +65,7 @@ def test_criterion_1_end_to_end_theorem():
     elapsed = time.time() - start
     report(1, failures == 0 and elapsed < 360.0,
            f"{trials - failures}/{trials} labelled and verified in {elapsed:.1f}s")
+    assert digest.hexdigest() == CRITERION_1_DIGEST
 
 
 def test_criterion_2_oracle_agreement():
