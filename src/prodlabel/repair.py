@@ -11,8 +11,10 @@ are unaffected.
 Discovery starts from the conflicting edges, one pass over ``g.edges``, and
 walks only the bottom components that hold one.
 
-Every walk reads the input graph's own ``g.adj`` and keeps to a vertex set
-(the component, a piece or a block of it) by a membership test, so no
+The partition is the only record of a vertex's side.  A component is a whole
+connected component of the bottom subgraph, so a neighbour of one of its
+vertices is in it iff its part is 1 or 2.  Every walk reads the input
+graph's own ``g.adj`` and keeps to the bottom or to a vertex set, so no
 adjacency is ever copied.  ``g.adj`` is sorted by (neighbour, edge id), so
 the filtered lists hand out neighbours in ascending order and every
 smallest-neighbour choice is deterministic.  A fixer relabels an edge
@@ -39,19 +41,19 @@ from .labelling import Labelling, ProfileTracker
 class ConflictComponent:
     """One connected component of the bottom subgraph holding a conflict.
 
-    No adjacency of its own: the neighbours of v inside the component are
-    the entries of ``g.adj[v]`` whose vertex is a key of ``side``.  The
-    walk that finds the component also counts ``degrees``.
+    Only ``vertices`` and ``eids`` are its own: ``side`` is the pass's
+    ``part_of`` and ``degrees`` its bottom-degree list (0 off the bottom),
+    both shared by every component of the pass.
     """
 
     __slots__ = ("vertices", "side", "eids", "degrees")
 
-    def __init__(self, vertices: list[int], side: dict[int, int],
-                 eids: list[int], degrees: dict[int, int]):
+    def __init__(self, vertices: list[int], side: list[int],
+                 eids: list[int], degrees: list[int]):
         self.vertices = vertices                 # sorted global ids
-        self.side = side                         # 1 or 2, from the partition
+        self.side = side                         # part_of: 1 or 2 on the component
         self.eids = eids                         # sorted global edge ids
-        self.degrees = degrees                   # degree inside the component
+        self.degrees = degrees                   # degree inside the bottom subgraph
 
 
 def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
@@ -75,47 +77,43 @@ def conflict_components(g: Graph, part_of: list[int],
     ordered by smallest vertex, and the number of conflicting edges.
 
     One pass over ``g.edges`` counts the conflicting edges and finds the
-    bottom ones; one walk from each edge not yet covered collects its
-    component's vertices, sides, edges and inner degrees.  Components
+    bottom ones; one walk from each edge not yet walked writes its
+    component's bottom degrees and collects its vertices and edges.  Components
     without a conflict are never walked.  Each returned component is
     guaranteed (and asserted) to span at least two edges; a single-edge
     conflict component would mean the upward pass failed to break up an
     isolated bottom edge.
     """
     d2, d3, adj = state.d2, state.d3, g.adj
-    covered: set[int] = set()
+    degrees = [0] * g.n
     out = []
     conflicts = 0
     for u, v in g.edges:
         if d2[u] != d2[v] or d3[u] != d3[v]:
             continue
         conflicts += 1
-        if part_of[u] > 2 or part_of[v] > 2 or u in covered:
+        if part_of[u] > 2 or part_of[v] > 2 or degrees[u]:
             continue
-        side = {u: part_of[u]}
-        degrees: dict[int, int] = {}
+        vertices = [u]
         eids = []
-        stack = [u]
-        while stack:
-            x = stack.pop()
+        for x in vertices:  # grows while it is read: a queue
             degree = 0
             for w, eid in adj[x]:
                 if part_of[w] > 2:
                     continue
                 degree += 1
-                if w not in side:
-                    side[w] = part_of[w]
-                    stack.append(w)
+                if not degrees[w]:
+                    degrees[w] = -1  # queued; its own turn writes its degree
+                    vertices.append(w)
                 if x < w:
                     eids.append(eid)
             degrees[x] = degree
-        covered.update(side)
-        vertices = sorted(side)
+        vertices.sort()
         if len(eids) < 2:
             raise InvariantViolation(
                 f"conflict component {vertices} has fewer than two edges")
         eids.sort()
-        out.append(ConflictComponent(vertices, side, eids, degrees))
+        out.append(ConflictComponent(vertices, part_of, eids, degrees))
     out.sort(key=lambda comp: comp.vertices[0])
     return out, conflicts
 
@@ -245,7 +243,7 @@ def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
         if comp.side[v] == 1 and state.is_mono1(v):
             first = None
             for w, eid in adj[v]:
-                if degrees.get(w) == 1 and state.is_mono1(w):
+                if degrees[w] == 1 and state.is_mono1(w):
                     if first is not None:
                         return v, first, (w, eid)
                     first = w, eid
@@ -382,12 +380,12 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     for v in comp.vertices:
         if state.d3[v] != 0:
             raise InvariantViolation(f"hub fixer entered with a 3-count at vertex {v}")
-    nbrs = _within(g, u, comp.side)  # (hub neighbour, hub edge), ascending
+    rest = set(comp.vertices) - {u}  # the vertices no piece holds yet
+    nbrs = _within(g, u, rest)  # (hub neighbour, hub edge), ascending
     for w, _ in nbrs:
         if not state.is_mono1(w):
             raise InvariantViolation(f"hub neighbour {w} is not 1-monochromatic")
 
-    rest = set(comp.vertices) - {u}  # the vertices no piece holds yet
     pieces: list[_Piece] = []
     for rep, hub_edge in nbrs:
         if rep not in rest:
@@ -475,8 +473,8 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         if not others:
             continue
         x, ex = others[0]
-        for w, eid in _within(g, p.rep, comp.side):
-            if state.label(eid) == 3:
+        for w, eid in g.adj[p.rep]:
+            if comp.side[w] <= 2 and state.label(eid) == 3:
                 state.set(eid, 2)
         if state.d2[p.rep] % 2 == 1:
             state.set(p.hub_edge, 2)
@@ -530,14 +528,14 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
     if comp.degrees[u] != 1:
         raise InvariantViolation(f"pendant vertex {u} has degree {comp.degrees[u]}")
-    xs = [(w, e) for w, e in _within(g, v, comp.side) if w != u]
+    rest = set(comp.vertices) - {u}
+    xs = _within(g, v, rest)
     if not xs:
         raise InvariantViolation("conflict pair is an isolated edge")
     for x, _ in xs:
         if state.d3[x] != 0 or state.d2[x] < 1:
             raise InvariantViolation(f"side-2 neighbour {x} is not 2-monochromatic")
 
-    rest = set(comp.vertices) - {u}
     _sweep(state, rest, v, comp.side, 1, 2)
 
     if state.d2[v] % 2 == 1:

@@ -266,7 +266,7 @@ class TestConflictComponents:
         assert [c.vertices for c in comps] == [[centre] + leaves]
         assert conflicts == 3 + clean  # the star's edges and every b-d
         assert comps[0].eids == [0, 1, 2]
-        assert [comps[0].degrees[v] for v in comps[0].vertices] == [3, 1, 1, 1]
+        assert comps[0].degrees == [0] * centre + [3, 1, 1, 1]  # no clean vertex walked
         assert g.adj.read <= 2 * star_degrees
 
     def test_ordered_by_smallest_vertex(self):
@@ -279,6 +279,17 @@ class TestConflictComponents:
         assert [c.vertices for c in comps] == [[0, 1, 2], [3, 4, 5, 6]]
         assert conflicts == 5
         assert [c.eids for c in comps] == [[3, 4], [0, 1, 2]]
+
+    def test_components_share_the_partition_and_one_degree_list(self):
+        # Two conflicting components; vertex 6 also has a part-3 neighbour 7.
+        parts = [{0, 2, 3}, {1, 4, 5, 6}, {7}]
+        edges = [(3, 4), (3, 5), (3, 6), (0, 1), (1, 2), (6, 7)]
+        g, p, state = fixture(parts, edges)
+        comps, _ = conflict_components(g, p, state)
+        assert len(comps) == 2
+        assert all(c.side is p for c in comps)
+        assert comps[0].degrees is comps[1].degrees
+        assert comps[0].degrees == [1, 2, 1, 3, 1, 1, 1, 0]
 
 
 class TestFixAnchored:
@@ -309,12 +320,12 @@ class TestFixAnchored:
         assert component_violations(comp, state) == []
 
     @staticmethod
-    def _merged(g, p, vertices):
-        """One ConflictComponent over any vertex set, connected or not."""
-        side = {v: p[v] for v in vertices}
-        edge_ids = sorted(eid for eid, (a, b) in enumerate(g.edges) if a in side and b in side)
-        degrees = {v: sum(1 for w, _ in g.adj[v] if w in side) for v in vertices}
-        return ConflictComponent(sorted(vertices), side, edge_ids, degrees)
+    def _merged(g, p):
+        """One ConflictComponent over the whole bottom of g, connected or not."""
+        vertices = [v for v in range(g.n) if p[v] <= 2]
+        edge_ids = [eid for eid, (a, b) in enumerate(g.edges) if p[a] <= 2 and p[b] <= 2]
+        degrees = [sum(1 for w, _ in g.adj[v] if p[w] <= 2) if p[v] <= 2 else 0 for v in range(g.n)]
+        return ConflictComponent(vertices, p, edge_ids, degrees)
 
     @pytest.mark.parametrize("retyped", [False, True])
     def test_piece_without_contact(self, retyped):
@@ -326,7 +337,7 @@ class TestFixAnchored:
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (7, 8), (8, 9), (8, 10)]
         labels = [1, 1, 1, 1, 1, 3, 1, 1, 3 if retyped else 1]
         g, p, state = fixture(parts, edges, labels)
-        comp = self._merged(g, p, range(10))
+        comp = self._merged(g, p)
         if retyped:
             fix_anchored(comp, state)
             assert state.labelling.labels[6:] == [1, 1, 3]
@@ -477,7 +488,7 @@ class TestFixHub:
         # component: no walk from the hub's neighbours reaches the path.
         g, p, state = fixture([{1, 2, 3, 4, 6}, {0, 5}],
                               [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
-        comp = TestFixAnchored._merged(g, p, range(7))
+        comp = TestFixAnchored._merged(g, p)
         with pytest.raises(InvariantViolation, match="vertex 4 is not attached to the hub 0"):
             fix_hub(comp, state)
 
