@@ -165,4 +165,4 @@ def parse_labelling(g: Graph, text: str) -> Labelling:
     if missing:
         u, v = g.edges[missing[0]]
         raise GraphFormatError(f"edge ({u},{v}) has no label ({len(missing)} missing)")
-    return Labelling([lab for lab in labels])  # type: ignore[list-item]
+    return Labelling(labels)  # type: ignore[arg-type]  # no None is left
