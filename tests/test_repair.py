@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -185,6 +186,12 @@ def enumerate_assignments(counts):
     return out
 
 
+# sha256 over bytes(nullstellensatz_assign(counts)) for r = 2..6 and every
+# counts vector with entries 0..r+1, in itertools.product order.  No total
+# reaches a count above r + 1, so such an entry acts like r + 1.
+NULLSTELLENSATZ_DIGEST = "ac0de72d332631d56c8aa5ad9c628825e494d27245d768c1ef7a7bf5f5954f76"
+
+
 class TestNullstellensatzAssign:
     def test_two_zeros(self):
         assert enumerate_assignments([0, 0]) == [[1, 1]]
@@ -213,6 +220,14 @@ class TestNullstellensatzAssign:
                 sols = enumerate_assignments(list(counts))
                 assert sols, counts
                 assert z in sols, counts
+
+    def test_pinned_outputs(self):
+        # test_exhaustive_small accepts any solution; this pins which one.
+        digest = hashlib.sha256()
+        for r in range(2, 7):
+            for counts in itertools.product(range(r + 2), repeat=r):
+                digest.update(bytes(nullstellensatz_assign(counts)))
+        assert digest.hexdigest() == NULLSTELLENSATZ_DIGEST
 
 
 class TestConflictComponents:
