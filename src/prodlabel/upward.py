@@ -1,19 +1,19 @@
 """Upward labelling pass: give every part a distinctive product signature.
 
 Starting from the all-1 labelling, vertices of parts t, t-1, ..., 3 are
-processed bottom-up and some of their upward edges are relabelled so that a
-vertex of part i ends with:
+processed in that order and some of their edges to lower parts are
+relabelled by one rule: an edge is labelled 3 towards an odd part and 2
+towards an even part.  So the edges from above into a vertex carry 1 or
+one and the same non-1 label, which keeps parts 1 and 2 monochromatic, and
+a vertex of part i ends with the label keep (3 for even i, 2 for odd i)
+exactly i // 2 times, the other label at least once, and a 2+3 count that
+is odd for even i and even for odd i.
 
-    i = 2n     (n >= 2): 3-count exactly n, odd  2+3 count, bichromatic;
-    i = 2n + 1 (n >= 1): 2-count exactly n, even 2+3 count, bichromatic.
-
-Edges are always labelled 3 towards odd parts and 2 towards even parts, so
-every vertex only ever receives one non-1 label from below, which keeps parts
-1 and 2 monochromatic.  A set of pending swappable bottom edges whose ends
-are both still 1-monochromatic is tracked; whenever a processed vertex
-neighbours such an edge, the relabelling (and an occasional swap of that
-edge's ends between parts 1 and 2) makes one of its ends non-1-monochromatic.
-That guarantees no surviving conflict pair forms an isolated bottom edge.
+A set of pending swappable bottom edges whose ends are both still
+1-monochromatic is tracked; whenever a processed vertex neighbours such an
+edge, the relabelling (and an occasional swap of that edge's ends between
+parts 1 and 2) makes one of its ends non-1-monochromatic.  That guarantees
+no surviving conflict pair forms an isolated bottom edge.
 """
 
 from __future__ import annotations
@@ -66,8 +66,13 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
         result.swaps += 1
 
     for i in range(len(parts) - 1, 2, -1):
-        even = i % 2 == 0
-        target_side = 2 if even else 1
+        # By the rule, keep is the label towards parts near, near + 2, ...,
+        # i - 1 and other the label towards far and i - 2; want is the
+        # parity that the 2+3 count of a vertex of part i must end with.
+        if i % 2 == 0:
+            keep, other, near, far, want, d_keep, d_other = 3, 2, 1, 2, 1, d3, d2
+        else:
+            keep, other, near, far, want, d_keep, d_other = 2, 3, 2, 1, 0, d2, d3
         for u in parts[i]:
             # One pass over u's edges: the (end, edge from u) pairs of every
             # pending edge next to u, and the smallest neighbour of each lower
@@ -84,9 +89,9 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
             chosen: list[tuple[int, int]] = []
             for pe in mu:
                 pair = ends[pe]
-                if len(pair) == 2 and part_of[pair[0][0]] != target_side:
-                    pair.reverse()  # the end already on the target side comes first
-                if part_of[pair[0][0]] != target_side:
+                if len(pair) == 2 and part_of[pair[0][0]] != far:
+                    pair.reverse()  # the end already in part far comes first
+                if part_of[pair[0][0]] != far:
                     do_swap(pe)
                 chosen.append(pair[0])
                 if len(pair) == 2:
@@ -97,75 +102,43 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
                         best[j] = pair[1]
             chosen.sort()
 
-            chain_lab = 3 if even else 2
-            for j in range(3 if even else 4, i, 2):
-                relabel(_lower(best, u, i, j), chain_lab)
+            for j in range(near + 2, i, 2):
+                relabel(_lower(best, u, i, j), keep)
 
             if not mu:
                 branch = "plain"
-                if even:
-                    relabel(_lower(best, u, i, 1), 3)
-                    if i == 4:
-                        # A single knob edge serves both goals here: label it 2
-                        # only when that yields the odd total, which also keeps
-                        # the 2-count positive.
-                        if (d2[u] + d3[u]) % 2 == 0:
-                            relabel(_lower(best, u, i, 2), 2)
-                    else:
-                        relabel(_lower(best, u, i, i - 2), 2)
-                        if (d2[u] + d3[u]) % 2 == 0:
-                            relabel(_lower(best, u, i, 2), 2)
-                else:
-                    relabel(_lower(best, u, i, 2), 2)
-                    if i > 3:
-                        relabel(_lower(best, u, i, i - 2), 3)
-                    if (d2[u] + d3[u]) % 2 == 1:
-                        relabel(_lower(best, u, i, 1), 3)
+                relabel(_lower(best, u, i, near), keep)
+                if i > 4:
+                    # For i = 3, 4 part i - 2 is far, whose single edge serves
+                    # both goals: it takes other only to fix the parity.
+                    relabel(_lower(best, u, i, i - 2), other)
+                if (d2[u] + d3[u]) % 2 != want:
+                    relabel(_lower(best, u, i, far), other)
             else:
                 branch = "pending"
                 z, ez = chosen[0]
-                z_edge = end_edge[z]
-                other_lab = 2 if even else 3
                 for _, eid in chosen[1:]:
-                    relabel(eid, other_lab)
-                if even:
-                    if (d2[u] + d3[u]) % 2 == 1:
-                        relabel(ez, 2)
-                        relabel(_lower(best, u, i, 1), 3)
-                    elif d2[u] > 0:
-                        do_swap(z_edge)
-                        relabel(ez, 3)
-                    else:
-                        if i == 4:
-                            raise InvariantViolation(
-                                f"part-4 vertex {u} reached the excluded branch "
-                                f"(d2=0, even 2+3 count: profile {state.key(u)})")
-                        branch = "pending-fallback"
-                        relabel(_lower(best, u, i, i - 2), 2)
-                        relabel(ez, 2)
-                        relabel(_lower(best, u, i, 1), 3)
+                    relabel(eid, other)
+                if (d2[u] + d3[u]) % 2 == want:
+                    relabel(ez, other)
+                    relabel(_lower(best, u, i, near), keep)
+                elif d_other[u] > 0:
+                    do_swap(end_edge[z])
+                    relabel(ez, keep)
                 else:
-                    if (d2[u] + d3[u]) % 2 == 0:
-                        relabel(ez, 3)
-                        relabel(_lower(best, u, i, 2), 2)
-                    elif d3[u] > 0:
-                        do_swap(z_edge)
-                        relabel(ez, 2)
-                    else:
-                        if i <= 4:
-                            raise InvariantViolation(
-                                f"part-3 vertex {u} reached the excluded branch "
-                                f"(d3=0, odd 2+3 count: profile {state.key(u)})")
-                        branch = "pending-fallback"
-                        relabel(_lower(best, u, i, i - 2), 3)
-                        relabel(ez, 3)
-                        relabel(_lower(best, u, i, 2), 2)
+                    if i <= 4:
+                        raise InvariantViolation(
+                            f"part-{i} vertex {u} reached the excluded branch "
+                            f"(d{other}=0, {'odd' if i % 2 else 'even'} 2+3 count: "
+                            f"profile {state.key(u)})")
+                    branch = "pending-fallback"
+                    relabel(_lower(best, u, i, i - 2), other)
+                    relabel(ez, other)
+                    relabel(_lower(best, u, i, near), keep)
                 pending.difference_update(mu)
 
-            d2u, d3u = state.key(u)
-            got = d3u if even else d2u
-            if got != i // 2 or d2u == 0 or d3u == 0 or (d2u + d3u) % 2 != (1 if even else 0):
+            if d_keep[u] != i // 2 or d2[u] == 0 or d3[u] == 0 or (d2[u] + d3[u]) % 2 != want:
                 raise InvariantViolation(
-                    f"vertex {u} in part {i} ended with profile ({d2u},{d3u})")
+                    f"vertex {u} in part {i} ended with profile ({d2[u]},{d3[u]})")
             branches[branch] = branches.get(branch, 0) + 1
     return result
