@@ -195,9 +195,10 @@ def nullstellensatz_assign(counts) -> list[int]:
     """A 0/1 vector z with sum(z) - z[i] != counts[i] for every position i.
 
     Existence for r >= 2 is the combinatorial-nullstellensatz guarantee for
-    the product polynomial of the constraints; constructively, fixing the
-    total s forces z[i] whenever s - counts[i] is 0 or 1, and the smallest
-    feasible total is taken with free ones filled in ascending order.
+    the product polynomial of the constraints; constructively, the smallest
+    total s that the counts allow is taken.  For a total s, a position whose
+    count is s must take 1 and one whose count is s - 1 must take 0; the
+    other positions take 1 in ascending order until the total is s.
     """
     counts = list(counts)
     r = len(counts)
@@ -206,27 +207,13 @@ def nullstellensatz_assign(counts) -> list[int]:
     if any(c < 0 for c in counts):
         raise ValueError("counts must be non-negative")
     for s in range(r + 1):
-        forced: dict[int, int] = {}
-        for i, ni in enumerate(counts):
-            gap = s - ni
-            if gap == 0:
-                forced[i] = 1
-            elif gap == 1:
-                forced[i] = 0
-        ones = sum(forced.values())
-        zeros = len(forced) - ones
-        if ones <= s <= r - zeros:
-            z = [forced.get(i, 0) for i in range(r)]
-            total = ones
-            for i in range(r):
-                if total == s:
-                    break
-                if i not in forced:
-                    z[i] = 1
-                    total += 1
-            if total != s:
-                continue
-            if any(s - z[i] == counts[i] for i in range(r)):
+        z = [int(c == s) for c in counts]
+        free = [i for i, c in enumerate(counts) if c != s and c != s - 1]
+        need = s - sum(z)
+        if 0 <= need <= len(free):
+            for i in free[:need]:
+                z[i] = 1
+            if any(s - zi == c for zi, c in zip(z, counts)):
                 raise InvariantViolation("constructed assignment violates a constraint")
             return z
     raise InvariantViolation("no feasible total found; contradicts the nonvanishing guarantee")
