@@ -33,8 +33,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
-    return parse_graph(_read(path), fmt)
+def _load_graph(path: str) -> Graph:
+    return parse_graph(_read(path))
 
 
 def _save_repro(path: str, text: str) -> None:
@@ -57,7 +57,7 @@ def _internal_error(g: Graph, what: str) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
     try:
         report = label_graph(g)
     except InvariantViolation as exc:
@@ -82,7 +82,10 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
+    if args.graph == "-" and args.labelling == "-":
+        print("input error: only one input can come from stdin", file=sys.stderr)
+        return EXIT_INPUT
+    g = _load_graph(args.graph)
     labelling = parse_labelling(g, _read(args.labelling))
     conflicts = find_conflicts(g, labelling)
     if conflicts:
@@ -95,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
     k = brute_force_min_k(g, args.kmax)
     if k is None:
         print(f"chi_P > {args.kmax}")
@@ -139,13 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "distinct products of incident labels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("auto", "edgelist", "dimacs"), default="auto",
-                       help="input format (default: detected from content)")
-
     p = sub.add_parser("label", help="label a graph and print labels plus products")
     p.add_argument("graph", help="graph file, or - for stdin")
-    add_format(p)
     p.add_argument("--stats", action="store_true",
                    help="print the construction's counters to stderr as one JSON object")
     p.add_argument("--out", help="write output to a file instead of stdout")
@@ -153,14 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a labelling file against a graph")
     p.add_argument("graph", help="graph file, or - for stdin")
-    p.add_argument("labelling", help="labelling file with 'u v label' lines")
-    add_format(p)
+    p.add_argument("labelling", help="labelling file with 'u v label' lines, or - for stdin")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive smallest-k search; exit 1 when it "
                        "exceeds its search-node budget")
     p.add_argument("graph", help="graph file, or - for stdin")
-    add_format(p)
     p.add_argument("--kmax", type=int, default=3, help="largest k to try (default 3)")
     p.set_defaults(func=cmd_oracle)
 
@@ -176,7 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except GraphFormatError as exc:

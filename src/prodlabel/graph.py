@@ -111,8 +111,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines (0-based ids) into a Graph.
 
     Blank lines and lines starting with ``#`` are ignored.  An optional
-    leading ``n <count>`` header fixes the vertex count; otherwise it is
-    one more than the largest id seen.  Counts above MAX_VERTICES, ids at
+    leading ``n <count>`` header fixes the vertex count, and an id at or
+    above it is rejected on its line; otherwise the count is one more than
+    the largest id seen.  Counts above MAX_VERTICES, ids at
     or above it and more than MAX_EDGES edges are rejected.
     """
     edges: list[tuple[int, int]] = []
@@ -142,17 +143,18 @@ def parse_edge_list(text: str) -> Graph:
         if len(edges) == MAX_EDGES:
             raise GraphFormatError(f"more than the limit of {MAX_EDGES} edges", lineno)
         u, v = read_int(tokens[0], lineno), read_int(tokens[1], lineno)
-        if max(u, v) >= MAX_VERTICES:
+        top = max(u, v)
+        if top >= MAX_VERTICES:
             raise GraphFormatError(
-                f"vertex id {max(u, v)} needs more than the limit of {MAX_VERTICES} vertices", lineno)
+                f"vertex id {top} needs more than the limit of {MAX_VERTICES} vertices", lineno)
+        if declared is not None and top >= declared:
+            raise GraphFormatError(f"vertex id {top} out of range for declared n={declared}", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
         edges.append((u, v) if u < v else (v, u))
         lines.append(lineno)
-        max_id = max(max_id, u, v)
+        max_id = max(max_id, top)
     n = declared if declared is not None else max_id + 1
-    if declared is not None and max_id >= declared:
-        raise GraphFormatError(f"vertex id {max_id} out of range for declared n={declared}")
     try:
         return Graph(n, edges)
     except ValueError:  # the only error left for Graph to find is a duplicate
@@ -229,14 +231,11 @@ def detect_format(text: str) -> str:
     return "edgelist"
 
 
-def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    if fmt == "auto":
-        fmt = detect_format(text)
-    if fmt == "dimacs":
+def parse_graph(text: str) -> Graph:
+    """Parse an edge list or a DIMACS graph, as ``detect_format`` finds it."""
+    if detect_format(text) == "dimacs":
         return parse_dimacs(text)
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    return parse_edge_list(text)
 
 
 def is_nice(g: Graph) -> bool:

@@ -50,7 +50,7 @@ def assert_repro(tmp_path, err, content):
     """``label`` named its repro file and saved the input graph in it."""
     assert "wrote label_fail.edges" in err
     saved = (tmp_path / "label_fail.edges").read_text()
-    assert parse_graph(saved, "auto") == parse_graph(content, "auto")
+    assert parse_graph(saved) == parse_graph(content)
 
 
 class TestLabelCommand:
@@ -223,6 +223,14 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", g, l)
         assert code == 1
 
+    def test_both_inputs_from_stdin_exit_1(self, capsys, monkeypatch):
+        # Nothing is read: a second read of stdin would find it empty.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(P3))
+        code, out, err = run_cli(capsys, "verify", "-", "-")
+        assert code == 1 and out == ""
+        assert err == "input error: only one input can come from stdin\n"
+        assert sys.stdin.read() == P3
+
     def test_label_output_verifies(self, tmp_path, capsys):
         g = write(tmp_path, "k3.edges", K3)
         out_file = str(tmp_path / "labels.txt")
@@ -324,6 +332,16 @@ class TestFuzzCommand:
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--trials", "0")
         assert code == 1
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own exit code 2 would read as "graph not nice".
+    for argv in (["label"], ["bogus"], ["oracle", "--kmax", "x", "-"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "usage: prodlabel" in err, argv
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and "usage: prodlabel" in out
 
 
 def run_fresh(code: str, *flags: str) -> str:

@@ -85,6 +85,12 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="out of range"):
             parse_edge_list("n 2\n0 5")
 
+    def test_header_conflict_names_its_line(self):
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list("n 2\n0 1\n0 5\n")
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: vertex id 5 out of range for declared n=2"
+
     def test_late_header_rejected(self):
         with pytest.raises(GraphFormatError, match="header"):
             parse_edge_list("0 1\nn 4")
