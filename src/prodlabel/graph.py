@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 # Largest vertex count the parsers accept.  A graph allocates one adjacency
 # list per vertex before anything else is checked, so a header such as
 # "n 99999999999" must be refused before it reaches Graph.  2**20 is about
@@ -13,6 +15,10 @@ MAX_VERTICES = 2**20
 # --out` peaked at 520-574 bytes of RSS per edge with 3*10**5 and 9*10**5
 # edges (sparse; Python 3.11, x86-64 Linux): 2**22 edges project to 2.2 GiB.
 MAX_EDGES = 2**22
+
+# The form Graph.to_edge_list writes: an optional "n <count>" header, then
+# "u v" lines of ASCII digits, one space, each line ending in "\n".
+_PLAIN = re.compile(r"(?:n ([0-9]+)\n)?((?:[0-9]+ [0-9]+\n)*)")
 
 
 class GraphFormatError(ValueError):
@@ -115,7 +121,27 @@ def parse_edge_list(text: str) -> Graph:
     above it is rejected on its line; otherwise the count is one more than
     the largest id seen.  Counts above MAX_VERTICES, ids at
     or above it and more than MAX_EDGES edges are rejected.
+
+    Text in the form ``Graph.to_edge_list`` writes is read in bulk; any
+    other text, and any such text that fails a check, is read line by line,
+    which names the offending line.
     """
+    plain = _PLAIN.fullmatch(text)
+    if plain is not None:
+        header, body = plain.groups()
+        try:
+            if body.count("\n") <= MAX_EDGES:
+                ids = list(map(int, body.split()))
+                n = max(ids, default=-1) + 1 if header is None else int(header)
+                if n <= MAX_VERTICES:
+                    return Graph(n, zip(ids[0::2], ids[1::2]))
+        except ValueError:  # an id out of range, a self-loop, a duplicate or an over-long number
+            pass
+    return _read_lines(text)
+
+
+def _read_lines(text: str) -> Graph:
+    """``parse_edge_list`` one line at a time."""
     edges: list[tuple[int, int]] = []
     lines: list[int] = []  # the line of each edge, to name a duplicate's
     declared: int | None = None
@@ -220,15 +246,10 @@ def parse_dimacs(text: str) -> Graph:
 
 
 def detect_format(text: str) -> str:
-    """Return "dimacs" if the first content line is a DIMACS c/p line, else "edgelist"."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c") or line.startswith("p"):
-            return "dimacs"
-        return "edgelist"
-    return "edgelist"
+    """Return "dimacs" if the first content character (the first one that is
+    not whitespace) starts a DIMACS c/p line, else "edgelist"."""
+    first = next((c for c in text if not c.isspace()), "")
+    return "dimacs" if first in ("c", "p") else "edgelist"
 
 
 def parse_graph(text: str) -> Graph:

@@ -11,7 +11,7 @@ from bisect import bisect_left
 
 from .graph import Graph, GraphFormatError, read_int
 
-LABELS = (1, 2, 3)
+LABELS = frozenset((1, 2, 3))
 
 
 class Labelling:
@@ -50,9 +50,10 @@ class Labelling:
     def validate(self, g: Graph) -> None:
         if len(self.labels) != g.m:
             raise ValueError(f"labelling covers {len(self.labels)} edges, graph has {g.m}")
-        for eid, lab in enumerate(self.labels):
-            if lab not in LABELS:
-                raise ValueError(f"edge {eid} has label {lab} outside {{1,2,3}}")
+        if not LABELS.issuperset(self.labels):
+            for eid, lab in enumerate(self.labels):
+                if lab not in LABELS:
+                    raise ValueError(f"edge {eid} has label {lab} outside {{1,2,3}}")
 
 
 def degree_counts(g: Graph, l: Labelling) -> tuple[list[int], list[int]]:
@@ -131,21 +132,30 @@ class ProfileTracker:
 
 def format_labelling(g: Graph, l: Labelling) -> str:
     """One "u v label" line per edge, in edge-index order."""
-    return "\n".join(f"{u} {v} {l.labels[eid]}" for eid, (u, v) in enumerate(g.edges)) + ("\n" if g.m else "")
+    return "".join([f"{u} {v} {lab}\n" for (u, v), lab in zip(g.edges, l.labels)])
 
 
 def format_products(g: Graph, l: Labelling) -> str:
     """One "v d2 d3" line per vertex."""
     d2, d3 = degree_counts(g, l)
-    return "\n".join(f"{v} {d2[v]} {d3[v]}" for v in range(g.n)) + ("\n" if g.n else "")
+    return "".join([f"{v} {a} {b}\n" for v, a, b in zip(range(g.n), d2, d3)])
 
 
 def parse_labelling(g: Graph, text: str) -> Labelling:
-    """Parse "u v label" lines and check they cover every edge exactly once."""
+    """Parse "u v label" lines and check they cover every edge exactly once.
+
+    A blank line that comes once every edge has a label ends the labelling,
+    so the product report that ``prodlabel label`` prints after one is not
+    read; an earlier blank line is skipped."""
     labels: list[int | None] = [None] * g.m
+    labelled = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            if labelled == g.m:
+                break
+            continue
+        if line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) != 3:
@@ -161,6 +171,7 @@ def parse_labelling(g: Graph, text: str) -> Labelling:
         if labels[eid] is not None:
             raise GraphFormatError(f"edge ({u},{v}) labelled twice", lineno)
         labels[eid] = lab
+        labelled += 1
     missing = [eid for eid, lab in enumerate(labels) if lab is None]
     if missing:
         u, v = g.edges[missing[0]]

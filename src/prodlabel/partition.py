@@ -120,11 +120,19 @@ def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
 
 
 def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, frozenset[int]]]:
-    """One pass over the edges and one over the vertices: ValueError on a
+    """Two passes over the edges and one over the vertices: ValueError on a
     part index below 1, an empty part among 1..max(part_of), an edge inside
     a part or a vertex with no neighbour in some lower part, else
     ``_end_edges`` and the witness of every vertex that has one, by
-    ascending vertex (``part_of`` is valid exactly when there is none)."""
+    ascending vertex (``part_of`` is valid exactly when there is none).
+
+    The second edge pass sets bit j of ``seen[v]`` when v has a neighbour in
+    part j, and of ``solid[v]`` when that neighbour is no swappable-edge end.
+    ``_side_witness`` returns None at the first solid neighbour on its side,
+    so a vertex above part 2 with solid neighbours in parts 1 and 2 has no
+    witness.  Nor has a vertex of part 2 with a neighbour in part 1: that
+    edge is a bottom edge, so the neighbour is an end only when the vertex
+    is its partner, and ``_vertex_witness`` skips the ends."""
     present = set(part_of)
     if min(present) < 1:
         raise ValueError("part indices are 1-based")
@@ -132,13 +140,24 @@ def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int
         if i not in present:
             raise ValueError(f"part {i} is empty")
     end_edge = _end_edges(g, part_of)
-    adj = g.adj
+    bit = [1 << i for i in part_of]
+    solid_bit = list(bit)
+    for w in end_edge:
+        solid_bit[w] = 0
+    seen, solid = [0] * g.n, [0] * g.n
+    for u, v in g.edges:
+        seen[u] |= bit[v]
+        seen[v] |= bit[u]
+        solid[u] |= solid_bit[v]
+        solid[v] |= solid_bit[u]
     witnesses: dict[int, frozenset[int]] = {}
-    for v in range(g.n):
-        i = part_of[v]
-        if i >= 2 and not {part_of[w] for w, _ in adj[v]}.issuperset(range(1, i)):
+    for v, i in enumerate(part_of):
+        if i < 2:
+            continue
+        need = (1 << i) - 2
+        if seen[v] & need != need:
             raise ValueError(f"vertex {v} in part {i} misses a neighbour in a lower part")
-        if end_edge and i >= 2:
+        if i >= 3 and solid[v] & 0b110 != 0b110:  # parts 1 and 2
             w = _vertex_witness(g, part_of, end_edge, v)
             if w is not None:
                 witnesses[v] = w

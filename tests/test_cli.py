@@ -241,6 +241,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", g, l)
         assert code == 0
 
+    @pytest.mark.parametrize("content", [K3, "0 1\n1 2\n2 3\n3 4\n", "n 3\n"],
+                             ids=["k3", "p5", "edgeless"])
+    def test_whole_label_output_verifies(self, tmp_path, capsys, content):
+        # The product report after the blank line is not read as labels.
+        g = write(tmp_path, "g.edges", content)
+        out_file = str(tmp_path / "out.txt")
+        assert run_cli(capsys, "label", g, "--out", out_file)[0] == 0
+        assert "\n\n" in "\n" + open(out_file).read()
+        code, out, err = run_cli(capsys, "verify", g, out_file)
+        assert (code, out, err) == (0, "ok\n", "")
+
 
 class TestOracleCommand:
     def test_k3(self, tmp_path, capsys):

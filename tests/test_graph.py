@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -15,7 +16,7 @@ from prodlabel.graph import (
     parse_graph,
 )
 
-from conftest import path_graph, random_graph
+from conftest import path_graph, random_graph, tree_plus_chords
 from spec import connected_components, edge_id
 
 
@@ -115,6 +116,11 @@ class TestParseEdgeList:
         assert parse_edge_list("# two edges\n0 1\n1 2\n").m == 2
         with pytest.raises(GraphFormatError, match="line 4: more than the limit of 2 edges"):
             parse_edge_list("# three edges\n0 1\n1 2\n2 3\n")
+        # The same edges in the form the bulk reader reads.
+        assert parse_edge_list("0 1\n1 2\n").m == 2
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list("0 1\n1 2\n2 3\n")
+        assert str(info.value) == "line 3: more than the limit of 2 edges" and info.value.line == 3
 
     # int() alone reads each of these as a number: 1_0 as 10.
     @pytest.mark.parametrize("token", ["+1", "-1", "1_0", "\uff13", "1\u0661"],
@@ -122,6 +128,81 @@ class TestParseEdgeList:
     def test_ids_are_ascii_digits(self, token):
         with pytest.raises(GraphFormatError, match=re.escape(f"line 2: malformed number '{token}'")):
             parse_edge_list(f"0 1\n0 {token}")
+
+
+class TestBulkReader:
+    """Text in the form Graph.to_edge_list writes is read in bulk.  It must
+    give the graph, and on a failed check the message and line, that the
+    line reader gives."""
+
+    CANONICAL = "n 5\n0 1\n1 2\n3 1\n2 4\n"
+
+    @pytest.mark.parametrize("text", [
+        "# a comment\n" + CANONICAL,
+        CANONICAL.replace("\n", "\r\n"),
+        CANONICAL.replace(" ", "\t"),
+        CANONICAL[:-1],
+    ], ids=["comment", "crlf", "tabs", "no-final-newline"])
+    def test_respellings_read_alike(self, text):
+        assert graph_module._PLAIN.fullmatch(self.CANONICAL)
+        assert not graph_module._PLAIN.fullmatch(text)
+        expected = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4)])
+        assert parse_edge_list(self.CANONICAL) == parse_edge_list(text) == expected
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("n 3\n0 1\n1 3\n", 3, "vertex id 3 out of range for declared n=3"),
+        (f"0 1\n1 {MAX_VERTICES}\n", 2,
+         f"vertex id {MAX_VERTICES} needs more than the limit of {MAX_VERTICES} vertices"),
+        (f"n {MAX_VERTICES + 1}\n0 1\n", 1,
+         f"declared vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"),
+        ("0 1\n2 2\n", 2, "self-loop at vertex 2"),
+        ("n 4\n0 1\n1 2\n0 1\n", 4, "duplicate edge (0,1)"),
+        ("0 1\n2 1\n1 2\n", 3, "duplicate edge (1,2)"),
+    ], ids=["id-above-declared", "id-above-limit", "header-above-limit", "self-loop",
+            "duplicate", "reversed-duplicate"])
+    def test_failed_checks_name_their_line(self, text, line, message):
+        assert graph_module._PLAIN.fullmatch(text)
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"line {line}: {message}" and info.value.line == line
+
+    def test_seeded_round_trip_without_the_line_reader(self, monkeypatch):
+        texts = {}
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(3, 400)
+            g = tree_plus_chords(rng, n, min(n * (n - 1) // 2, n - 1 + rng.randint(0, 2 * n)))
+            texts[g.to_edge_list()] = g
+            texts["".join(f"{v} {u}\n" for u, v in g.edges)] = g  # no header, pairs reversed
+        monkeypatch.setattr(graph_module, "_read_lines", None)  # a call would fail
+        for text, g in texts.items():
+            assert parse_edge_list(text) == g
+
+    def test_agrees_with_the_line_reader(self, monkeypatch):
+        # Canonical texts, some failing a check, and one-character edits of
+        # them; the line reader is the reference.
+        rng = random.Random(2024)
+        alphabet = ["0", "7", " ", "\n", "\t", "\r", "#", "n", "+", "\uff13"]
+        bulk = 0
+        for _ in range(3000):
+            n = rng.randint(0, 8)
+            pairs = [(rng.randrange(n + 1), rng.randrange(n + 1)) for _ in range(rng.randint(0, 9))]
+            text = (f"n {n}\n" if rng.random() < 0.5 else "") + "".join(
+                f"{u} {v}\n" for u, v in pairs)
+            if rng.random() < 0.5:
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(alphabet) + text[at + rng.randint(0, 1):]
+            monkeypatch.setattr(graph_module, "MAX_EDGES", rng.choice((3, 2**22)))
+            bulk += graph_module._PLAIN.fullmatch(text) is not None
+            try:
+                expected = graph_module._read_lines(text)
+            except GraphFormatError as exc:
+                with pytest.raises(GraphFormatError) as info:
+                    parse_edge_list(text)
+                assert (str(info.value), info.value.line) == (str(exc), exc.line), text
+            else:
+                assert parse_edge_list(text) == expected, text
+        assert bulk > 1000
 
 
 class TestParseDimacs:
@@ -177,6 +258,12 @@ class TestAutoFormat:
     def test_detects_dimacs(self):
         assert detect_format("c x\np edge 2 1\ne 1 2") == "dimacs"
         assert detect_format("\n p edge 2 1\ne 1 2") == "dimacs"
+
+    def test_reads_past_leading_whitespace(self):
+        assert detect_format(" \t\r\n\u00a0\n  c comment\np edge 2 1\ne 1 2\n") == "dimacs"
+        assert detect_format("\n\n\tp edge 2 1\ne 1 2\n") == "dimacs"
+        assert detect_format(" \n\t0 1\n") == "edgelist"
+        assert detect_format(" \n\t") == "edgelist"
 
     def test_detects_edgelist(self):
         assert detect_format("# c\n0 1\n") == "edgelist"

@@ -163,6 +163,14 @@ class TestFormats:
         l = Labelling([2, 3])
         assert parse_labelling(g, format_labelling(g, l)) == l
 
+    def test_parse_stops_at_a_blank_line_once_every_edge_has_a_label(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        # The first blank line comes while an edge is still missing.
+        assert parse_labelling(g, "0 1 2\n\n1 2 3\n \n0 1 0\n1 2 1\n") == Labelling([2, 3])
+        assert parse_labelling(Graph(2, []), "\n0 0 0\n1 0 0\n") == Labelling([])
+        with pytest.raises(GraphFormatError, match="line 3: label 0 outside"):
+            parse_labelling(g, "0 1 2\n1 2 3\n0 1 0\n")
+
     def test_parse_rejects_missing_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphFormatError, match="no label"):

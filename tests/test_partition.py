@@ -12,6 +12,7 @@ from prodlabel.graph import Graph, InvariantViolation, NotNiceError
 from prodlabel.partition import (
     _certificate,
     _end_edges,
+    _vertex_witness,
     build_valid_partition,
     greedy_partition,
 )
@@ -372,6 +373,63 @@ class TestNoRescanPerRound:
                 monkeypatch.setattr(module, "_end_edges", lambda *a: calls.append(1) or end_edges(*a))
         assert label_graph(make()).verified
         assert len(calls) == sweeps
+
+
+def certificate_by_definition(g: Graph, part_of: list[int]):
+    """``_certificate`` from its definition: the spec's partition checks, the
+    first vertex that misses a lower part, then every vertex's witness."""
+    validate_partition(g, part_of)
+    missing = missing_lower_neighbours(g, part_of)
+    if missing:
+        v = missing[0][0]
+        raise ValueError(f"vertex {v} in part {part_of[v]} misses a neighbour in a lower part")
+    end_edge = _end_edges(g, part_of)
+    return end_edge, {v: w for v in range(g.n)
+                      if (w := _vertex_witness(g, part_of, end_edge, v)) is not None}
+
+
+def outcome(check, g, part_of):
+    try:
+        end_edge, witnesses = check(g, part_of)
+    except ValueError as exc:
+        return str(exc)
+    return end_edge, list(witnesses.items())
+
+
+class TestCertificateFilter:
+    """The sweep calls ``_vertex_witness`` only where the bitmask pass leaves
+    a witness possible; it must find what calling it at every vertex finds."""
+
+    def test_matches_the_definition_on_perturbed_partitions(self):
+        # Greedy and valid starts, then up to four steps, each a bottom-edge
+        # swap, a move to the smallest part free of neighbours, or a move to
+        # any part; the walk stops at the first partition that is refused.
+        kinds = Counter()
+        for seed in range(1200):
+            rng = random.Random(seed)
+            n = rng.randint(4, 120)
+            g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 2))
+            part_of = greedy_partition(g) if seed % 4 else build_valid_partition(g)[0]
+            for step in range(rng.randint(1, 5)):
+                if step:
+                    swappable = sorted(set(_end_edges(g, part_of).values()))
+                    r = rng.random()
+                    if swappable and r < 0.5:
+                        u, v = g.edges[rng.choice(swappable)]
+                        part_of[u], part_of[v] = part_of[v], part_of[u]
+                    elif r < 0.85:
+                        v = rng.randrange(n)
+                        used = {part_of[w] for w, _ in g.adj[v]}
+                        part_of[v] = min(set(range(1, len(used) + 2)) - used)
+                    else:
+                        part_of[rng.randrange(n)] = rng.randint(1, max(part_of) + 1)
+                expected = outcome(certificate_by_definition, g, part_of)
+                assert outcome(_certificate, g, part_of) == expected, (seed, step)
+                if isinstance(expected, str):
+                    kinds["refused"] += 1
+                    break
+                kinds["with witnesses" if expected[1] else "valid"] += 1
+        assert min(kinds.values()) >= 150, kinds
 
 
 # Greedy starts on P5 (the path 0-1-2-3-4) that break one property each.
