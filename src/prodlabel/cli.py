@@ -5,11 +5,19 @@ search over its node budget), 2 graph not nice (contains a two-vertex
 component), 3 verification failure or internal error (a broken construction
 invariant, reported as "internal error: ..."; ``label`` then saves the graph
 to ``label_fail.edges`` in the working directory).
+
+``main`` builds its parser once per process and runs each command with the
+cyclic garbage collector paused.  A command builds only acyclic data (a
+graph, a partition, a labelling), so the collector's passes over the
+caller's heap would find nothing; ``main`` gives the caller back the
+collector's state on every way out, an uncaught exception included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import sys
 from collections import Counter
@@ -135,7 +143,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_CONFLICTS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="prodlabel",
         description="Label graph edges with 1, 2, 3 so adjacent vertices get "
@@ -171,11 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code else EXIT_OK
+    # Parsing stays outside the pause: --help and usage errors leave cycles
+    # in argparse's formatter.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except GraphFormatError as exc:
@@ -193,6 +206,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CONFLICTS
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

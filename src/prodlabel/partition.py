@@ -84,15 +84,16 @@ def _side_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
 
 def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
                     v: int) -> frozenset[int] | None:
-    """The first witness at ``v``: sides 1 then 2 above part 2, side 1 for a
-    part-2 vertex that is no swappable-edge end, none otherwise."""
-    i = part_of[v]
-    if i >= 3:
-        w = _side_witness(g, part_of, end_edge, v, 1)
-        return w if w is not None else _side_witness(g, part_of, end_edge, v, 2)
-    if i == 2 and v not in end_edge:
-        return _side_witness(g, part_of, end_edge, v, 1)
-    return None
+    """The first witness at ``v``: side 1, then side 2, for a vertex above
+    part 2; None below part 3.  On a partition with the lower-neighbour
+    property no part-2 vertex has a witness: a swappable-edge end sits in
+    part 2 only while its partner sits in part 1, and any other part-2
+    vertex has a neighbour in part 1 that is no end either (its only bottom
+    edge would make ``v`` its partner), so that neighbour never moves."""
+    if part_of[v] < 3:
+        return None
+    w = _side_witness(g, part_of, end_edge, v, 1)
+    return w if w is not None else _side_witness(g, part_of, end_edge, v, 2)
 
 
 def _bottom_edge(g: Graph, part_of: list[int], v: int) -> tuple[int, int] | None:
@@ -130,9 +131,7 @@ def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int
     part j, and of ``solid[v]`` when that neighbour is no swappable-edge end.
     ``_side_witness`` returns None at the first solid neighbour on its side,
     so a vertex above part 2 with solid neighbours in parts 1 and 2 has no
-    witness.  Nor has a vertex of part 2 with a neighbour in part 1: that
-    edge is a bottom edge, so the neighbour is an end only when the vertex
-    is its partner, and ``_vertex_witness`` skips the ends."""
+    witness, and ``_vertex_witness`` finds none below part 3."""
     present = set(part_of)
     if min(present) < 1:
         raise ValueError("part indices are 1-based")

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -388,3 +389,105 @@ def test_cold_start_skips_dataclasses_and_inspect():
             "assert prodlabel.label_graph(g).verified\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
     assert run_fresh(code, "-S") == "[]\n"
+
+
+# Each way out of main: (argv, exit code), run in a directory holding the
+# files these argvs name.
+EXITS = {
+    "label": (["label", "k3"], 0),
+    "label-missing": (["label", "missing"], 1),
+    "label-parse-error": (["label", "bad"], 1),
+    "label-not-nice": (["label", "k2"], 2),
+    "label-internal": (["label", "k3"], 3),
+    "verify-conflicts": (["verify", "p3", "p3.labels"], 3),
+    "oracle-budget": (["oracle", "k2", "--kmax", "1000000"], 1),
+    "fuzz": (["fuzz", "--trials", "3", "--n", "8"], 0),
+    "usage-error": (["label"], 1),
+    "help": (["--help"], 0),
+}
+EXIT_FILES = {"k3": K3, "k2": K2, "p3": P3, "bad": "0 zero\n", "p3.labels": "0 1 1\n1 2 1\n"}
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector paused and
+    gives the caller back the state it had, on every way out."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("name", EXITS)
+    def test_state_restored(self, tmp_path, capsys, monkeypatch, collecting, name):
+        monkeypatch.chdir(tmp_path)
+        for file, content in EXIT_FILES.items():
+            write(tmp_path, file, content)
+        if name == "label-internal":
+            monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
+        if name == "oracle-budget":
+            monkeypatch.setattr(prodlabel.engine, "ORACLE_NODE_BUDGET", 1000)
+        argv, expected = EXITS[name]
+        assert run_cli(capsys, *argv)[0] == expected
+        assert gc.isenabled() == collecting
+
+    def test_state_restored_after_uncaught_exception(self, tmp_path, monkeypatch, collecting):
+        def crash(g):
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(prodlabel.cli, "label_graph", crash)
+        path = write(tmp_path, "k3.edges", K3)
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["label", path])
+        assert gc.isenabled() == collecting
+
+    def test_paused_inside_the_command(self, tmp_path, capsys, monkeypatch, collecting):
+        seen = []
+
+        def recording(g):
+            seen.append(gc.isenabled())
+            return prodlabel.engine.label_graph(g)
+
+        monkeypatch.setattr(prodlabel.cli, "label_graph", recording)
+        path = write(tmp_path, "k3.edges", K3)
+        assert run_cli(capsys, "label", path)[0] == 0
+        assert seen == [False]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, monkeypatch):
+    """What makes the pause safe: with the collector off, nothing a command
+    leaves behind is kept alive by a reference cycle."""
+    monkeypatch.chdir(tmp_path)
+    k3, k2 = write(tmp_path, "k3.edges", K3), write(tmp_path, "k2.edges", K2)
+    labels = str(tmp_path / "k3.out")
+    real, raised = prodlabel.engine.label_graph, []
+
+    def first_raises(g):
+        if not raised:
+            raised.append(g)
+            raise RuntimeError("trial crash")
+        return real(g)
+
+    commands = [  # (argv, label_graph in place of the real one, exit code)
+        (["label", k3, "--stats"], None, 0),
+        (["label", k3, "--out", labels], None, 0),
+        (["verify", k3, labels], None, 0),
+        (["oracle", k3], None, 0),
+        (["fuzz", "--trials", "3", "--n", "8"], first_raises, 3),
+        (["label", k2], None, 2),
+        (["label", "missing.edges"], None, 1),
+        (["label", k3], broken, 3),
+    ]
+    run_cli(capsys, "label", k3)  # warm-up: caches, lazy imports
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv, label_graph, expected in commands:
+            monkeypatch.setattr(prodlabel.cli, "label_graph", label_graph or real)
+            assert run_cli(capsys, *argv)[0] == expected, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if was:
+            gc.enable()
