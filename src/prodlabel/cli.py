@@ -24,7 +24,7 @@ from collections import Counter
 
 from .engine import brute_force_min_k, label_graph, random_nice_graph
 from .graph import Graph, GraphFormatError, InvariantViolation, NotNiceError, parse_graph
-from .labelling import find_conflicts, format_labelling, format_products, parse_labelling
+from .labelling import find_conflicts, format_counts, format_labelling, parse_labelling
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,10 +73,11 @@ def cmd_label(args: argparse.Namespace) -> int:
     if args.stats:
         print(json.dumps(report.stats, sort_keys=True), file=sys.stderr)
     # label_graph recomputes its verdict from the labels with the independent
-    # conflict scan; refuse to report success unless that scan agrees.
+    # conflict scan; refuse to report success unless that scan agrees.  The
+    # product report prints the counts that scan made.
     if not report.verified:
         return _internal_error(g, "labelling failed verification")
-    out = format_labelling(g, report.labelling) + "\n" + format_products(g, report.labelling)
+    out = format_labelling(g, report.labelling) + "\n" + format_counts(*report.products)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ import random
 from collections.abc import Sequence
 
 from .graph import MAX_EDGES, Graph
-from .labelling import Labelling, find_conflicts
+from .labelling import Labelling, conflicting_edges, degree_counts
 from .partition import build_valid_partition
 from .repair import run_repair_pass
 from .upward import run_upward_pass
@@ -27,25 +27,33 @@ class PipelineReport:
     ``upward.swaps`` counts swaps made, not edges moved: a vertex that
     swaps an edge's ends and then swaps them back adds 2.
 
-    Two reports are equal when all four fields are.
+    ``products`` is the pair of lists (d2, d3) that the conflict scan
+    counted from the labels, each vertex's product key.
+
+    Two reports are equal when their labellings, partitions, conflict lists
+    and stats are; ``products`` follows from the labelling, so neither
+    equality nor ``repr`` reads it.
     """
 
-    __slots__ = ("labelling", "part_of", "conflicts", "stats")
+    __slots__ = ("labelling", "part_of", "conflicts", "stats", "products")
+    _FIELDS = __slots__[:4]
 
     def __init__(self, labelling: Labelling, part_of: list[int] | None,
-                 conflicts: list[int], stats: dict[str, int]):
+                 conflicts: list[int], stats: dict[str, int],
+                 products: tuple[list[int], list[int]]):
         self.labelling = labelling
         self.part_of = part_of
         self.conflicts = conflicts
         self.stats = stats
+        self.products = products
 
     def __eq__(self, other):
         if other.__class__ is not PipelineReport:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"PipelineReport({fields})"
 
     @property
@@ -61,13 +69,20 @@ def label_graph(g: Graph) -> PipelineReport:
     connected component, so no per-component split is needed; isolated
     vertices land in part 1 and touch no edge.  A graph that is not nice is
     rejected by the partition builder with NotNiceError; a graph without
-    edges is always nice.
+    edges is always nice.  The verdict comes from one count of the final
+    labels, which the report keeps as ``products``.
     """
-    if g.m == 0:
-        return PipelineReport(Labelling([]), None, [], {})
+    labelling, part_of, stats = _construct(g) if g.m else (Labelling([]), None, {})
+    d2, d3 = degree_counts(g, labelling)
+    return PipelineReport(labelling, part_of, conflicting_edges(g, d2, d3), stats, (d2, d3))
+
+
+def _construct(g: Graph) -> tuple[Labelling, list[int], dict[str, int]]:
+    """The three stages on a graph with edges: the labelling, the partition
+    after the upward pass's swaps, and the stats."""
     part_of, end_edge = build_valid_partition(g)
     up = run_upward_pass(g, part_of, end_edge)
-    rep = run_repair_pass(g, up.part_of, up.labelling)
+    rep = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
     stats = {key: count for key, count in (
         ("upward.swaps", up.swaps), ("repair.conflicts_in", rep.conflicts_in),
         ("repair.components", len(rep.component_vertices))) if count}
@@ -75,12 +90,7 @@ def label_graph(g: Graph) -> PipelineReport:
         stats["upward.branch." + branch] = count
     for case, count in rep.tally.items():
         stats["repair.case." + case] = count
-    return PipelineReport(
-        labelling=rep.labelling,
-        part_of=up.part_of,
-        conflicts=find_conflicts(g, rep.labelling),
-        stats=stats,
-    )
+    return rep.labelling, up.part_of, stats
 
 
 # Search nodes (single-edge label assignments) one public oracle call may

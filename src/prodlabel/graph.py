@@ -134,7 +134,8 @@ def parse_edge_list(text: str) -> Graph:
                 ids = list(map(int, body.split()))
                 n = max(ids, default=-1) + 1 if header is None else int(header)
                 if n <= MAX_VERTICES:
-                    return Graph(n, zip(ids[0::2], ids[1::2]))
+                    it = iter(ids)
+                    return Graph(n, zip(it, it))  # consecutive ids pair up
         except ValueError:  # an id out of range, a self-loop, a duplicate or an over-long number
             pass
     return _read_lines(text)

@@ -71,35 +71,35 @@ def degree_counts(g: Graph, l: Labelling) -> tuple[list[int], list[int]]:
     return d2, d3
 
 
+def conflicting_edges(g: Graph, d2: list[int], d3: list[int]) -> list[int]:
+    """Edge indices whose endpoints have equal (d2, d3) counts, ascending."""
+    return [eid for eid, (u, v) in enumerate(g.edges) if d2[u] == d2[v] and d3[u] == d3[v]]
+
+
 def find_conflicts(g: Graph, l: Labelling) -> list[int]:
     """Edge indices whose endpoints have equal product keys, ascending.
 
     Empty exactly when the labelling is proper for incident products.
     """
-    d2, d3 = degree_counts(g, l)
-    return [eid for eid, (u, v) in enumerate(g.edges) if d2[u] == d2[v] and d3[u] == d3[v]]
+    return conflicting_edges(g, *degree_counts(g, l))
 
 
 class ProfileTracker:
     """Mutable (labelling, per-vertex d2/d3) pair with incremental updates.
 
     The pipeline relabels one edge at a time; updating the two endpoint
-    profiles keeps every parity and degree query O(1).
+    profiles keeps every parity and degree query O(1).  The tracker takes
+    the labelling and its degree counts as given and updates all three in
+    place; the counts must be those of the labelling.
     """
 
     __slots__ = ("g", "labelling", "d2", "d3")
 
-    def __init__(self, g: Graph, labelling: Labelling | None = None):
+    def __init__(self, g: Graph, labelling: Labelling, d2: list[int], d3: list[int]):
         self.g = g
-        self.labelling = labelling if labelling is not None else Labelling.all_ones(g)
-        self.d2 = [0] * g.n
-        self.d3 = [0] * g.n
-        for eid, lab in enumerate(self.labelling.labels):
-            if lab != 1:
-                u, v = g.edges[eid]
-                arr = self.d2 if lab == 2 else self.d3
-                arr[u] += 1
-                arr[v] += 1
+        self.labelling = labelling
+        self.d2 = d2
+        self.d3 = d3
 
     def label(self, eid: int) -> int:
         return self.labelling.labels[eid]
@@ -135,10 +135,14 @@ def format_labelling(g: Graph, l: Labelling) -> str:
     return "".join([f"{u} {v} {lab}\n" for (u, v), lab in zip(g.edges, l.labels)])
 
 
+def format_counts(d2: list[int], d3: list[int]) -> str:
+    """One "v d2 d3" line per vertex, from the labelling's degree counts."""
+    return "".join([f"{v} {a} {b}\n" for v, a, b in zip(range(len(d2)), d2, d3)])
+
+
 def format_products(g: Graph, l: Labelling) -> str:
     """One "v d2 d3" line per vertex."""
-    d2, d3 = degree_counts(g, l)
-    return "".join([f"{v} {a} {b}\n" for v, a, b in zip(range(g.n), d2, d3)])
+    return format_counts(*degree_counts(g, l))
 
 
 def parse_labelling(g: Graph, text: str) -> Labelling:

@@ -35,12 +35,16 @@ def greedy_partition(g: Graph) -> list[int]:
     return part_of
 
 
-def _end_edges(g: Graph, part_of: list[int]) -> dict[int, int]:
-    """Each end of a swappable edge mapped to that edge, from one pass over
-    the edges; ValueError if a part is not independent.  The swappable edges
-    are the isolated edges of the subgraph induced by V1 and V2, so swapping
-    the two ends of one keeps both parts independent."""
+def _edge_pass(g: Graph, part_of: list[int]) -> tuple[dict[int, int], list[int]]:
+    """The one pass over the edges of a certificate sweep: ValueError on the
+    first edge inside a part, else each end of a swappable edge mapped to
+    that edge, and the mask of the parts each vertex has a neighbour in (bit
+    j set for part j).  The swappable edges are the isolated edges of the
+    subgraph induced by V1 and V2, so swapping the two ends of one keeps
+    both parts independent."""
     edges = g.edges
+    bit = [1 << i for i in part_of]
+    seen = [0] * g.n
     bottom_degree = [0] * g.n
     bottom = []
     for eid, (u, v) in enumerate(edges):
@@ -51,12 +55,14 @@ def _end_edges(g: Graph, part_of: list[int]) -> dict[int, int]:
             bottom_degree[u] += 1
             bottom_degree[v] += 1
             bottom.append(eid)
+        seen[u] |= bit[v]
+        seen[v] |= bit[u]
     end_edge: dict[int, int] = {}
     for eid in bottom:
         u, v = edges[eid]
         if bottom_degree[u] == 1 and bottom_degree[v] == 1:
             end_edge[u] = end_edge[v] = eid
-    return end_edge
+    return end_edge, seen
 
 
 def _side_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
@@ -112,7 +118,8 @@ def _bottom_edge(g: Graph, part_of: list[int], v: int) -> tuple[int, int] | None
 
 def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
     """The swappable edge with end ``v``, or None; one vertex's share of
-    ``_end_edges``, so it reads only parts within distance two of v."""
+    ``_edge_pass``'s end map, so it reads only parts within distance two of
+    v."""
     first = _bottom_edge(g, part_of, v)
     if first is None or part_of[first[0]] == part_of[v]:
         return None
@@ -121,45 +128,34 @@ def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
 
 
 def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, frozenset[int]]]:
-    """Two passes over the edges and one over the vertices: ValueError on a
-    part index below 1, an empty part among 1..max(part_of), an edge inside
-    a part or a vertex with no neighbour in some lower part, else
-    ``_end_edges`` and the witness of every vertex that has one, by
-    ascending vertex (``part_of`` is valid exactly when there is none).
+    """One pass over the edges (``_edge_pass``) and one over the vertices:
+    ValueError on a part index below 1, an empty part among 1..max(part_of),
+    an edge inside a part or a vertex with no neighbour in some lower part,
+    else the end map of the swappable edges and the witness of every vertex
+    that has one, by ascending vertex (``part_of`` is valid exactly when
+    there is none).
 
-    The second edge pass sets bit j of ``seen[v]`` when v has a neighbour in
-    part j, and of ``solid[v]`` when that neighbour is no swappable-edge end.
-    ``_side_witness`` returns None at the first solid neighbour on its side,
-    so a vertex above part 2 with solid neighbours in parts 1 and 2 has no
-    witness, and ``_vertex_witness`` finds none below part 3."""
+    Witnesses are searched only at the neighbours of swappable-edge ends
+    that lie above part 2.  Once every vertex has a neighbour in each lower
+    part, a vertex next to no end keeps a neighbour in parts 1 and 2 under
+    every swap, so ``_vertex_witness`` finds none there."""
     present = set(part_of)
     if min(present) < 1:
         raise ValueError("part indices are 1-based")
     for i in range(1, max(present) + 1):
         if i not in present:
             raise ValueError(f"part {i} is empty")
-    end_edge = _end_edges(g, part_of)
-    bit = [1 << i for i in part_of]
-    solid_bit = list(bit)
-    for w in end_edge:
-        solid_bit[w] = 0
-    seen, solid = [0] * g.n, [0] * g.n
-    for u, v in g.edges:
-        seen[u] |= bit[v]
-        seen[v] |= bit[u]
-        solid[u] |= solid_bit[v]
-        solid[v] |= solid_bit[u]
-    witnesses: dict[int, frozenset[int]] = {}
+    end_edge, seen = _edge_pass(g, part_of)
     for v, i in enumerate(part_of):
-        if i < 2:
-            continue
         need = (1 << i) - 2
         if seen[v] & need != need:
             raise ValueError(f"vertex {v} in part {i} misses a neighbour in a lower part")
-        if i >= 3 and solid[v] & 0b110 != 0b110:  # parts 1 and 2
-            w = _vertex_witness(g, part_of, end_edge, v)
-            if w is not None:
-                witnesses[v] = w
+    near_ends = {w for x in end_edge for w, _ in g.adj[x] if part_of[w] >= 3}
+    witnesses: dict[int, frozenset[int]] = {}
+    for v in sorted(near_ends):
+        w = _vertex_witness(g, part_of, end_edge, v)
+        if w is not None:
+            witnesses[v] = w
     return end_edge, witnesses
 
 

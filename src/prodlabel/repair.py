@@ -553,15 +553,19 @@ class RepairResult:
         self.component_vertices: list[list[int]] = []
 
 
-def run_repair_pass(g: Graph, part_of: list[int], l: Labelling) -> RepairResult:
+def run_repair_pass(g: Graph, part_of: list[int], l: Labelling,
+                    d2: list[int], d3: list[int]) -> RepairResult:
     """Fix every conflicting bottom component; returns the new labelling.
 
+    ``d2``/``d3`` must be the degree counts of ``l``, as the upward pass
+    leaves them.  The pass starts from copies of the three, so none of them
+    is changed and no edge is counted again.
     For each component the first fixer that applies runs, and the settled
     state (no internal conflict, all vertices monochromatic or special) is
     re-checked before moving on.
     """
     labelling = l.copy()
-    state = ProfileTracker(g, labelling)
+    state = ProfileTracker(g, labelling, list(d2), list(d3))
     comps, conflicts_in = conflict_components(g, part_of, state)
     result = RepairResult(labelling, conflicts_in)
     for comp in comps:

@@ -23,11 +23,13 @@ from .labelling import Labelling, ProfileTracker
 
 
 class UpwardResult:
-    __slots__ = ("labelling", "part_of", "swaps", "branches")
+    __slots__ = ("labelling", "part_of", "d2", "d3", "swaps", "branches")
 
-    def __init__(self, labelling: Labelling, part_of: list[int]):
-        self.labelling = labelling
+    def __init__(self, state: ProfileTracker, part_of: list[int]):
+        self.labelling = state.labelling
         self.part_of = part_of
+        self.d2 = state.d2  # the labelling's degree counts, which the repair pass starts from
+        self.d3 = state.d3
         self.swaps = 0  # swaps made; a swap undone at the same vertex counts twice
         self.branches: dict[str, int] = {}  # vertices of parts >= 3 by branch
 
@@ -45,13 +47,14 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
     ``part_of`` must be a valid partition and ``end_edge`` the end map of
     its swappable edges, as ``build_valid_partition`` returns them; neither
     is changed.  The returned partition differs from ``part_of`` only by
-    swaps of swappable bottom edges.  Every relabelled edge is taken from
+    swaps of swappable bottom edges, and the result carries the degree
+    counts of its labelling.  Every relabelled edge is taken from
     the entry of ``g.adj[u]`` that names its other end.
     """
     part_of, adj = list(part_of), g.adj
-    state = ProfileTracker(g)
+    state = ProfileTracker(g, Labelling.all_ones(g), [0] * g.n, [0] * g.n)
     d2, d3, relabel = state.d2, state.d3, state.set
-    result = UpwardResult(state.labelling, part_of)
+    result = UpwardResult(state, part_of)
     branches = result.branches
 
     pending = set(end_edge.values())  # swappable edges with both ends still 1-monochromatic

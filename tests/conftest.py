@@ -68,6 +68,18 @@ class CountingAdj(list):
         return entries
 
 
+class CountingEdges(tuple):
+    """Stand-in for ``Graph.edges`` that counts the passes over it (each
+    ``iter``, as ``for``, ``enumerate`` and ``zip`` make one); looking an
+    edge up by its index is no pass."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 def random_graph(rng: random.Random, n_max: int = 10, p: float = 0.4) -> Graph:
     n = rng.randint(1, n_max)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

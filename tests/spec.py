@@ -18,6 +18,19 @@ from prodlabel.labelling import Labelling, ProfileTracker
 from prodlabel.repair import _sweep, _within
 
 
+def tracker(g: Graph, l: Labelling | None = None) -> ProfileTracker:
+    """A ProfileTracker over ``l`` (a fresh all-ones labelling when None)
+    with its degree counts counted from scratch, edge by edge."""
+    l = Labelling.all_ones(g) if l is None else l
+    d2, d3 = [0] * g.n, [0] * g.n
+    for (u, v), lab in zip(g.edges, l.labels):
+        if lab != 1:
+            counts = d2 if lab == 2 else d3
+            counts[u] += 1
+            counts[v] += 1
+    return ProfileTracker(g, l, d2, d3)
+
+
 def edge_id(g: Graph, u: int, v: int) -> int:
     """Index of the edge uv, read from its entry in ``g.adj[u]``; KeyError
     if there is none."""
@@ -199,7 +212,7 @@ def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
     """
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
-    state = ProfileTracker(g, l)
+    state = tracker(g, l)
     edge_ids = list(edge_ids)
     for eid in edge_ids:
         if state.label(eid) not in (1, s):

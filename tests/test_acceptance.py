@@ -19,13 +19,13 @@ from prodlabel import (
     label_graph,
 )
 from prodlabel.engine import random_nice_graph
-from prodlabel.labelling import ProfileTracker
 from prodlabel.partition import build_valid_partition, greedy_partition
 from prodlabel.repair import nullstellensatz_assign, run_repair_pass
 from prodlabel.upward import run_upward_pass
 
 from conftest import complete_graph, exact_conflicts, induced_subgraph, path_graph
-from spec import connected_components, missing_lower_neighbours, parity_relabel, validate_partition
+from spec import (connected_components, missing_lower_neighbours, parity_relabel, tracker,
+                  validate_partition)
 from test_partition import exhaustive_swap_check, swap_witness, swappable_edges
 from test_upward import check_items
 
@@ -248,9 +248,9 @@ def test_criterion_8_locality():
                 continue
             sub, _ = induced_subgraph(g, comp)
             up = run_upward_pass(sub, *build_valid_partition(sub))
-            before = ProfileTracker(sub, up.labelling.copy())
-            res = run_repair_pass(sub, up.part_of, up.labelling)
-            after = ProfileTracker(sub, res.labelling)
+            before = tracker(sub, up.labelling.copy())
+            res = run_repair_pass(sub, up.part_of, up.labelling, up.d2, up.d3)
+            after = tracker(sub, res.labelling)
             touched = {v for vs in res.component_vertices for v in vs}
             for v in range(sub.n):
                 if v not in touched and before.key(v) != after.key(v):

@@ -167,16 +167,20 @@ class TestLabelCommand:
         assert_repro(tmp_path, err, P5)
 
     def test_checker_runs_once(self, tmp_path, capsys, monkeypatch):
+        # The final labels are counted once: label_graph's verdict recount,
+        # whose counts the product report prints.  find_conflicts and
+        # format_products count through labelling.degree_counts too.
         calls = []
 
-        def counted(checker):
+        def counted(count):
             def wrapper(g, l):
                 calls.append(g)
-                return checker(g, l)
+                return count(g, l)
             return wrapper
 
-        for module in (prodlabel.engine, prodlabel.cli):
-            monkeypatch.setattr(module, "find_conflicts", counted(module.find_conflicts))
+        for module in (prodlabel.labelling, prodlabel.engine, prodlabel.cli):
+            if hasattr(module, "degree_counts"):
+                monkeypatch.setattr(module, "degree_counts", counted(module.degree_counts))
         path = write(tmp_path, "k3.edges", K3)
         code, _, _ = run_cli(capsys, "label", path)
         assert code == 0 and len(calls) == 1

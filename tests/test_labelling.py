@@ -12,10 +12,9 @@ from prodlabel import (
     format_products,
     parse_labelling,
 )
-from prodlabel.labelling import ProfileTracker
 
 from conftest import exact_conflicts, path_graph, random_graph, star_graph
-from spec import VertexKind, VertexProfile, classify, profile
+from spec import VertexKind, VertexProfile, classify, profile, tracker
 
 
 class TestProfile:
@@ -123,14 +122,14 @@ class TestProfileTracker:
     def test_incremental_matches_recompute(self, seed):
         rng = random.Random(seed)
         g = random_graph(rng)
-        tracker = ProfileTracker(g)
+        state = tracker(g)
         for _ in range(60):
             if not g.m:
                 break
-            tracker.set(rng.randrange(g.m), rng.choice((1, 2, 3)))
+            state.set(rng.randrange(g.m), rng.choice((1, 2, 3)))
         for v in range(g.n):
-            p = profile(g, tracker.labelling, v)
-            assert tracker.key(v) == (p.d2, p.d3)
+            p = profile(g, state.labelling, v)
+            assert state.key(v) == (p.d2, p.d3)
 
 
 class TestLabellingValue:

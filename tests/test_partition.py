@@ -11,13 +11,14 @@ from prodlabel import label_graph
 from prodlabel.graph import Graph, InvariantViolation, NotNiceError
 from prodlabel.partition import (
     _certificate,
-    _end_edges,
+    _edge_pass,
     _vertex_witness,
     build_valid_partition,
     greedy_partition,
 )
 
 from conftest import (
+    CountingEdges,
     complete_graph,
     disjoint_union,
     path_graph,
@@ -56,7 +57,7 @@ WORKLIST_CASES = {
 def swappable_edges(g: Graph, part_of: list[int]) -> set[int]:
     """Edge ids of the swappable edges; the partition may miss lower
     neighbours, as it does midway through an exhaustive check."""
-    return set(_end_edges(g, part_of).values())
+    return set(_edge_pass(g, part_of)[0].values())
 
 
 def swap_witness(g: Graph, part_of: list[int]):
@@ -255,11 +256,11 @@ def many_components(rng: random.Random, count: int) -> Graph:
 
 
 # The whole-graph passes a build could make, with the objects they are looked
-# up on.  _end_edges is the edge pass of a certificate sweep, so a build makes
-# it once per sweep.  is_nice is a degree test: it reads the length of every
-# adjacency list, and the one entry of each list of length one.
+# up on.  _edge_pass is the one edge pass of a certificate sweep, so a build
+# makes it once per sweep.  is_nice is a degree test: it reads the length of
+# every adjacency list, and the one entry of each list of length one.
 FULL_SCANS = {
-    "_end_edges": partition_module,
+    "_edge_pass": partition_module,
     "is_nice": partition_module,
 }
 
@@ -295,7 +296,7 @@ def assert_greedy_scans(sweeps, calls):
     its only other whole-graph pass is the nice-graph degree test."""
     assert len(sweeps) == (2 if sweeps[0] else 1)
     assert sweeps[-1] == {}
-    assert calls == {"is_nice": 1, "_end_edges": len(sweeps)}
+    assert calls == {"is_nice": 1, "_edge_pass": len(sweeps)}
 
 
 class TestWorklistMatchesFullScan:
@@ -312,7 +313,7 @@ class TestWorklistMatchesFullScan:
                 g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
             (p, end_edge), sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
-            assert end_edge == _end_edges(g, p), seed
+            assert end_edge == _edge_pass(g, p)[0], seed
             assert_greedy_scans(sweeps, calls)
             with_rounds += bool(sweeps[0])
         assert with_rounds >= 50
@@ -365,14 +366,46 @@ class TestNoRescanPerRound:
     ], ids=["K4", "witness-path", "sparse"])
     def test_label_graph_builds_one_end_map_per_sweep(self, monkeypatch, make, sweeps):
         # The upward pass takes the end map of the builder's last sweep, so
-        # label_graph makes one _end_edges pass per certificate sweep.  K4
-        # makes no witness round, the other two make at least one.
-        calls, end_edges = [], partition_module._end_edges
+        # label_graph makes one _edge_pass per certificate sweep.  K4 makes
+        # no witness round, the other two make at least one.
+        calls, edge_pass = [], partition_module._edge_pass
         for module in (partition_module, upward_module):
-            if hasattr(module, "_end_edges"):
-                monkeypatch.setattr(module, "_end_edges", lambda *a: calls.append(1) or end_edges(*a))
+            if hasattr(module, "_edge_pass"):
+                monkeypatch.setattr(module, "_edge_pass", lambda *a: calls.append(1) or edge_pass(*a))
         assert label_graph(make()).verified
         assert len(calls) == sweeps
+
+
+class TestOneEdgePass:
+    """A certificate sweep walks ``g.edges`` once: the part checks, the
+    swappable edges and the lower-part masks all come from one pass."""
+
+    @staticmethod
+    def graphs():
+        for seed in range(60):
+            rng = random.Random(seed)
+            if seed % 2:
+                yield many_components(rng, rng.randint(2, 40))
+            else:
+                n = rng.randint(10, 300)
+                yield tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
+        yield WITNESS_PATH
+
+    def test_sweep(self):
+        witnesses = 0
+        for g in self.graphs():
+            for part_of in (greedy_partition(g), build_valid_partition(g)[0]):
+                g.edges = CountingEdges(g.edges)
+                witnesses += bool(_certificate(g, part_of)[1])
+                assert g.edges.passes == 1
+        assert witnesses >= 10
+
+    def test_build(self, monkeypatch):
+        # One pass per sweep, and none in the witness rounds between them.
+        for g in self.graphs():
+            g.edges = CountingEdges(g.edges)
+            _, sweeps, _ = build_with_scans(monkeypatch, g)
+            assert g.edges.passes == len(sweeps)
 
 
 def certificate_by_definition(g: Graph, part_of: list[int]):
@@ -383,7 +416,7 @@ def certificate_by_definition(g: Graph, part_of: list[int]):
     if missing:
         v = missing[0][0]
         raise ValueError(f"vertex {v} in part {part_of[v]} misses a neighbour in a lower part")
-    end_edge = _end_edges(g, part_of)
+    end_edge = _edge_pass(g, part_of)[0]
     return end_edge, {v: w for v in range(g.n)
                       if (w := _vertex_witness(g, part_of, end_edge, v)) is not None}
 
@@ -412,7 +445,7 @@ class TestCertificateFilter:
             part_of = greedy_partition(g) if seed % 4 else build_valid_partition(g)[0]
             for step in range(rng.randint(1, 5)):
                 if step:
-                    swappable = sorted(set(_end_edges(g, part_of).values()))
+                    swappable = sorted(set(_edge_pass(g, part_of)[0].values()))
                     r = rng.random()
                     if swappable and r < 0.5:
                         u, v = g.edges[rng.choice(swappable)]

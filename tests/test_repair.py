@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts
-from prodlabel.labelling import ProfileTracker
 from prodlabel.partition import build_valid_partition
 import prodlabel.repair as repair_module
 from prodlabel.repair import (
@@ -32,7 +31,8 @@ from conftest import (
     star_graph,
     tree_plus_chords,
 )
-from spec import VertexKind, classify, parity_relabel, profile, target_profile
+from spec import VertexKind, classify, parity_relabel, profile, target_profile, tracker
+from test_partition import many_components
 
 
 def fixture(parts, edges, labels=None):
@@ -41,7 +41,7 @@ def fixture(parts, edges, labels=None):
     g = Graph(len(part_of), edges)
     p = [part_of[v] for v in range(g.n)]
     l = Labelling(list(labels) if labels is not None else [1] * g.m)
-    return g, p, ProfileTracker(g, l)
+    return g, p, tracker(g, l)
 
 
 def the_component(g, p, state):
@@ -152,7 +152,7 @@ class TestParityRelabel:
         # parity_relabel checks connectivity first, so only a fixer can hand
         # the sweep a disconnected piece: that is a broken construction.
         g = Graph(4, [(0, 1), (2, 3)])
-        state = ProfileTracker(g, Labelling.all_ones(g))
+        state = tracker(g, Labelling.all_ones(g))
         with pytest.raises(InvariantViolation, match="connected"):
             _sweep(state, {0, 1, 2, 3}, 0, {0: 1, 1: 2, 2: 1, 3: 2}, 1, 2)
         assert state.labelling.labels == [1, 1]
@@ -161,7 +161,7 @@ class TestParityRelabel:
         # parity_relabel checks its caller's labels first, so only a fixer
         # can hand the sweep an edge labelled neither 1 nor s.
         g = path_graph(3)
-        state = ProfileTracker(g, Labelling([1, 3]))
+        state = tracker(g, Labelling([1, 3]))
         with pytest.raises(InvariantViolation, match="expected 1 or 2"):
             _sweep(state, {0, 1, 2}, 0, {0: 1, 1: 2, 2: 1}, 1, 2)
         assert state.labelling.labels == [1, 3]
@@ -170,7 +170,7 @@ class TestParityRelabel:
         # Edges leaving the vertex set neither join the tree nor get their
         # labels checked.
         g = path_graph(4)
-        state = ProfileTracker(g, Labelling([1, 1, 3]))
+        state = tracker(g, Labelling([1, 1, 3]))
         _sweep(state, {0, 1, 2}, 0, {0: 1, 1: 1, 2: 1}, 1, 2)
         assert state.labelling.labels == [1, 2, 3]
 
@@ -234,26 +234,26 @@ class TestConflictComponents:
     def test_k3_clean(self):
         g = complete_graph(3)
         res = run_upward_pass(g, *build_valid_partition(g))
-        assert conflict_components(g, res.part_of, ProfileTracker(g, res.labelling)) == ([], 0)
+        assert conflict_components(g, res.part_of, tracker(g, res.labelling)) == ([], 0)
 
     def test_star_whole(self):
         g = star_graph(3)
         p, _ = build_valid_partition(g)
-        comps, conflicts = conflict_components(g, p, ProfileTracker(g))
+        comps, conflicts = conflict_components(g, p, tracker(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3]
         assert conflicts == 3
 
     def test_p5_whole(self):
         g = path_graph(5)
         p, _ = build_valid_partition(g)
-        comps, conflicts = conflict_components(g, p, ProfileTracker(g))
+        comps, conflicts = conflict_components(g, p, tracker(g))
         assert len(comps) == 1 and comps[0].vertices == [0, 1, 2, 3, 4]
         assert conflicts == 4
 
     def test_single_edge_component_asserts(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(InvariantViolation, match="fewer than two edges"):
-            conflict_components(g, [1, 2], ProfileTracker(g))
+            conflict_components(g, [1, 2], tracker(g))
 
     @pytest.mark.parametrize("clean", [1, 40, 400])
     def test_clean_components_never_walked(self, clean):
@@ -574,7 +574,7 @@ def test_fixer_that_does_not_apply(fixer, scenario, case):
     before = (list(state.labelling.labels), list(state.d2), list(state.d3))
     assert fixer(comp, state) is None
     assert (state.labelling.labels, state.d2, state.d3) == before
-    assert run_repair_pass(g, p, state.labelling).tally == {case: 1}
+    assert run_repair_pass(g, p, state.labelling, state.d2, state.d3).tally == {case: 1}
 
 
 # One minimal graph per fixer case not pinned above, found by seeded search
@@ -644,7 +644,7 @@ def spy_walks(monkeypatch, fixer, graphs):
     monkeypatch.setattr(repair_module, fixer, tracked)
     for g in graphs:
         up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert find_conflicts(g, res.labelling) == []
         tally.update(res.tally)
     return walks, flips, tally
@@ -665,7 +665,7 @@ class TestRunRepairPass:
         g = spider(1000)
         up = run_upward_pass(g, *build_valid_partition(g))
         g.adj = CountingAdj(g.adj)
-        res = run_repair_pass(g, up.part_of, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert res.tally == {"hub-3-even": 1}
         assert find_conflicts(g, res.labelling) == []
         assert g.adj.read <= 20 * g.m
@@ -681,7 +681,7 @@ class TestRunRepairPass:
             g = PINNED_CASES[case]
             up = run_upward_pass(g, *build_valid_partition(g))
             calls.clear()
-            res = run_repair_pass(g, up.part_of, up.labelling)
+            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
             assert len(calls) == len(res.component_vertices) == 1, case
 
     def test_one_walk_per_anchored_piece(self, monkeypatch):
@@ -716,21 +716,21 @@ class TestRunRepairPass:
     def test_pinned_case(self, case):
         g = PINNED_CASES[case]
         up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert res.tally == {case: 1}
         assert find_conflicts(g, res.labelling) == []
 
     def test_k3_untouched(self):
         g = complete_graph(3)
         up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert res.labelling.labels == up.labelling.labels
         assert res.tally == {}
 
     def test_star_products(self):
         g = star_graph(3)
         up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert find_conflicts(g, res.labelling) == []
         from conftest import exact_products
 
@@ -739,14 +739,14 @@ class TestRunRepairPass:
     def test_p5_proper(self):
         g = path_graph(5)
         up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling)
+        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert find_conflicts(g, res.labelling) == []
 
     def test_one_fixer_per_component(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 17), n_max=14)
             up = run_upward_pass(g, *build_valid_partition(g))
-            res = run_repair_pass(g, up.part_of, up.labelling)
+            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
             assert sum(res.tally.values()) == len(res.component_vertices)
             assert find_conflicts(g, res.labelling) == []
 
@@ -754,9 +754,9 @@ class TestRunRepairPass:
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 4321), n_max=14, p=0.3)
             up = run_upward_pass(g, *build_valid_partition(g))
-            before = ProfileTracker(g, up.labelling.copy())
-            res = run_repair_pass(g, up.part_of, up.labelling)
-            after = ProfileTracker(g, res.labelling)
+            before = tracker(g, up.labelling.copy())
+            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
+            after = tracker(g, res.labelling)
             touched = {v for comp in res.component_vertices for v in comp}
             for v in range(g.n):
                 if v not in touched:
@@ -766,15 +766,48 @@ class TestRunRepairPass:
         g = path_graph(5)
         up = run_upward_pass(g, *build_valid_partition(g))
         snapshot = list(up.labelling.labels)
-        run_repair_pass(g, up.part_of, up.labelling)
+        run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
         assert up.labelling.labels == snapshot
+
+    def test_starts_from_the_upward_counts(self, monkeypatch):
+        # The repair tracker starts from copies of the upward pass's
+        # labelling and counts, equal to counting that labelling from
+        # scratch, and leaves all three unchanged; its result is that of a
+        # run handed counts made from scratch.
+        starts = []
+        real = repair_module.ProfileTracker
+
+        def recorded(g, labelling, d2, d3):
+            starts.append((list(labelling.labels), list(d2), list(d3)))
+            return real(g, labelling, d2, d3)
+
+        monkeypatch.setattr(repair_module, "ProfileTracker", recorded)
+        rng = random.Random(4242)
+        graphs = [many_components(rng, rng.randint(20, 200)) for _ in range(20)]
+        for _ in range(40):
+            n = rng.randint(10, 400)
+            graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n)))
+        repaired = 0
+        for g in graphs:
+            up = run_upward_pass(g, *build_valid_partition(g))
+            before = (list(up.labelling.labels), list(up.d2), list(up.d3))
+            recount = tracker(g, up.labelling.copy())
+            starts.clear()
+            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
+            assert (up.labelling.labels, up.d2, up.d3) == before
+            assert starts == [(recount.labelling.labels, recount.d2, recount.d3)]
+            ref = run_repair_pass(g, up.part_of, up.labelling, recount.d2, recount.d3)
+            assert ((res.labelling, res.conflicts_in, res.tally, res.component_vertices)
+                    == (ref.labelling, ref.conflicts_in, ref.tally, ref.component_vertices))
+            repaired += bool(res.tally)
+        assert repaired >= 40
 
     def test_conflicts_in_matches_the_checker(self):
         nonzero = 0
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 1618), n_max=14)
             up = run_upward_pass(g, *build_valid_partition(g))
-            res = run_repair_pass(g, up.part_of, up.labelling)
+            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
             assert res.conflicts_in == len(find_conflicts(g, up.labelling))
             nonzero += res.conflicts_in > 0
         assert nonzero >= 50
@@ -785,7 +818,7 @@ class TestRunRepairPass:
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 9876), n_max=14, p=0.4)
             up = run_upward_pass(g, *build_valid_partition(g))
-            res = run_repair_pass(g, up.part_of, up.labelling)
+            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
             part_of = up.part_of
             for v in range(g.n):
                 prof = profile(g, res.labelling, v)

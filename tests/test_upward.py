@@ -5,7 +5,7 @@ import pytest
 
 from prodlabel import Graph, Labelling, label_graph
 from prodlabel.engine import random_nice_graph
-from prodlabel.partition import _end_edges, build_valid_partition
+from prodlabel.partition import _edge_pass, build_valid_partition
 from prodlabel.upward import run_upward_pass
 
 from conftest import (
@@ -20,7 +20,7 @@ from spec import VertexKind, classify, connected_components, edge_id, profile, t
 
 def upward(g: Graph, part_of: list[int]):
     """The upward pass on a hand-made partition, with its end map."""
-    return run_upward_pass(g, part_of, _end_edges(g, part_of))
+    return run_upward_pass(g, part_of, _edge_pass(g, part_of)[0])
 
 
 class TestTargetProfile:
