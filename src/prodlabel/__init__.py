@@ -6,7 +6,6 @@ from .labelling import (
     Labelling,
     find_conflicts,
     format_labelling,
-    format_products,
     parse_labelling,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "brute_force_min_k",
     "find_conflicts",
     "format_labelling",
-    "format_products",
     "label_graph",
     "parse_graph",
     "parse_labelling",

@@ -24,6 +24,8 @@ class PipelineReport:
     lists: ``upward.swaps``, ``upward.branch.<branch>``,
     ``repair.conflicts_in``, ``repair.components`` and
     ``repair.case.<case>``.  A count of 0 is left out: the key is absent.
+    Each stage writes the keys under its own prefix: the upward pass the
+    ``upward.*`` keys, the repair pass the ``repair.*`` keys.
     ``upward.swaps`` counts swaps made, not edges moved: a vertex that
     swaps an edge's ends and then swaps them back adds 2.
 
@@ -80,17 +82,9 @@ def label_graph(g: Graph) -> PipelineReport:
 def _construct(g: Graph) -> tuple[Labelling, list[int], dict[str, int]]:
     """The three stages on a graph with edges: the labelling, the partition
     after the upward pass's swaps, and the stats."""
-    part_of, end_edge = build_valid_partition(g)
-    up = run_upward_pass(g, part_of, end_edge)
-    rep = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-    stats = {key: count for key, count in (
-        ("upward.swaps", up.swaps), ("repair.conflicts_in", rep.conflicts_in),
-        ("repair.components", len(rep.component_vertices))) if count}
-    for branch, count in up.branches.items():
-        stats["upward.branch." + branch] = count
-    for case, count in rep.tally.items():
-        stats["repair.case." + case] = count
-    return rep.labelling, up.part_of, stats
+    state, part_of, stats = run_upward_pass(g, *build_valid_partition(g))
+    stats.update(run_repair_pass(g, part_of, state))
+    return state.labelling, part_of, stats
 
 
 # Search nodes (single-edge label assignments) one public oracle call may

@@ -96,9 +96,6 @@ class Graph:
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 

@@ -38,9 +38,6 @@ class Labelling:
     def all_ones(cls, g: Graph) -> "Labelling":
         return cls([1] * g.m)
 
-    def copy(self) -> "Labelling":
-        return Labelling(list(self.labels))
-
     def __getitem__(self, eid: int) -> int:
         return self.labels[eid]
 
@@ -138,11 +135,6 @@ def format_labelling(g: Graph, l: Labelling) -> str:
 def format_counts(d2: list[int], d3: list[int]) -> str:
     """One "v d2 d3" line per vertex, from the labelling's degree counts."""
     return "".join([f"{v} {a} {b}\n" for v, a, b in zip(range(len(d2)), d2, d3)])
-
-
-def format_products(g: Graph, l: Labelling) -> str:
-    """One "v d2 d3" line per vertex."""
-    return format_counts(*degree_counts(g, l))
 
 
 def parse_labelling(g: Graph, text: str) -> Labelling:

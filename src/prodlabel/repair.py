@@ -1,9 +1,10 @@
 """Repair pass: settle every conflicting component of the bottom subgraph.
 
 After the upward pass the only possible conflicts sit between 1-monochromatic
-vertices of parts 1 and 2.  Each connected component of the subgraph induced
-by those two parts that still contains a conflict is rewritten in place so
-that no internal conflict remains and every vertex of the component ends
+vertices of parts 1 and 2.  The pass works on the ``ProfileTracker`` that
+the upward pass built: each connected component of the subgraph induced by
+those two parts that still contains a conflict is rewritten in place on it,
+so that no internal conflict remains and every vertex of the component ends
 monochromatic or special (special: exactly one 3, at least two 2s, odd 2+3
 count).  Only edges inside the component are touched, so products elsewhere
 are unaffected.
@@ -35,7 +36,7 @@ no label touched, when it does not apply:
 from __future__ import annotations
 
 from .graph import Graph, InvariantViolation
-from .labelling import Labelling, ProfileTracker
+from .labelling import ProfileTracker
 
 
 class ConflictComponent:
@@ -543,37 +544,23 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
 # Driver
 
 
-class RepairResult:
-    __slots__ = ("labelling", "conflicts_in", "tally", "component_vertices")
+def run_repair_pass(g: Graph, part_of: list[int], state: ProfileTracker) -> dict[str, int]:
+    """Fix every conflicting bottom component on ``state``, the tracker the
+    upward pass built, and return the pass's ``repair.*`` stats.
 
-    def __init__(self, labelling: Labelling, conflicts_in: int):
-        self.labelling = labelling
-        self.conflicts_in = conflicts_in     # conflicting edges of the input labelling
-        self.tally: dict[str, int] = {}      # components by fixer case
-        self.component_vertices: list[list[int]] = []
-
-
-def run_repair_pass(g: Graph, part_of: list[int], l: Labelling,
-                    d2: list[int], d3: list[int]) -> RepairResult:
-    """Fix every conflicting bottom component; returns the new labelling.
-
-    ``d2``/``d3`` must be the degree counts of ``l``, as the upward pass
-    leaves them.  The pass starts from copies of the three, so none of them
-    is changed and no edge is counted again.
-    For each component the first fixer that applies runs, and the settled
-    state (no internal conflict, all vertices monochromatic or special) is
-    re-checked before moving on.
+    The labels and degree counts are changed in place, so no edge is
+    counted again.  For each component the first fixer that applies runs,
+    and the settled state (no internal conflict, all vertices monochromatic
+    or special) is re-checked before moving on.
     """
-    labelling = l.copy()
-    state = ProfileTracker(g, labelling, list(d2), list(d3))
     comps, conflicts_in = conflict_components(g, part_of, state)
-    result = RepairResult(labelling, conflicts_in)
+    stats = {"repair.conflicts_in": conflicts_in} if conflicts_in else {}
     for comp in comps:
         case = fix_anchored(comp, state) or fix_hub(comp, state) or fix_pendant(comp, state)
         violations = component_violations(comp, state)
         if violations:
             raise InvariantViolation(
                 f"component {comp.vertices} not settled after {case}: {violations}")
-        result.tally[case] = result.tally.get(case, 0) + 1
-        result.component_vertices.append(comp.vertices)
-    return result
+        for key in ("repair.components", "repair.case." + case):
+            stats[key] = stats.get(key, 0) + 1
+    return stats

@@ -22,18 +22,6 @@ from .graph import Graph, InvariantViolation
 from .labelling import Labelling, ProfileTracker
 
 
-class UpwardResult:
-    __slots__ = ("labelling", "part_of", "d2", "d3", "swaps", "branches")
-
-    def __init__(self, state: ProfileTracker, part_of: list[int]):
-        self.labelling = state.labelling
-        self.part_of = part_of
-        self.d2 = state.d2  # the labelling's degree counts, which the repair pass starts from
-        self.d3 = state.d3
-        self.swaps = 0  # swaps made; a swap undone at the same vertex counts twice
-        self.branches: dict[str, int] = {}  # vertices of parts >= 3 by branch
-
-
 def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:
     """The edge from ``u`` (in part i) to its chosen neighbour in part j."""
     if j not in best:
@@ -41,21 +29,22 @@ def _lower(best: dict[int, tuple[int, int]], u: int, i: int, j: int) -> int:
     return best[j][1]
 
 
-def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> UpwardResult:
+def run_upward_pass(g: Graph, part_of: list[int],
+                    end_edge: dict[int, int]) -> tuple[ProfileTracker, list[int], dict[str, int]]:
     """Relabel upward edges of parts t..3 so every part meets its target.
 
     ``part_of`` must be a valid partition and ``end_edge`` the end map of
     its swappable edges, as ``build_valid_partition`` returns them; neither
-    is changed.  The returned partition differs from ``part_of`` only by
-    swaps of swappable bottom edges, and the result carries the degree
-    counts of its labelling.  Every relabelled edge is taken from
-    the entry of ``g.adj[u]`` that names its other end.
+    is changed.  Returns the tracker that holds the new labelling and its
+    degree counts, the partition, which differs from ``part_of`` only by
+    swaps of swappable bottom edges, and the pass's ``upward.*`` stats.
+    Every relabelled edge is taken from the entry of ``g.adj[u]`` that
+    names its other end.
     """
     part_of, adj = list(part_of), g.adj
     state = ProfileTracker(g, Labelling.all_ones(g), [0] * g.n, [0] * g.n)
     d2, d3, relabel = state.d2, state.d3, state.set
-    result = UpwardResult(state, part_of)
-    branches = result.branches
+    stats: dict[str, int] = {}
 
     pending = set(end_edge.values())  # swappable edges with both ends still 1-monochromatic
     # Swaps move vertices between parts 1 and 2 only, which the loop never reads.
@@ -66,7 +55,7 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
     def do_swap(eid: int) -> None:
         a, b = g.edges[eid]
         part_of[a], part_of[b] = part_of[b], part_of[a]
-        result.swaps += 1
+        stats["upward.swaps"] = stats.get("upward.swaps", 0) + 1
 
     for i in range(len(parts) - 1, 2, -1):
         # By the rule, keep is the label towards parts near, near + 2, ...,
@@ -109,7 +98,7 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
                 relabel(_lower(best, u, i, j), keep)
 
             if not mu:
-                branch = "plain"
+                branch = "upward.branch.plain"
                 relabel(_lower(best, u, i, near), keep)
                 if i > 4:
                     # For i = 3, 4 part i - 2 is far, whose single edge serves
@@ -118,7 +107,7 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
                 if (d2[u] + d3[u]) % 2 != want:
                     relabel(_lower(best, u, i, far), other)
             else:
-                branch = "pending"
+                branch = "upward.branch.pending"
                 z, ez = chosen[0]
                 for _, eid in chosen[1:]:
                     relabel(eid, other)
@@ -134,7 +123,7 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
                             f"part-{i} vertex {u} reached the excluded branch "
                             f"(d{other}=0, {'odd' if i % 2 else 'even'} 2+3 count: "
                             f"profile {state.key(u)})")
-                    branch = "pending-fallback"
+                    branch = "upward.branch.pending-fallback"
                     relabel(_lower(best, u, i, i - 2), other)
                     relabel(ez, other)
                     relabel(_lower(best, u, i, near), keep)
@@ -143,5 +132,5 @@ def run_upward_pass(g: Graph, part_of: list[int], end_edge: dict[int, int]) -> U
             if d_keep[u] != i // 2 or d2[u] == 0 or d3[u] == 0 or (d2[u] + d3[u]) % 2 != want:
                 raise InvariantViolation(
                     f"vertex {u} in part {i} ended with profile ({d2[u]},{d3[u]})")
-            branches[branch] = branches.get(branch, 0) + 1
-    return result
+            stats[branch] = stats.get(branch, 0) + 1
+    return state, part_of, stats

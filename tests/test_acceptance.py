@@ -20,7 +20,7 @@ from prodlabel import (
 )
 from prodlabel.engine import random_nice_graph
 from prodlabel.partition import build_valid_partition, greedy_partition
-from prodlabel.repair import nullstellensatz_assign, run_repair_pass
+from prodlabel.repair import conflict_components, nullstellensatz_assign, run_repair_pass
 from prodlabel.upward import run_upward_pass
 
 from conftest import complete_graph, exact_conflicts, induced_subgraph, path_graph
@@ -162,9 +162,9 @@ def test_criterion_5_upward_postconditions():
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            res = run_upward_pass(sub, *build_valid_partition(sub))
+            state, part_of, _ = run_upward_pass(sub, *build_valid_partition(sub))
             try:
-                check_items(sub, res.part_of, res.labelling)
+                check_items(sub, part_of, state.labelling)
             except AssertionError:
                 failures += 1
     report(5, failures == 0,
@@ -247,11 +247,12 @@ def test_criterion_8_locality():
             if len(comp) < 2:
                 continue
             sub, _ = induced_subgraph(g, comp)
-            up = run_upward_pass(sub, *build_valid_partition(sub))
-            before = tracker(sub, up.labelling.copy())
-            res = run_repair_pass(sub, up.part_of, up.labelling, up.d2, up.d3)
-            after = tracker(sub, res.labelling)
-            touched = {v for vs in res.component_vertices for v in vs}
+            state, part_of, _ = run_upward_pass(sub, *build_valid_partition(sub))
+            before = tracker(sub, Labelling(list(state.labelling.labels)))
+            touched = {v for comp in conflict_components(sub, part_of, state)[0]
+                       for v in comp.vertices}
+            run_repair_pass(sub, part_of, state)
+            after = tracker(sub, state.labelling)
             for v in range(sub.n):
                 if v not in touched and before.key(v) != after.key(v):
                     failures += 1
@@ -261,7 +262,7 @@ def test_criterion_8_locality():
 
 
 def test_criterion_9_determinism():
-    from prodlabel.labelling import format_labelling, format_products
+    from prodlabel.labelling import degree_counts, format_counts, format_labelling
 
     trials = 200
     failures = 0
@@ -270,7 +271,8 @@ def test_criterion_9_determinism():
         outputs = []
         for _ in range(2):
             rep = label_graph(g)
-            outputs.append(format_labelling(g, rep.labelling) + format_products(g, rep.labelling))
+            outputs.append(format_labelling(g, rep.labelling)
+                           + format_counts(*degree_counts(g, rep.labelling)))
         if outputs[0] != outputs[1]:
             failures += 1
     report(9, failures == 0, f"{trials} graphs labelled twice: byte-identical output "

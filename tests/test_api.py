@@ -25,7 +25,6 @@ PUBLIC = [
     "brute_force_min_k",
     "find_conflicts",
     "format_labelling",
-    "format_products",
     "label_graph",
     "parse_graph",
     "parse_labelling",
@@ -171,7 +170,7 @@ def test_every_field_is_read():
     unexported = {name: slot_fields(cls) for name, cls in classes.items()
                   if name not in prodlabel.__all__}
     assert sorted(name for name, fields in unexported.items() if not fields) == []
-    assert "ProfileTracker" in unexported and "RepairResult" in unexported
+    assert "ProfileTracker" in unexported and "ConflictComponent" in unexported
     unread = [f"{name}.{field}" for name, fields in unexported.items() for field in fields
               if name not in reads.get(field, ())]
     assert unread == []

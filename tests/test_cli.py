@@ -168,8 +168,8 @@ class TestLabelCommand:
 
     def test_checker_runs_once(self, tmp_path, capsys, monkeypatch):
         # The final labels are counted once: label_graph's verdict recount,
-        # whose counts the product report prints.  find_conflicts and
-        # format_products count through labelling.degree_counts too.
+        # whose counts the product report prints.  find_conflicts counts
+        # through labelling.degree_counts too.
         calls = []
 
         def counted(count):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts
+from prodlabel.labelling import degree_counts
 from prodlabel.partition import build_valid_partition
 import prodlabel.repair as repair_module
 from prodlabel.repair import (
@@ -42,6 +43,12 @@ def fixture(parts, edges, labels=None):
     p = [part_of[v] for v in range(g.n)]
     l = Labelling(list(labels) if labels is not None else [1] * g.m)
     return g, p, tracker(g, l)
+
+
+def cases(stats):
+    """The ``repair.case.*`` counts of a repair pass's stats, by case."""
+    return {key.removeprefix("repair.case."): count for key, count in stats.items()
+            if key.startswith("repair.case.")}
 
 
 def the_component(g, p, state):
@@ -233,8 +240,8 @@ class TestNullstellensatzAssign:
 class TestConflictComponents:
     def test_k3_clean(self):
         g = complete_graph(3)
-        res = run_upward_pass(g, *build_valid_partition(g))
-        assert conflict_components(g, res.part_of, tracker(g, res.labelling)) == ([], 0)
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        assert conflict_components(g, part_of, tracker(g, state.labelling)) == ([], 0)
 
     def test_star_whole(self):
         g = star_graph(3)
@@ -574,7 +581,7 @@ def test_fixer_that_does_not_apply(fixer, scenario, case):
     before = (list(state.labelling.labels), list(state.d2), list(state.d3))
     assert fixer(comp, state) is None
     assert (state.labelling.labels, state.d2, state.d3) == before
-    assert run_repair_pass(g, p, state.labelling, state.d2, state.d3).tally == {case: 1}
+    assert cases(run_repair_pass(g, p, state)) == {case: 1}
 
 
 # One minimal graph per fixer case not pinned above, found by seeded search
@@ -643,10 +650,9 @@ def spy_walks(monkeypatch, fixer, graphs):
             inside.pop()
     monkeypatch.setattr(repair_module, fixer, tracked)
     for g in graphs:
-        up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert find_conflicts(g, res.labelling) == []
-        tally.update(res.tally)
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        tally.update(cases(run_repair_pass(g, part_of, state)))
+        assert find_conflicts(g, state.labelling) == []
     return walks, flips, tally
 
 
@@ -663,11 +669,10 @@ class TestRunRepairPass:
         # A scan of a high-degree vertex's whole adjacency list per block,
         # piece or neighbour would read about legs**2 entries here.
         g = spider(1000)
-        up = run_upward_pass(g, *build_valid_partition(g))
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
         g.adj = CountingAdj(g.adj)
-        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert res.tally == {"hub-3-even": 1}
-        assert find_conflicts(g, res.labelling) == []
+        assert cases(run_repair_pass(g, part_of, state)) == {"hub-3-even": 1}
+        assert find_conflicts(g, state.labelling) == []
         assert g.adj.read <= 20 * g.m
 
     def test_one_anchor_seed_search_per_component(self, monkeypatch):
@@ -679,10 +684,10 @@ class TestRunRepairPass:
                             lambda comp, state: calls.append(1) or seed_of(comp, state))
         for case in sorted(PINNED_CASES):
             g = PINNED_CASES[case]
-            up = run_upward_pass(g, *build_valid_partition(g))
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
             calls.clear()
-            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-            assert len(calls) == len(res.component_vertices) == 1, case
+            stats = run_repair_pass(g, part_of, state)
+            assert len(calls) == stats["repair.components"] == 1, case
 
     def test_one_walk_per_anchored_piece(self, monkeypatch):
         # fix_anchored finds each piece with one walk from its smallest
@@ -715,73 +720,59 @@ class TestRunRepairPass:
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_pinned_case(self, case):
         g = PINNED_CASES[case]
-        up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert res.tally == {case: 1}
-        assert find_conflicts(g, res.labelling) == []
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        assert cases(run_repair_pass(g, part_of, state)) == {case: 1}
+        assert find_conflicts(g, state.labelling) == []
 
     def test_k3_untouched(self):
         g = complete_graph(3)
-        up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert res.labelling.labels == up.labelling.labels
-        assert res.tally == {}
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        before = list(state.labelling.labels)
+        assert run_repair_pass(g, part_of, state) == {}
+        assert state.labelling.labels == before
 
     def test_star_products(self):
         g = star_graph(3)
-        up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert find_conflicts(g, res.labelling) == []
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        run_repair_pass(g, part_of, state)
+        assert find_conflicts(g, state.labelling) == []
         from conftest import exact_products
 
-        assert sorted(exact_products(g, res.labelling.labels)) == [1, 3, 3, 9]
+        assert sorted(exact_products(g, state.labelling.labels)) == [1, 3, 3, 9]
 
     def test_p5_proper(self):
         g = path_graph(5)
-        up = run_upward_pass(g, *build_valid_partition(g))
-        res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert find_conflicts(g, res.labelling) == []
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        run_repair_pass(g, part_of, state)
+        assert find_conflicts(g, state.labelling) == []
 
     def test_one_fixer_per_component(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 17), n_max=14)
-            up = run_upward_pass(g, *build_valid_partition(g))
-            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-            assert sum(res.tally.values()) == len(res.component_vertices)
-            assert find_conflicts(g, res.labelling) == []
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            comps = conflict_components(g, part_of, state)[0]
+            stats = run_repair_pass(g, part_of, state)
+            assert sum(cases(stats).values()) == len(comps) == stats.get("repair.components", 0)
+            assert find_conflicts(g, state.labelling) == []
 
     def test_locality_outside_components(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 4321), n_max=14, p=0.3)
-            up = run_upward_pass(g, *build_valid_partition(g))
-            before = tracker(g, up.labelling.copy())
-            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-            after = tracker(g, res.labelling)
-            touched = {v for comp in res.component_vertices for v in comp}
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            before = tracker(g, Labelling(list(state.labelling.labels)))
+            touched = {v for comp in conflict_components(g, part_of, state)[0]
+                       for v in comp.vertices}
+            run_repair_pass(g, part_of, state)
+            after = tracker(g, state.labelling)
             for v in range(g.n):
                 if v not in touched:
                     assert before.key(v) == after.key(v)
 
-    def test_input_labelling_never_mutated(self):
-        g = path_graph(5)
-        up = run_upward_pass(g, *build_valid_partition(g))
-        snapshot = list(up.labelling.labels)
-        run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-        assert up.labelling.labels == snapshot
-
-    def test_starts_from_the_upward_counts(self, monkeypatch):
-        # The repair tracker starts from copies of the upward pass's
-        # labelling and counts, equal to counting that labelling from
-        # scratch, and leaves all three unchanged; its result is that of a
-        # run handed counts made from scratch.
-        starts = []
-        real = repair_module.ProfileTracker
-
-        def recorded(g, labelling, d2, d3):
-            starts.append((list(labelling.labels), list(d2), list(d3)))
-            return real(g, labelling, d2, d3)
-
-        monkeypatch.setattr(repair_module, "ProfileTracker", recorded)
+    def test_starts_from_the_upward_counts(self):
+        # The pass settles the upward pass's tracker in place and keeps its
+        # counts those of its labels; the upward counts equal a count from
+        # scratch, and the labels and stats equal those of a run handed a
+        # tracker counted from scratch over a copy of the same labels.
         rng = random.Random(4242)
         graphs = [many_components(rng, rng.randint(20, 200)) for _ in range(20)]
         for _ in range(40):
@@ -789,27 +780,25 @@ class TestRunRepairPass:
             graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n)))
         repaired = 0
         for g in graphs:
-            up = run_upward_pass(g, *build_valid_partition(g))
-            before = (list(up.labelling.labels), list(up.d2), list(up.d3))
-            recount = tracker(g, up.labelling.copy())
-            starts.clear()
-            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-            assert (up.labelling.labels, up.d2, up.d3) == before
-            assert starts == [(recount.labelling.labels, recount.d2, recount.d3)]
-            ref = run_repair_pass(g, up.part_of, up.labelling, recount.d2, recount.d3)
-            assert ((res.labelling, res.conflicts_in, res.tally, res.component_vertices)
-                    == (ref.labelling, ref.conflicts_in, ref.tally, ref.component_vertices))
-            repaired += bool(res.tally)
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            fresh = tracker(g, Labelling(list(state.labelling.labels)))
+            assert (state.d2, state.d3) == (fresh.d2, fresh.d3)
+            stats = run_repair_pass(g, part_of, state)
+            assert (state.d2, state.d3) == degree_counts(g, state.labelling)
+            assert run_repair_pass(g, part_of, fresh) == stats
+            assert fresh.labelling == state.labelling
+            repaired += "repair.components" in stats
         assert repaired >= 40
 
     def test_conflicts_in_matches_the_checker(self):
         nonzero = 0
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 1618), n_max=14)
-            up = run_upward_pass(g, *build_valid_partition(g))
-            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-            assert res.conflicts_in == len(find_conflicts(g, up.labelling))
-            nonzero += res.conflicts_in > 0
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            conflicts = len(find_conflicts(g, state.labelling))
+            stats = run_repair_pass(g, part_of, state)
+            assert stats.get("repair.conflicts_in", 0) == conflicts
+            nonzero += conflicts > 0
         assert nonzero >= 50
 
     def test_final_state_by_part(self):
@@ -817,11 +806,10 @@ class TestRunRepairPass:
         # their exact upward-pass profile.
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 9876), n_max=14, p=0.4)
-            up = run_upward_pass(g, *build_valid_partition(g))
-            res = run_repair_pass(g, up.part_of, up.labelling, up.d2, up.d3)
-            part_of = up.part_of
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            run_repair_pass(g, part_of, state)
             for v in range(g.n):
-                prof = profile(g, res.labelling, v)
+                prof = profile(g, state.labelling, v)
                 cls = classify(prof)
                 if part_of[v] <= 2:
                     assert cls.kind is not VertexKind.BICHROMATIC or cls.special

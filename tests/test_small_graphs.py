@@ -14,12 +14,12 @@ import networkx as nx
 
 from prodlabel import Graph, brute_force_min_k, label_graph
 from prodlabel.graph import is_nice
-from prodlabel.labelling import format_labelling, format_products
+from prodlabel.labelling import degree_counts, format_counts, format_labelling
 
 from conftest import exact_conflicts
 
 # sha256 over every labelled nice graph on 1-6 vertices of
-# format_labelling + "\n" + format_products; graphs in order of n, then of
+# format_labelling + "\n" + the "v d2 d3" product lines; graphs in order of n, then of
 # the edge mask, bit k standing for the k-th pair (i < j) in lex order.
 SMALL_GRAPHS_DIGEST = "98b877f9dbecad36bed97ac471569684d92f5a981a2cef3c3cd8a466090d0fc9"
 
@@ -40,7 +40,8 @@ def test_every_labelled_nice_graph_up_to_six_vertices():
             labels = label_graph(g).labelling
             assert all(lab in (1, 2, 3) for lab in labels.labels), g.edges
             assert exact_conflicts(g, labels.labels) == [], g.edges
-            digest.update((format_labelling(g, labels) + "\n" + format_products(g, labels)).encode())
+            products = format_counts(*degree_counts(g, labels))
+            digest.update((format_labelling(g, labels) + "\n" + products).encode())
             count += 1
     assert count == 32_904
     assert digest.hexdigest() == SMALL_GRAPHS_DIGEST

@@ -98,32 +98,31 @@ class TestRunUpwardPass:
     def test_k3_exact_labels(self):
         g = complete_graph(3)
         p = [1, 2, 3]
-        res = upward(g, p)
-        assert res.labelling.labels == [1, 3, 2]
-        assert res.part_of == p
+        state, part_of, _ = upward(g, p)
+        assert state.labelling.labels == [1, 3, 2]
+        assert part_of == p
 
     def test_star_given_partition_stays_all_one(self):
         g = star_graph(3)
-        res = upward(g, [2, 1, 1, 1])
-        assert res.labelling.labels == [1, 1, 1]
+        assert upward(g, [2, 1, 1, 1])[0].labelling.labels == [1, 1, 1]
 
     def test_bipartite_stays_all_one(self):
         g = path_graph(6)
         p, end_edge = build_valid_partition(g)
         assert max(p) == 2
-        res = run_upward_pass(g, p, end_edge)
-        assert res.labelling.labels == [1] * g.m
-        check_items(g, p, res.labelling)
+        labelling = run_upward_pass(g, p, end_edge)[0].labelling
+        assert labelling.labels == [1] * g.m
+        check_items(g, p, labelling)
 
     def test_partition_only_changed_by_swaps(self):
         for seed in range(200):
             g = random_connected_nice_graph(random.Random(seed), n_max=10)
             p, end_edge = build_valid_partition(g)
-            res = run_upward_pass(g, p, end_edge)
-            moved = [v for v in range(g.n) if res.part_of[v] != p[v]]
+            part_of = run_upward_pass(g, p, end_edge)[1]
+            moved = [v for v in range(g.n) if part_of[v] != p[v]]
             assert set(moved) <= set(end_edge)
             for v in moved:
-                assert {p[v], res.part_of[v]} == {1, 2}
+                assert {p[v], part_of[v]} == {1, 2}
 
     def test_swaps_counts_swaps_made(self):
         # Vertex 4 (part 3) swaps the ends of the pending edge (3, 6) and then
@@ -131,45 +130,46 @@ class TestRunUpwardPass:
         g = Graph(7, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 4), (1, 5), (2, 4), (2, 5),
                       (3, 5), (3, 6), (4, 6)])
         p, end_edge = build_valid_partition(g)
-        res = run_upward_pass(g, p, end_edge)
-        assert res.swaps == 2 and res.part_of == p
+        _, part_of, stats = run_upward_pass(g, p, end_edge)
+        assert stats["upward.swaps"] == 2 and part_of == p
         assert label_graph(g).stats["upward.swaps"] == 2
 
     def test_only_upward_edges_of_deep_vertices_change(self):
         for seed in range(200):
             g = random_connected_nice_graph(random.Random(seed + 7000), n_max=10)
             p, end_edge = build_valid_partition(g)
-            res = run_upward_pass(g, p, end_edge)
+            labels = run_upward_pass(g, p, end_edge)[0].labelling.labels
             for eid, (a, b) in enumerate(g.edges):
-                if res.labelling.labels[eid] != 1:
+                if labels[eid] != 1:
                     assert max(p[a], p[b]) >= 3
 
     def test_postconditions_random(self):
         for seed in range(400):
             g = random_connected_nice_graph(random.Random(seed + 1234), n_max=14, p=0.45)
-            res = run_upward_pass(g, *build_valid_partition(g))
-            check_items(g, res.part_of, res.labelling)
-            check_downward_invariant(g, res.part_of, res.labelling)
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            check_items(g, part_of, state.labelling)
+            check_downward_invariant(g, part_of, state.labelling)
 
     def test_cross_part_separation(self):
         # Adjacent vertices in two distinct deep parts differ in d2, d3, or parity.
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 555), n_max=14, p=0.6)
-            res = run_upward_pass(g, *build_valid_partition(g))
-            part_of = res.part_of
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
             for a, b in g.edges:
                 ia, ib = part_of[a], part_of[b]
                 if ia >= 3 and ib >= 3 and ia != ib:
-                    pa, pb = profile(g, res.labelling, a), profile(g, res.labelling, b)
+                    pa, pb = profile(g, state.labelling, a), profile(g, state.labelling, b)
                     assert (pa.d2, pa.d3) != (pb.d2, pb.d3)
 
     def test_branches_count_every_deep_vertex(self):
         branches = Counter()
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 2718), n_max=14, p=0.4)
-            res = run_upward_pass(g, *build_valid_partition(g))
-            assert sum(res.branches.values()) == sum(i >= 3 for i in res.part_of)
-            branches += res.branches
+            _, part_of, stats = run_upward_pass(g, *build_valid_partition(g))
+            counts = {key.removeprefix("upward.branch."): count
+                      for key, count in stats.items() if key != "upward.swaps"}
+            assert sum(counts.values()) == sum(i >= 3 for i in part_of)
+            branches += counts
         assert set(branches) <= {"plain", "pending", "pending-fallback"}
         assert branches["plain"] and branches["pending"]
 
@@ -177,8 +177,8 @@ class TestRunUpwardPass:
         for seed in range(40):
             g = random_connected_nice_graph(random.Random(seed + 99), n_max=12)
             p, end_edge = build_valid_partition(g)
-            assert (run_upward_pass(g, p, end_edge).labelling.labels
-                    == run_upward_pass(g, p, end_edge).labelling.labels)
+            assert (run_upward_pass(g, p, end_edge)[0].labelling.labels
+                    == run_upward_pass(g, p, end_edge)[0].labelling.labels)
 
 
 class TestPartFourKnobCorner:
@@ -194,16 +194,17 @@ class TestPartFourKnobCorner:
                 continue
             sub, _ = induced_subgraph(g, comp)
             part_of, end_edge = build_valid_partition(sub)
-            res = run_upward_pass(sub, part_of, end_edge)
-            check_items(sub, res.part_of, res.labelling)
+            state, swapped, _ = run_upward_pass(sub, part_of, end_edge)
+            labels = state.labelling.labels
+            check_items(sub, swapped, state.labelling)
             # A vertex with no swappable-edge end next to it takes the plain
             # branch, and none of its neighbours changes part.
             for u in range(sub.n):
                 if part_of[u] != 4 or any(w in end_edge for w, _ in sub.adj[u]):
                     continue
                 x2 = min(w for w, _ in sub.adj[u] if part_of[w] == 2)
-                if res.labelling.labels[edge_id(sub, u, x2)] != 2:
-                    d2 = sum(1 for _, eid in sub.adj[u] if res.labelling.labels[eid] == 2)
+                if labels[edge_id(sub, u, x2)] != 2:
+                    d2 = sum(1 for _, eid in sub.adj[u] if labels[eid] == 2)
                     assert d2 % 2 == 1
                     skipped += 1
         assert skipped >= 1
@@ -214,13 +215,13 @@ class TestPendingEdgeHandling:
         # The lone bottom edge of the K3 partition must lose 1-mono status on
         # one end once vertex 2 is processed.
         g = complete_graph(3)
-        res = upward(g, [1, 2, 3])
-        p0 = profile(g, res.labelling, 0)
-        p1 = profile(g, res.labelling, 1)
+        labelling = upward(g, [1, 2, 3])[0].labelling
+        p0 = profile(g, labelling, 0)
+        p1 = profile(g, labelling, 1)
         assert p0.key != (0, 0) or p1.key != (0, 0)
 
     def test_no_isolated_conflict_edges_on_dense_graphs(self):
         for seed in range(150):
             g = random_connected_nice_graph(random.Random(seed + 4242), n_max=16, p=0.25)
-            res = run_upward_pass(g, *build_valid_partition(g))
-            check_items(g, res.part_of, res.labelling)
+            state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+            check_items(g, part_of, state.labelling)
