@@ -89,13 +89,15 @@ def _construct(g: Graph) -> tuple[Labelling, list[int], dict[str, int]]:
 
 # Search nodes (single-edge label assignments) one public oracle call may
 # visit, summed over every k it tries: about 0.87 s at 2.3 M nodes/s on one
-# core of a shared 2-CPU Linux machine (Python 3.11).  K7 needs 0.48 M nodes
-# to rule out k = 2; K8 runs out of budget there.
+# core of a shared 2-CPU Linux machine (Python 3.11).  With the twin order of
+# brute_force_min_k, K8 (28 edges) needs 1.26 M nodes in all; K9 runs out of
+# budget at k = 2.
 ORACLE_NODE_BUDGET = 2_000_000
 
 
-def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int,
-                  budget: int) -> tuple[list[int] | None, int]:
+def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
+                  twins: frozenset[tuple[int, int]] = frozenset()
+                  ) -> tuple[list[int] | None, int]:
     """Lex-first proper k-labelling of ``edges`` on vertices 0..n-1 (or
     None), one label per entry of ``edges``, and the search nodes visited.
 
@@ -104,14 +106,19 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int,
     and each edge is checked as soon as both of its ends are final, so a
     branch dies at the first edge whose ends must end up with equal
     products.
+
+    An edge ``(u, v)`` listed in ``twins`` is checked more strictly: its
+    branch dies unless prod(u) < prod(v).  The answer is then the first
+    labelling that is proper and obeys those orders.
     """
     m = len(edges)
     last = [-1] * n
     for j, (u, v) in enumerate(edges):
         last[u] = last[v] = j
     checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    ordered: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for u, v in edges:
-        checks[max(last[u], last[v])].append((u, v))
+        (ordered if (u, v) in twins else checks)[max(last[u], last[v])].append((u, v))
     prod = [1] * n
     labels = [0] * m
     nodes = 0
@@ -138,8 +145,23 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int,
             if prod[a] == prod[b]:
                 break
         else:
-            j += 1
+            for a, b in ordered[j]:
+                if prod[a] >= prod[b]:
+                    break
+            else:
+                j += 1
     return (labels if j == m else None), nodes
+
+
+def _true_twins(g: Graph) -> frozenset[tuple[int, int]]:
+    """The edges ``(u, v)``, u < v, whose ends have equal closed
+    neighbourhoods (N[u] = N[v]).  Rows of ``g.adj`` are sorted by
+    neighbour, so equal neighbourhoods give equal lists."""
+    adj = g.adj
+    return frozenset(
+        (u, v) for u, v in g.edges
+        if len(adj[u]) == len(adj[v])
+        and [w for w, _ in adj[u] if w != v] == [w for w, _ in adj[v] if w != u])
 
 
 def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
@@ -149,20 +171,33 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
     do not suffice.  All k values share ORACLE_NODE_BUDGET search nodes;
     going over it raises ValueError.
 
+    k = 1 is not searched on a graph with an edge: with one label every
+    product is 1, so every edge conflicts.
+
     The searches run over the edges in sorted (u, v) order, whatever order
     ``g`` lists them in: each vertex's edges to higher ids come together, so
     products become final early and dead branches are cut sooner.  Whether
     a proper labelling exists does not depend on the order; the node count
     does.
+
+    They also search only labellings in which every pair of true twins u < v
+    (adjacent, with N[u] = N[v]) has prod(u) < prod(v).  This keeps the
+    answer: a class of true twins is a clique, so a proper labelling gives
+    its members pairwise distinct products; any permutation of the class is
+    an automorphism that leaves every vertex outside it with its product,
+    because it only permutes that vertex's neighbours in the class; so
+    sorting each class's products by vertex id turns any proper labelling
+    into a proper labelling that obeys the order.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     if g.m == 0:
         return 1
     edges = sorted(g.edges)
+    twins = _true_twins(g)
     budget = ORACLE_NODE_BUDGET
-    for k in range(1, k_max + 1):
-        labels, nodes = _first_proper(g.n, edges, k, budget)
+    for k in range(2, k_max + 1):
+        labels, nodes = _first_proper(g.n, edges, k, budget, twins)
         if labels is not None:
             return k
         budget -= nodes

@@ -179,7 +179,8 @@ class TestBruteForceMinK:
     def test_complete_graphs_need_three(self):
         # With two labels the n pairwise-adjacent 2-counts would have to be
         # exactly 0..n-1, forcing an all-1 vertex adjacent to an all-2 vertex.
-        for n in (3, 4, 5, 6):
+        # K8 fits the default budget only through the twin order.
+        for n in (3, 4, 5, 6, 8):
             g = complete_graph(n)
             assert brute_force_min_k(g, 2) is None
 
@@ -206,8 +207,9 @@ class TestBruteForceMinK:
         assert brute_force_min_k(path_graph(17)) == 2
 
     def test_budget_shared_across_k(self, monkeypatch):
-        # K2 costs k search nodes at each k: 45 nodes for k <= 9, 55 for
-        # k <= 10, though no single k needs more than 10.
+        # K2 costs k search nodes at each k from 2 (k = 1 is not searched):
+        # 44 nodes for k <= 9, 54 for k <= 10, though no single k needs
+        # more than 10.
         monkeypatch.setattr(engine, "ORACLE_NODE_BUDGET", 50)
         k2 = Graph(2, [(0, 1)])
         assert brute_force_min_k(k2, 9) is None
@@ -303,7 +305,57 @@ class TestMinKEdgeOrder:
         for h in self.reorderings(complete_graph(6), random.Random(6)):
             seen[0] = 0
             assert brute_force_min_k(h) == 3
-            assert seen[0] == 17_808
+            assert seen[0] == 5_203
+
+    @pytest.mark.parametrize("n, nodes", [(7, 66_778), (8, 1_259_590)])
+    def test_larger_complete_graph_nodes(self, seen, n, nodes):
+        assert brute_force_min_k(complete_graph(n)) == 3
+        assert seen[0] == nodes
+
+
+class TestTwinOrder:
+    """brute_force_min_k searches only labellings in which true twins u < v
+    have prod(u) < prod(v).  Its answer must be that of a search that orders
+    nothing, in every numbering of the vertices: a numbering decides which
+    twin must get the smaller product."""
+
+    @staticmethod
+    def unordered_min_k(g: Graph, k_max: int) -> int | None:
+        edges = sorted(g.edges)
+        for k in range(1, k_max + 1):
+            if engine._first_proper(g.n, edges, k, engine.ORACLE_NODE_BUDGET)[0] is not None:
+                return k
+        return None
+
+    @staticmethod
+    def graphs():
+        """Every labelled graph on 2-5 vertices, then 200 seeded dense graphs
+        on 6-7 vertices, where twins are common."""
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                yield Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        rng = random.Random(0x7317)
+        for _ in range(200):
+            n, p = rng.randint(6, 7), rng.uniform(0.5, 0.9)
+            yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+    @staticmethod
+    def relabelled(g: Graph, rng: random.Random) -> Graph:
+        """``g`` with its vertex ids permuted by a seeded shuffle."""
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+    def test_same_answer_as_unordered_search(self):
+        rng = random.Random(23)
+        with_twins = 0
+        for g in self.graphs():
+            expected = self.unordered_min_k(g, 4)
+            with_twins += bool(engine._true_twins(g))
+            for h in [g] + [self.relabelled(g, rng) for _ in range(3)]:
+                assert brute_force_min_k(h, 4) == expected, h.edges
+        assert with_twins >= 550
 
 
 def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
