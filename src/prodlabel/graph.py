@@ -100,14 +100,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _first_repeat(edges) -> int | None:
-    """Index of the first edge equal to an earlier one, or None."""
+def _first_repeat(edges) -> int:
+    """Index of the first edge equal to an earlier one; called only on a
+    list known to hold one."""
     seen: set[tuple[int, int]] = set()
     for i, e in enumerate(edges):
         if e in seen:
             return i
         seen.add(e)
-    return None
 
 
 def parse_edge_list(text: str) -> Graph:

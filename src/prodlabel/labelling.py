@@ -38,12 +38,6 @@ class Labelling:
     def all_ones(cls, g: Graph) -> "Labelling":
         return cls([1] * g.m)
 
-    def __getitem__(self, eid: int) -> int:
-        return self.labels[eid]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def validate(self, g: Graph) -> None:
         if len(self.labels) != g.m:
             raise ValueError(f"labelling covers {len(self.labels)} edges, graph has {g.m}")

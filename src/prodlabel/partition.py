@@ -10,8 +10,6 @@ each vertex's part index; the parts are 1..max(part_of), none empty.
 
 from __future__ import annotations
 
-import heapq
-
 from .graph import Graph, InvariantViolation, NotNiceError, is_nice
 
 
@@ -102,31 +100,6 @@ def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
     return w if w is not None else _side_witness(g, part_of, end_edge, v, 2)
 
 
-def _bottom_edge(g: Graph, part_of: list[int], v: int) -> tuple[int, int] | None:
-    """(neighbour, edge id) of the only neighbour of ``v`` in V1 u V2, when
-    ``v`` itself lies in V1 u V2 and has exactly one neighbour there."""
-    if part_of[v] > 2:
-        return None
-    found = None
-    for w, eid in g.adj[v]:
-        if part_of[w] <= 2:
-            if found is not None:
-                return None
-            found = (w, eid)
-    return found
-
-
-def _swappable_at(g: Graph, part_of: list[int], v: int) -> int | None:
-    """The swappable edge with end ``v``, or None; one vertex's share of
-    ``_edge_pass``'s end map, so it reads only parts within distance two of
-    v."""
-    first = _bottom_edge(g, part_of, v)
-    if first is None or part_of[first[0]] == part_of[v]:
-        return None
-    back = _bottom_edge(g, part_of, first[0])
-    return first[1] if back is not None and back[0] == v else None
-
-
 def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, frozenset[int]]]:
     """One pass over the edges (``_edge_pass``) and one over the vertices:
     ValueError on a part index below 1, an empty part among 1..max(part_of),
@@ -193,11 +166,26 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
     neighbour when the round starts and still does when its turn comes; the
     moved vertices and their neighbours are the next round's dirty set.  The
     greedy start misses no lower neighbour, so settle rounds run only after
-    a witness round's swaps.  One certificate sweep finds every witness, and
-    move (b) applies the smallest vertex's.
-    After a witness round, swappable-edge ends are recomputed within distance
-    two of the moved vertices, and witnesses next to moved vertices and
-    changed ends.  If a witness round ran, a second sweep checks the result.
+    a witness round's swaps.  The witness rounds walk the first certificate
+    sweep's witness vertices once, in ascending order, each applying move
+    (b) with its current witness while it has one; after each round's
+    settle, every settled vertex that landed in V1 u V2 deletes the
+    swappable edges next to it from the end map.  If a witness round ran, a
+    second sweep checks the result.
+
+    The walk is the rescan's order, and the end map stays exact, because no
+    vertex ever gains a witness.  Parts 1 and 2 lose vertices only through
+    swaps: settle only moves vertices down, and a part-2 vertex that is no
+    swappable-edge end keeps a part-1 neighbour that is no end (see
+    ``_vertex_witness``).  So a vertex above part 2 falls to its smallest
+    missing part k in {1, 2} only after every part-k neighbour was a swapped
+    end; those ends now sit on the other bottom side next to it, with its
+    unswapped neighbours there, so it joins with at least two bottom
+    neighbours.  Hence bottom degrees only grow, a swappable edge dies
+    exactly when such a newcomer touches one of its ends, and bottom
+    vertices that are no ends never move.  So a side on which a vertex has
+    a neighbour that is no end, or both ends of one swappable edge, stays
+    so, and a vertex without a witness never gets one.
     """
     adj = g.adj
 
@@ -235,33 +223,19 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
     end_edge, witnesses = _certificate(g, part_of)
     if not witnesses:
         return end_edge
-    heap = list(witnesses)  # every vertex in witnesses, plus stale ones; sorted, so a heap
-    while witnesses:
-        while heap[0] not in witnesses:
-            heapq.heappop(heap)
-        swapped: list[int] = []
-        for eid in sorted(witnesses[heap[0]]):
-            u, v = g.edges[eid]
-            part_of[u], part_of[v] = part_of[v], part_of[u]
-            swapped += (u, v)
-        moved = settle(gaps(closed_neighbourhood(swapped))).union(swapped)
-        changed = []
-        for x in closed_neighbourhood(closed_neighbourhood(moved)):
-            eid = _swappable_at(g, part_of, x)
-            if end_edge.get(x) != eid:
-                changed.append(x)
-                if eid is None:
-                    del end_edge[x]
-                else:
-                    end_edge[x] = eid
-        for v in closed_neighbourhood(moved.union(changed)):
-            w = _vertex_witness(g, part_of, end_edge, v)
-            if w is None:
-                witnesses.pop(v, None)
-            else:
-                if v not in witnesses:
-                    heapq.heappush(heap, v)
-                witnesses[v] = w
+    for v in witnesses:  # ascending
+        while (witness := _vertex_witness(g, part_of, end_edge, v)) is not None:
+            swapped: list[int] = []
+            for eid in sorted(witness):
+                a, b = g.edges[eid]
+                part_of[a], part_of[b] = part_of[b], part_of[a]
+                swapped += (a, b)
+            for x in settle(gaps(closed_neighbourhood(swapped))):
+                if part_of[x] <= 2:
+                    for w, _ in adj[x]:
+                        if w in end_edge:
+                            for end in g.edges[end_edge[w]]:
+                                del end_edge[end]
     end_edge, witnesses = _certificate(g, part_of)
     if witnesses:
         raise InvariantViolation("the witness worklist missed a swap-safety witness")

@@ -153,9 +153,17 @@ def reference_build_valid_partition(g: Graph) -> list[int]:
                 moved.add(v)
 
     settle_lower_links()
+    previous = None
     while True:
         validate_partition(g, part_of)
-        witness = next(iter(_certificate(g, part_of)[1].values()), None)
+        end_edge, witnesses = _certificate(g, part_of)
+        if previous is not None:
+            # A witness round creates no swappable edge and no witness, which
+            # is what lets the builder walk the first sweep's witnesses once.
+            assert end_edge.items() <= previous[0].items()
+            assert witnesses.keys() <= previous[1].keys()
+        previous = end_edge, witnesses
+        witness = next(iter(witnesses.values()), None)
         if witness is None:
             break
         for eid in sorted(witness):

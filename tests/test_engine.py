@@ -199,6 +199,10 @@ class TestBruteForceMinK:
             with pytest.raises(ValueError, match="k_max must be positive"):
                 brute_force_min_k(g, 0)
 
+    def test_labelling_needs_a_positive_k(self):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            brute_force_labelling(path_graph(3), 0)
+
     def test_bound_enforced(self):
         # A 17-edge path needs 3 labels: with 1 and 2 its even-indexed edges
         # must alternate and be 2 at both ends, which 8 of them cannot do.

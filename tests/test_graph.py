@@ -46,6 +46,10 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            Graph(-1, [])
+
 
 class TestParseEdgeList:
     def test_plain(self):
@@ -252,6 +256,21 @@ class TestParseDimacs:
     def test_counts_and_ids_are_ascii_digits(self, text, line):
         with pytest.raises(GraphFormatError, match=f"line {line}: malformed number"):
             parse_dimacs(text)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("c x\np edge 3\ne 1 2\n", 2, "expected 'p edge <n> <m>'"),
+        ("p col 2 1\ne 1 2\n", 1, "expected 'p edge <n> <m>'"),
+        ("p edge 3 2\ne 1 2\ne 2\n", 3, "expected 'e <u> <v>'"),
+        ("p edge 2 1\ne 2 2\n", 2, "self-loop at vertex 2"),
+        ("p edge 2 1\n\nx 1 2\n", 3, "unrecognised line 'x 1 2'"),
+        ("c comments only\n", None, "missing problem line"),
+    ], ids=["short-problem-line", "not-edge-format", "short-edge-line", "self-loop",
+            "unrecognised-line", "missing-problem-line"])
+    def test_rejections_name_their_line(self, text, line, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
+        assert info.value.line == line
 
 
 class TestAutoFormat:

@@ -177,6 +177,17 @@ class TestFormats:
         with pytest.raises(GraphFormatError, match="line 3: label 0 outside"):
             parse_labelling(g, "0 1 2\n1 2 3\n0 1 0\n")
 
+    def test_parse_skips_comment_lines(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert parse_labelling(g, "# edge labels\n0 1 2\n  # indented\n1 2 3\n") == Labelling([2, 3])
+
+    @pytest.mark.parametrize("line", ["0 1", "0 1 2 3"], ids=["two-tokens", "four-tokens"])
+    def test_parse_rejects_other_token_counts(self, line):
+        with pytest.raises(GraphFormatError) as info:
+            parse_labelling(path_graph(3), f"0 1 1\n{line}\n")
+        assert str(info.value) == f"line 2: expected 'u v label', got {line!r}"
+        assert info.value.line == 2
+
     def test_parse_rejects_missing_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphFormatError, match="no label"):
