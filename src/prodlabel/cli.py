@@ -127,13 +127,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         g = random_nice_graph(args.n, args.p, seed)
         try:
             report = label_graph(g)
+            stats.update(report.stats)
             bad = not report.verified
         except Exception as exc:  # noqa: BLE001 - fuzz must report, not crash
             print(f"trial {trial} raised {exc!r}", file=sys.stderr)
             bad = True
-            report = None
-        if report is not None:
-            stats.update(report.stats)
         if bad:
             failures += 1
             print(f"trial {trial} FAILED (seed {seed})", file=sys.stderr)

@@ -9,8 +9,9 @@ monochromatic or special (special: exactly one 3, at least two 2s, odd 2+3
 count).  Only edges inside the component are touched, so products elsewhere
 are unaffected.
 
-Discovery starts from the conflicting edges, one pass over ``g.edges``, and
-walks only the bottom components that hold one.
+Every conflict test is the verdict's own rule: discovery takes its edges
+from ``labelling.conflicting_edges`` and walks only the bottom components
+that hold one, and ``_conflicts`` asks the same question of one component.
 
 The partition is the only record of a vertex's side.  A component is a whole
 connected component of the bottom subgraph, so a neighbour of one of its
@@ -23,7 +24,9 @@ through the edge id that came with the neighbour it picked, from a
 ``(neighbour, edge id)`` entry or a walk-tree link; no edge is ever looked
 up by its ends.  ``fix_anchored`` and ``fix_hub`` find each piece or block
 with one breadth-first walk from its smallest contact, and that walk is the
-spanning tree of its parity pass.
+spanning tree of its parity pass.  Both remove each walked piece from the
+vertex set they walk in; a piece is a whole component of that set, so no
+later walk changes.
 
 Three fixers cover all components, tried in order; each returns None, with
 no label touched, when it does not apply:
@@ -36,7 +39,7 @@ no label touched, when it does not apply:
 from __future__ import annotations
 
 from .graph import Graph, InvariantViolation
-from .labelling import ProfileTracker
+from .labelling import ProfileTracker, conflicting_edges
 
 
 class ConflictComponent:
@@ -63,13 +66,15 @@ def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
     return [(w, eid) for w, eid in g.adj[v] if w in vset]
 
 
-def _has_conflict(comp: ConflictComponent, state: ProfileTracker) -> bool:
+def _conflicts(comp: ConflictComponent, state: ProfileTracker) -> list[int]:
+    """The component's conflicting edge ids, ascending (``conflicting_edges``' rule)."""
     edges, d2, d3 = state.g.edges, state.d2, state.d3
+    out = []
     for eid in comp.eids:
         u, v = edges[eid]
         if d2[u] == d2[v] and d3[u] == d3[v]:
-            return True
-    return False
+            out.append(eid)
+    return out
 
 
 def conflict_components(g: Graph, part_of: list[int],
@@ -77,22 +82,19 @@ def conflict_components(g: Graph, part_of: list[int],
     """Connected components of the bottom subgraph that contain a conflict,
     ordered by smallest vertex, and the number of conflicting edges.
 
-    One pass over ``g.edges`` counts the conflicting edges and finds the
-    bottom ones; one walk from each edge not yet walked writes its
-    component's bottom degrees and collects its vertices and edges.  Components
-    without a conflict are never walked.  Each returned component is
-    guaranteed (and asserted) to span at least two edges; a single-edge
-    conflict component would mean the upward pass failed to break up an
-    isolated bottom edge.
+    ``conflicting_edges`` lists the conflicting edges, and one walk from
+    each bottom one not yet walked writes its component's bottom degrees
+    and collects its vertices and edges.  Components without a conflict
+    are never walked.  Each returned component is guaranteed (and asserted)
+    to span at least two edges; a single-edge conflict component would mean
+    the upward pass failed to break up an isolated bottom edge.
     """
-    d2, d3, adj = state.d2, state.d3, g.adj
+    adj = g.adj
     degrees = [0] * g.n
     out = []
-    conflicts = 0
-    for u, v in g.edges:
-        if d2[u] != d2[v] or d3[u] != d3[v]:
-            continue
-        conflicts += 1
+    conflicts = conflicting_edges(g, state.d2, state.d3)
+    for eid in conflicts:
+        u, v = g.edges[eid]
         if part_of[u] > 2 or part_of[v] > 2 or degrees[u]:
             continue
         vertices = [u]
@@ -116,18 +118,14 @@ def conflict_components(g: Graph, part_of: list[int],
         eids.sort()
         out.append(ConflictComponent(vertices, part_of, eids, degrees))
     out.sort(key=lambda comp: comp.vertices[0])
-    return out, conflicts
+    return out, len(conflicts)
 
 
 def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list[str]:
     """Empty iff the component has no internal conflict and every vertex is
     monochromatic or special."""
     edges, d2, d3 = state.g.edges, state.d2, state.d3
-    out = []
-    for eid in comp.eids:
-        u, v = edges[eid]
-        if d2[u] == d2[v] and d3[u] == d3[v]:
-            out.append(f"conflict on edge ({u},{v})")
+    out = ["conflict on edge ({},{})".format(*edges[eid]) for eid in _conflicts(comp, state)]
     for v in comp.vertices:
         twos, threes = d2[v], d3[v]
         if twos > 0 and threes > 0:
@@ -251,8 +249,8 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     rerouting one 3 onto a reserve neighbour.
 
     Both passes find their pieces in ascending vertex order: the first
-    vertex not yet covered that touches an anchor is the smallest contact
-    of its piece (the first anchor not yet covered, the smallest anchor of
+    vertex not yet walked that touches an anchor is the smallest contact
+    of its piece (the first anchor not yet walked, the smallest anchor of
     its part of the contact graph), and one breadth-first walk from it
     collects the piece and is the spanning tree of its parity pass.
     """
@@ -264,7 +262,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         state.set(e1, 3)
         state.set(e2, 3)
         case = "anchor-seeded"
-        if not _has_conflict(comp, state):
+        if not _conflicts(comp, state):
             return case + "-done"
 
     anchors = [v for v in comp.vertices if side[v] == 1 and d3[v] > 0 and d2[v] == 0]
@@ -274,19 +272,18 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         raise InvariantViolation("anchored fixer ran without any 3-anchored vertex")
     anchor_set = set(anchors)
 
-    rest = set(comp.vertices) - anchor_set
-    covered: set[int] = set()
+    rest = set(comp.vertices) - anchor_set  # the non-anchors no walk reached yet
     mate_edge: dict[int, int] = {}  # contact -> edge to its 1-mono partner
     for y in comp.vertices:
-        if y not in rest or y in covered:
+        if y not in rest:
             continue
         for x, exy in adj[y]:  # the smallest anchor neighbour
             if x in anchor_set:
                 break
         else:
-            continue  # no anchor neighbour: the walk from a larger contact covers y
+            continue  # no anchor neighbour: the walk from a larger contact reaches y
         order, tree, bad = _walk(state, rest, y, 2)
-        covered.update(order)
+        rest.difference_update(order)
         if any(side[v] == 2 and d3[v] > 0 for v in order):
             continue  # pendant vertices already retyped by the seeding step
         if len(order) > 1:
@@ -299,23 +296,22 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         mate = next((e for w, e in adj[y] if w in tree and state.is_mono1(w)), None)
         if mate is not None:
             mate_edge[y] = mate
-    for v in sorted(rest - covered):  # pieces without contact: skipped ones only
-        if v not in covered:
+    for v in sorted(rest):  # pieces without contact: skipped ones only
+        if v in rest:
             order = _walk(state, rest, v, 2)[0]
-            covered.update(order)
+            rest.difference_update(order)
             if not any(side[w] == 2 and d3[w] > 0 for w in order):
                 raise InvariantViolation("piece without contact to an anchor")
 
     if mate_edge:
         contact_graph = anchor_set | set(mate_edge)
-        covered.clear()
         for xk in anchors:
-            if xk in covered:
+            if xk not in contact_graph:
                 continue
             order, tree, bad = _walk(state, contact_graph, xk, 3)
+            contact_graph.difference_update(order)
             if len(order) == 1:
                 continue  # an anchor without contacts: nothing to flip
-            covered.update(order)
             _flip(state, order, tree, bad, side, 2, 3)
             if d3[xk] % 2 == 1:
                 for y, exy in adj[xk]:
@@ -335,15 +331,14 @@ def hub_vertex(comp: ConflictComponent, state: ProfileTracker) -> int | None:
 
 
 class _Piece:
-    __slots__ = ("vset", "rep", "hub_edge", "kind", "lone", "mate")
+    __slots__ = ("vset", "rep", "hub_edge", "lone", "mate")
 
     def __init__(self, vset: set[int], rep: int, hub_edge: int):
         self.vset = vset
         self.rep = rep                    # smallest hub neighbour inside the piece
         self.hub_edge = hub_edge          # the edge from the hub to rep
-        self.kind = "nice"                # nice | bad | tricky
-        self.lone: int | None = None      # edge from rep to the single even contact, for bad/tricky
-        self.mate: int | None = None      # edge from that contact to its 1-mono partner, for tricky
+        self.lone: int | None = None      # edge from rep to its single even contact; None iff nice
+        self.mate: int | None = None      # that contact's edge to a 1-mono partner; set iff tricky
 
 
 def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
@@ -355,7 +350,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     one of six endgames rewires the hub edges.
 
     Pieces are found in ascending hub-neighbour order: the first neighbour
-    not yet covered is the representative of its piece.  The piece minus
+    not yet walked is the representative of its piece.  The piece minus
     its representative falls into blocks, found the same way from the
     representative's neighbours; one breadth-first walk from a block's
     smallest contact collects the block and is the spanning tree of its
@@ -384,9 +379,9 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         # parity pass; the block's contact is the one vertex allowed to end
         # with an even 2-count.
         contacts: list[tuple[int, int]] = []
-        for xj, exj in _within(g, rep, rest):
+        for xj, exj in g.adj[rep]:
             if xj not in rest:
-                continue  # the walk from a smaller contact reached it
+                continue  # off the bottom, another piece's, or walked from a smaller contact
             order, tree, bad = _walk(state, rest, xj, 2)
             rest.difference_update(order)
             piece.vset.update(order)
@@ -401,15 +396,14 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
             w, piece.lone = evens[0]
             piece.mate = next((ey for y, ey in _within(g, w, piece.vset)
                                if y != piece.rep and state.is_mono1(y)), None)
-            piece.kind = "bad" if piece.mate is None else "tricky"
         pieces.append(piece)
     if rest:
         raise InvariantViolation(f"vertex {min(rest)} is not attached to the hub {u}")
     pieces.sort(key=lambda p: min(p.vset))
 
-    tricky = [p for p in pieces if p.kind == "tricky"]
-    bad = [p for p in pieces if p.kind == "bad"]
-    nice = [p for p in pieces if p.kind == "nice"]
+    tricky = [p for p in pieces if p.mate is not None]
+    bad = [p for p in pieces if p.lone is not None and p.mate is None]
+    nice = [p for p in pieces if p.lone is None]
 
     if tricky:
         chosen = tricky[0]
@@ -477,7 +471,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
             if lab not in (1, 2):
                 raise InvariantViolation(f"cycle edge {eid} carries label {lab}")
             state.set(eid, 2 if lab == 1 else 1)
-        if not _has_conflict(comp, state):
+        if not _conflicts(comp, state):
             return "hub-5-cycle"
         state.set(min((q.rep, q.hub_edge) for q in pieces if q is not p)[1], 3)
         return "hub-5-cycle-special"
@@ -504,15 +498,11 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     leaves at most the partner unbalanced, and a single 3 repairs it.
     """
     g = state.g
-    pair = None
-    for eid in comp.eids:
-        a, b = g.edges[eid]
-        if state.is_mono1(a) and state.is_mono1(b):
-            pair = (eid, a, b)
-            break
-    if pair is None:
+    # The first conflicting edge with a 1-mono end: both its ends are 1-mono.
+    eid_uv = next((e for e in _conflicts(comp, state) if state.is_mono1(g.edges[e][0])), None)
+    if eid_uv is None:
         raise InvariantViolation("pendant fixer ran on a settled component")
-    eid_uv, a, b = pair
+    a, b = g.edges[eid_uv]
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
     if comp.degrees[u] != 1:
         raise InvariantViolation(f"pendant vertex {u} has degree {comp.degrees[u]}")

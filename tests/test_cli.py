@@ -290,6 +290,15 @@ class TestOracleCommand:
         assert code == 1 and out == ""
         assert "k_max must be positive" in err
 
+    def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # An InvariantViolation that no command catches reaches main's own
+        # handler: exit 3, one line on stderr, no traceback.
+        monkeypatch.setattr(prodlabel.cli, "brute_force_min_k", lambda g, kmax: broken(g))
+        path = write(tmp_path, "k3.edges", K3)
+        code, out, err = run_cli(capsys, "oracle", path)
+        assert (code, out) == (3, "")
+        assert err == "internal error: vertex 0 in part 3 ended with profile (0,0)\n"
+
     def test_budget_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(prodlabel.engine, "ORACLE_NODE_BUDGET", 1000)
         path = write(tmp_path, "k2.edges", K2)

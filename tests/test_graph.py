@@ -50,6 +50,9 @@ class TestGraph:
         with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
             Graph(-1, [])
 
+    def test_repr_gives_the_counts(self):
+        assert repr(Graph(3, [(0, 1), (2, 1)])) == "Graph(n=3, m=2)"
+
 
 class TestParseEdgeList:
     def test_plain(self):

@@ -302,6 +302,18 @@ class TestConflictComponents:
         assert conflicts == 5
         assert [c.eids for c in comps] == [[3, 4], [0, 1, 2]]
 
+    def test_violations_name_conflicts_and_unspecial_vertices(self):
+        # The hub-6 star before any fix: every edge joins two 1-mono ends.
+        g, p, state = fixture(*HUB_6)
+        comp = the_component(g, p, state)
+        assert component_violations(comp, state) == [
+            "conflict on edge (0,1)", "conflict on edge (0,2)", "conflict on edge (0,3)"]
+        # A 2 and a 3 at the hub: (1,1) is bichromatic but not special.
+        state.set(0, 2)
+        state.set(1, 3)
+        assert component_violations(comp, state) == [
+            "vertex 0 is bichromatic but not special (1,1)"]
+
     def test_components_share_the_partition_and_one_degree_list(self):
         # Two conflicting components; vertex 6 also has a part-3 neighbour 7.
         parts = [{0, 2, 3}, {1, 4, 5, 6}, {7}]
@@ -723,6 +735,17 @@ class TestRunRepairPass:
         state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
         assert cases(run_repair_pass(g, part_of, state)) == {case: 1}
         assert find_conflicts(g, state.labelling) == []
+
+    def test_unsettled_component_is_internal(self, monkeypatch):
+        # A fixer that names its case but relabels nothing: the re-check
+        # after it reports the component, the case and what is wrong.
+        monkeypatch.setattr(repair_module, "fix_anchored", lambda comp, state: "anchor")
+        g, p, state = fixture(*HUB_6)
+        with pytest.raises(InvariantViolation) as info:
+            run_repair_pass(g, p, state)
+        assert str(info.value) == (
+            "component [0, 1, 2, 3] not settled after anchor: ['conflict on edge (0,1)', "
+            "'conflict on edge (0,2)', 'conflict on edge (0,3)']")
 
     def test_k3_untouched(self):
         g = complete_graph(3)
