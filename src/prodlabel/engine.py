@@ -76,7 +76,8 @@ def label_graph(g: Graph) -> PipelineReport:
     """
     labelling, part_of, stats = _construct(g) if g.m else (Labelling([]), None, {})
     d2, d3 = degree_counts(g, labelling)
-    return PipelineReport(labelling, part_of, conflicting_edges(g, d2, d3), stats, (d2, d3))
+    conflicts = conflicting_edges(g, d2, d3, range(g.m))
+    return PipelineReport(labelling, part_of, conflicts, stats, (d2, d3))
 
 
 def _construct(g: Graph) -> tuple[Labelling, list[int], dict[str, int]]:

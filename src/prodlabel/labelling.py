@@ -62,9 +62,10 @@ def degree_counts(g: Graph, l: Labelling) -> tuple[list[int], list[int]]:
     return d2, d3
 
 
-def conflicting_edges(g: Graph, d2: list[int], d3: list[int]) -> list[int]:
-    """Edge indices whose endpoints have equal (d2, d3) counts, ascending."""
-    return [eid for eid, (u, v) in enumerate(g.edges) if d2[u] == d2[v] and d3[u] == d3[v]]
+def conflicting_edges(g: Graph, d2: list[int], d3: list[int], eids) -> list[int]:
+    """The ids in ``eids`` whose two ends have equal (d2, d3), in the order given."""
+    edges = g.edges
+    return [eid for eid in eids for u, v in (edges[eid],) if d2[u] == d2[v] and d3[u] == d3[v]]
 
 
 def find_conflicts(g: Graph, l: Labelling) -> list[int]:
@@ -72,7 +73,7 @@ def find_conflicts(g: Graph, l: Labelling) -> list[int]:
 
     Empty exactly when the labelling is proper for incident products.
     """
-    return conflicting_edges(g, *degree_counts(g, l))
+    return conflicting_edges(g, *degree_counts(g, l), range(g.m))
 
 
 class ProfileTracker:

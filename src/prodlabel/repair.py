@@ -1,17 +1,18 @@
 """Repair pass: settle every conflicting component of the bottom subgraph.
 
-After the upward pass the only possible conflicts sit between 1-monochromatic
-vertices of parts 1 and 2.  The pass works on the ``ProfileTracker`` that
-the upward pass built: each connected component of the subgraph induced by
-those two parts that still contains a conflict is rewritten in place on it,
-so that no internal conflict remains and every vertex of the component ends
-monochromatic or special (special: exactly one 3, at least two 2s, odd 2+3
-count).  Only edges inside the component are touched, so products elsewhere
-are unaffected.
-
-Every conflict test is the verdict's own rule: discovery takes its edges
-from ``labelling.conflicting_edges`` and walks only the bottom components
-that hold one, and ``_conflicts`` asks the same question of one component.
+After the upward pass every part-1 vertex has no 2 and every part-2 vertex no
+3, since an edge from above carries only a 3 into part 1 and only a 2 into
+part 2; this is the pass's entry contract.  So a conflict can only join two
+1-monochromatic vertices of parts 1 and 2.  The pass works on the
+``ProfileTracker`` that the upward pass built: each connected component of
+the subgraph induced by those two parts that still contains a conflict is
+rewritten in place on it, so that no internal conflict remains and every
+vertex of the component ends monochromatic or special (special: exactly one
+3, at least two 2s, odd 2+3 count).  Only edges inside the component are
+touched, so products elsewhere are unaffected.  Every conflict test is
+``labelling.conflicting_edges``, the verdict's scan: discovery runs it over
+all edges and walks only the bottom components that hold a conflict, and a
+fixer runs it over its component's edges.
 
 The partition is the only record of a vertex's side.  A component is a whole
 connected component of the bottom subgraph, so a neighbour of one of its
@@ -66,17 +67,6 @@ def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
     return [(w, eid) for w, eid in g.adj[v] if w in vset]
 
 
-def _conflicts(comp: ConflictComponent, state: ProfileTracker) -> list[int]:
-    """The component's conflicting edge ids, ascending (``conflicting_edges``' rule)."""
-    edges, d2, d3 = state.g.edges, state.d2, state.d3
-    out = []
-    for eid in comp.eids:
-        u, v = edges[eid]
-        if d2[u] == d2[v] and d3[u] == d3[v]:
-            out.append(eid)
-    return out
-
-
 def conflict_components(g: Graph, part_of: list[int],
                         state: ProfileTracker) -> tuple[list[ConflictComponent], int]:
     """Connected components of the bottom subgraph that contain a conflict,
@@ -92,7 +82,7 @@ def conflict_components(g: Graph, part_of: list[int],
     adj = g.adj
     degrees = [0] * g.n
     out = []
-    conflicts = conflicting_edges(g, state.d2, state.d3)
+    conflicts = conflicting_edges(g, state.d2, state.d3, range(g.m))
     for eid in conflicts:
         u, v = g.edges[eid]
         if part_of[u] > 2 or part_of[v] > 2 or degrees[u]:
@@ -125,7 +115,8 @@ def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list
     """Empty iff the component has no internal conflict and every vertex is
     monochromatic or special."""
     edges, d2, d3 = state.g.edges, state.d2, state.d3
-    out = ["conflict on edge ({},{})".format(*edges[eid]) for eid in _conflicts(comp, state)]
+    out = ["conflict on edge ({},{})".format(*edges[eid])
+           for eid in conflicting_edges(state.g, d2, d3, comp.eids)]
     for v in comp.vertices:
         twos, threes = d2[v], d3[v]
         if twos > 0 and threes > 0:
@@ -248,11 +239,12 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     pass over the anchor contact graph, and odd anchors are evened out by
     rerouting one 3 onto a reserve neighbour.
 
-    Both passes find their pieces in ascending vertex order: the first
-    vertex not yet walked that touches an anchor is the smallest contact
-    of its piece (the first anchor not yet walked, the smallest anchor of
-    its part of the contact graph), and one breadth-first walk from it
-    collects the piece and is the spanning tree of its parity pass.
+    The component is connected, so every piece touches an anchor.  Both
+    passes find their pieces in ascending vertex order: the first vertex not
+    yet walked that touches an anchor is the smallest contact of its piece
+    (the first anchor not yet walked, the smallest anchor of its part of the
+    contact graph), and one breadth-first walk from it collects the piece
+    and is the spanning tree of its parity pass.
     """
     adj, side, d2, d3 = state.g.adj, comp.side, state.d2, state.d3
     seed = _anchor_seed(comp, state)
@@ -262,10 +254,10 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         state.set(e1, 3)
         state.set(e2, 3)
         case = "anchor-seeded"
-        if not _conflicts(comp, state):
+        if not conflicting_edges(state.g, d2, d3, comp.eids):
             return case + "-done"
 
-    anchors = [v for v in comp.vertices if side[v] == 1 and d3[v] > 0 and d2[v] == 0]
+    anchors = [v for v in comp.vertices if side[v] == 1 and d3[v] > 0]
     if not anchors:
         if seed is None:
             return None
@@ -284,8 +276,6 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
             continue  # no anchor neighbour: the walk from a larger contact reaches y
         order, tree, bad = _walk(state, rest, y, 2)
         rest.difference_update(order)
-        if any(side[v] == 2 and d3[v] > 0 for v in order):
-            continue  # pendant vertices already retyped by the seeding step
         if len(order) > 1:
             _flip(state, order, tree, bad, side, 2, 2)
         if d2[y] % 2 == 1:
@@ -296,12 +286,8 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         mate = next((e for w, e in adj[y] if w in tree and state.is_mono1(w)), None)
         if mate is not None:
             mate_edge[y] = mate
-    for v in sorted(rest):  # pieces without contact: skipped ones only
-        if v in rest:
-            order = _walk(state, rest, v, 2)[0]
-            rest.difference_update(order)
-            if not any(side[w] == 2 and d3[w] > 0 for w in order):
-                raise InvariantViolation("piece without contact to an anchor")
+    if rest:
+        raise InvariantViolation("piece without contact to an anchor")
 
     if mate_edge:
         contact_graph = anchor_set | set(mate_edge)
@@ -471,7 +457,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
             if lab not in (1, 2):
                 raise InvariantViolation(f"cycle edge {eid} carries label {lab}")
             state.set(eid, 2 if lab == 1 else 1)
-        if not _conflicts(comp, state):
+        if not conflicting_edges(g, state.d2, state.d3, comp.eids):
             return "hub-5-cycle"
         state.set(min((q.rep, q.hub_edge) for q in pieces if q is not p)[1], 3)
         return "hub-5-cycle-special"
@@ -498,10 +484,10 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     leaves at most the partner unbalanced, and a single 3 repairs it.
     """
     g = state.g
-    # The first conflicting edge with a 1-mono end: both its ends are 1-mono.
-    eid_uv = next((e for e in _conflicts(comp, state) if state.is_mono1(g.edges[e][0])), None)
-    if eid_uv is None:
+    conflicts = conflicting_edges(g, state.d2, state.d3, comp.eids)
+    if not conflicts:
         raise InvariantViolation("pendant fixer ran on a settled component")
+    eid_uv = conflicts[0]  # both its ends are 1-mono, by the entry contract
     a, b = g.edges[eid_uv]
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
     if comp.degrees[u] != 1:

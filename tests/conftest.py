@@ -116,6 +116,17 @@ def tree_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def caterpillar(rng: random.Random, n: int) -> Graph:
+    """A path (the spine) on a random prefix of shuffled ids, with each
+    remaining vertex hung on a random spine vertex; connected, n >= 3."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    spine = rng.randint(2, max(2, n // 2))
+    edges = [(ids[i], ids[i + 1]) for i in range(spine - 1)]
+    edges += [(ids[i], ids[rng.randrange(spine)]) for i in range(spine, n)]
+    return Graph(n, edges)
+
+
 def disjoint_union(graphs) -> Graph:
     """The graphs side by side, each on the next block of vertex ids."""
     edges, n = [], 0

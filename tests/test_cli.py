@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -241,7 +242,7 @@ class TestVerifyCommand:
         out_file = str(tmp_path / "labels.txt")
         run_cli(capsys, "label", g, "--out", out_file)
         labels_only = "".join(
-            line + "\n" for line in open(out_file).read().split("\n\n")[0].splitlines())
+            line + "\n" for line in Path(out_file).read_text().split("\n\n")[0].splitlines())
         l = write(tmp_path, "roundtrip.labels", labels_only)
         code, _, _ = run_cli(capsys, "verify", g, l)
         assert code == 0
@@ -253,7 +254,7 @@ class TestVerifyCommand:
         g = write(tmp_path, "g.edges", content)
         out_file = str(tmp_path / "out.txt")
         assert run_cli(capsys, "label", g, "--out", out_file)[0] == 0
-        assert "\n\n" in "\n" + open(out_file).read()
+        assert "\n\n" in "\n" + Path(out_file).read_text()
         code, out, err = run_cli(capsys, "verify", g, out_file)
         assert (code, out, err) == (0, "ok\n", "")
 

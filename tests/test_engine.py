@@ -17,6 +17,9 @@ from prodlabel.engine import random_nice_graph
 from prodlabel.graph import is_nice
 
 from conftest import (
+    CountingAdj,
+    CountingEdges,
+    caterpillar,
     complete_graph,
     cycle_graph,
     exact_conflicts,
@@ -28,6 +31,7 @@ from conftest import (
     tree_plus_chords,
 )
 from spec import connected_components, validate_partition
+from test_partition import many_components
 
 
 def python_min_k(g: Graph, k_max: int) -> int | None:
@@ -518,3 +522,31 @@ class TestNamedFamilies:
             assert k is not None and k <= 3
             rep = label_graph(g)
             assert rep.verified
+
+
+# Families for the linear-work gate, each built from a seeded rng at size n.
+# Stars are left out: CountingAdj counts ``len(adj[v])`` as reading the whole
+# row, and ``is_nice`` asks for the centre's row length once per leaf, so a
+# star reads as quadratic although its time is linear.
+WORK_FAMILIES = {
+    "path": lambda rng, n: path_graph(n),
+    "caterpillar": caterpillar,
+    "sparse": lambda rng, n: tree_plus_chords(rng, n, 3 * n),
+    "components": lambda rng, n: many_components(rng, n // 5),
+}
+
+
+class TestLinearWork:
+    """A whole ``label_graph`` run reads a bounded number of adjacency
+    entries per vertex and edge, and makes a fixed number of passes over
+    ``g.edges``, at n and 8n alike: no stage rescans the graph in a loop."""
+
+    @pytest.mark.parametrize("n", [2000, 16000])
+    @pytest.mark.parametrize("family", sorted(WORK_FAMILIES))
+    def test_reads_per_vertex_and_edge(self, family, n):
+        g = WORK_FAMILIES[family](random.Random(n), n)
+        g.adj = CountingAdj(g.adj)
+        g.edges = CountingEdges(g.edges)
+        assert label_graph(g).verified
+        assert g.adj.read < 16 * (g.n + g.m)
+        assert g.edges.passes <= 6

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts
-from prodlabel.labelling import degree_counts
+from prodlabel.labelling import conflicting_edges, degree_counts
 from prodlabel.partition import build_valid_partition
 import prodlabel.repair as repair_module
 from prodlabel.repair import (
@@ -361,36 +361,15 @@ class TestFixAnchored:
         degrees = [sum(1 for w, _ in g.adj[v] if p[w] <= 2) if p[v] <= 2 else 0 for v in range(g.n)]
         return ConflictComponent(vertices, p, edge_ids, degrees)
 
-    @pytest.mark.parametrize("retyped", [False, True])
-    def test_piece_without_contact(self, retyped):
+    def test_piece_without_contact(self):
         # The anchored component of test_contact_turns_special glued to a
-        # separate bottom path 7-8-9, a piece that touches no anchor.  Only
-        # a piece the seeding step retyped (a side-2 vertex with a 3) may
-        # lack a contact; any other is a broken construction.
+        # separate bottom path 7-8-9, a piece that touches no anchor: a
+        # connected component has none, so this is a broken construction.
         parts = [{0, 2, 4, 7, 9}, {1, 3, 5, 8}, {6, 10}]
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (7, 8), (8, 9), (8, 10)]
-        labels = [1, 1, 1, 1, 1, 3, 1, 1, 3 if retyped else 1]
-        g, p, state = fixture(parts, edges, labels)
-        comp = self._merged(g, p)
-        if retyped:
-            fix_anchored(comp, state)
-            assert state.labelling.labels[6:] == [1, 1, 3]
-        else:
-            with pytest.raises(InvariantViolation, match="piece without contact"):
-                fix_anchored(comp, state)
-
-    def test_retyped_piece_left_alone(self):
-        # test_contact_turns_special with a 3 on the side-2 vertex 3 of the
-        # piece: a piece holding a side-2 vertex with a 3 gets no parity
-        # pass and no contact edit.
-        parts = [{0, 2, 4}, {1, 3, 5}, {6, 7}]
-        edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (3, 7)]
-        labels = [1, 1, 1, 1, 1, 3, 3]
-        g, p, state = fixture(parts, edges, labels)
-        comp = the_component(g, p, state)
-        assert comp.vertices == [0, 1, 2, 3, 4, 5]
-        assert fix_anchored(comp, state) == "anchor"
-        assert state.labelling.labels == labels
+        g, p, state = fixture(parts, edges, [1, 1, 1, 1, 1, 3, 1, 1, 1])
+        with pytest.raises(InvariantViolation, match="piece without contact"):
+            fix_anchored(self._merged(g, p), state)
 
     def test_leftover_one_mono_contacts(self):
         # Two pieces whose contacts stay 1-mono force the 1/3 pass over the
@@ -596,16 +575,38 @@ def test_fixer_that_does_not_apply(fixer, scenario, case):
     assert cases(run_repair_pass(g, p, state)) == {case: 1}
 
 
-# One minimal graph per fixer case not pinned above, found by seeded search
-# over the fuzz families (G(n, p), spanning tree plus noise, tree plus
-# chords, caterpillars) and shrunk edge by edge; the case is the only repair
-# the whole pipeline makes on it.
+PAIRS7 = list(itertools.combinations(range(7), 2))
+
+
+def mask_graph(mask: int) -> Graph:
+    """The graph on 0..6 whose edges are the pairs of PAIRS7 at the set bits
+    of ``mask``, as ``tools/sweep7.py`` numbers them."""
+    return Graph(7, [pair for k, pair in enumerate(PAIRS7) if mask >> k & 1])
+
+
+# One small graph per fixer case, on which the case is the only repair the
+# whole pipeline makes.  The first five were found by seeded search over the
+# fuzz families (G(n, p), spanning tree plus noise, tree plus chords,
+# caterpillars) and shrunk edge by edge; the others are the first 7-vertex
+# masks that reach their case.  No graph on 7 vertices reaches hub-5-odd or
+# hub-5-cycle; TestFixHub pins them on handmade states.
 PINNED_CASES = {
     "anchor": Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
     "anchor-seeded": Graph(5, [(0, 3), (1, 3), (0, 4), (0, 2)]),
     "hub-2-many": Graph(5, [(1, 3), (0, 3), (0, 2), (1, 4)]),
     "hub-3-even": Graph(9, [(3, 4), (2, 3), (0, 2), (1, 2), (0, 5), (0, 8), (2, 6), (7, 8), (1, 4)]),
     "hub-3-odd": path_graph(4),
+    "anchor-seeded-done": mask_graph(3),
+    "hub-1-even": mask_graph(198),
+    "hub-4-anchored": mask_graph(206),
+    "hub-4-plain": mask_graph(454),
+    "hub-2-single": mask_graph(470),
+    "hub-6": mask_graph(2323),
+    "hub-5-cycle-special": mask_graph(2389),
+    "pendant-balanced": mask_graph(2420),
+    "hub-1-odd": mask_graph(4500),
+    "pendant-special-reserve": mask_graph(6821),
+    "pendant-special-self": mask_graph(41766),
 }
 
 
@@ -630,6 +631,24 @@ def seeded_graphs() -> list[Graph]:
         n = rng.randint(8, 40)
         graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 4)))
     return graphs
+
+
+def test_upward_pass_meets_the_repair_contract():
+    # What the fixers rest on: after the upward pass no part-1 vertex has a
+    # 2 and no part-2 vertex a 3, so every conflict joins two 1-mono
+    # vertices of parts 1 and 2.
+    graphs = list(PINNED_CASES.values()) + [spider(4), many_components(random.Random(27), 300)]
+    conflicts = 0
+    for g in graphs + seeded_graphs():
+        state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        assert all(state.d2[v] == 0 for v in range(g.n) if part_of[v] == 1)
+        assert all(state.d3[v] == 0 for v in range(g.n) if part_of[v] == 2)
+        for eid in conflicting_edges(g, state.d2, state.d3, range(g.m)):
+            u, v = g.edges[eid]
+            assert {part_of[u], part_of[v]} == {1, 2}
+            assert state.is_mono1(u) and state.is_mono1(v)
+            conflicts += 1
+    assert conflicts >= 500
 
 
 def spy_walks(monkeypatch, fixer, graphs):
