@@ -189,12 +189,6 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
     """
     adj = g.adj
 
-    def closed_neighbourhood(vs) -> set[int]:
-        out = set(vs)
-        for v in vs:
-            out.update(w for w, _ in adj[v])
-        return out
-
     def lower_gap(v: int) -> int | None:
         i = part_of[v]
         if i < 2:
@@ -202,22 +196,23 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
         neighbour_parts = {part_of[w] for w, _ in adj[v]}
         return next((k for k in range(1, i) if k not in neighbour_parts), None)
 
-    def gaps(dirty) -> list[int]:
-        return sorted(v for v in dirty if lower_gap(v) is not None)
-
-    def settle(todo: list[int]) -> set[int]:
-        """Run settle rounds, the first on ``todo``; return every vertex moved."""
+    def settle(seeds: list[int]) -> set[int]:
+        """Run settle rounds, each on the closed neighbourhood of ``seeds`` (the
+        swapped ends, then the last round's moves); return every vertex moved."""
         moved_all: set[int] = set()
-        while todo:
+        while seeds:
+            dirty = set(seeds)
+            for v in seeds:
+                dirty.update(w for w, _ in adj[v])
             moved = []
-            for v in todo:
+            for v in sorted(v for v in dirty if lower_gap(v) is not None):
                 # Earlier moves in this round may have filled the gap already.
                 target = lower_gap(v)
                 if target is not None:
                     part_of[v] = target
                     moved.append(v)
             moved_all.update(moved)
-            todo = gaps(closed_neighbourhood(moved))
+            seeds = moved
         return moved_all
 
     end_edge, witnesses = _certificate(g, part_of)
@@ -230,7 +225,7 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
                 a, b = g.edges[eid]
                 part_of[a], part_of[b] = part_of[b], part_of[a]
                 swapped += (a, b)
-            for x in settle(gaps(closed_neighbourhood(swapped))):
+            for x in settle(swapped):
                 if part_of[x] <= 2:
                     for w, _ in adj[x]:
                         if w in end_edge:

@@ -23,11 +23,12 @@ the filtered lists hand out neighbours in ascending order and every
 smallest-neighbour choice is deterministic.  A fixer relabels an edge
 through the edge id that came with the neighbour it picked, from a
 ``(neighbour, edge id)`` entry or a walk-tree link; no edge is ever looked
-up by its ends.  ``fix_anchored`` and ``fix_hub`` find each piece or block
-with one breadth-first walk from its smallest contact, and that walk is the
-spanning tree of its parity pass.  Both remove each walked piece from the
-vertex set they walk in; a piece is a whole component of that set, so no
-later walk changes.
+up by its ends.  Every 1/s relabelling is one ``_parity_pass``: a
+breadth-first walk inside a vertex set that takes the walked piece out of
+the set and flips tree edges bottom-up until each vertex but the root has
+the parity its side needs.  ``fix_anchored`` and ``fix_hub`` run one from
+the smallest contact of each piece or block (a whole component of the set,
+so no later walk changes), ``fix_pendant`` one from the pendant's partner.
 
 Three fixers cover all components, tried in order; each returns None, with
 no label touched, when it does not apply:
@@ -150,35 +151,29 @@ def _walk(state: ProfileTracker, vset, root: int, s: int):
     return order, tree, bad
 
 
-def _flip(state: ProfileTracker, order: list[int], tree, bad: int | None,
-          side, odd_side: int, s: int) -> None:
-    """Toggle the tree edges of a ``_walk`` (1 <-> s) bottom-up so that each
-    vertex but the root ends with an odd s-count iff its ``side`` is
-    ``odd_side``; the root absorbs the slack.  A vertex reaches the pass after
-    every vertex below it, so its live s-count in the tracker already holds
-    their flips, and the one tree edge above it flips iff that count has the
-    wrong parity.  A walk that met a label other than 1 or s (``bad``) is a
-    broken construction."""
+def _parity_pass(state: ProfileTracker, vset: set[int], root: int,
+                 side, odd_side: int, s: int) -> dict[int, tuple[int, int]]:
+    """Walk ``vset`` from ``root``, take the walked vertices out of it and
+    toggle the tree edges (1 <-> s) bottom-up, so that each walked vertex
+    but the root ends with an odd s-count iff its ``side`` is ``odd_side``;
+    the root absorbs the slack.  Returns the walk's tree.
+
+    A vertex is flipped after every vertex below it, so its live s-count
+    already holds their flips, and the tree edge above it flips iff that
+    count has the wrong parity.  A walk that reaches only its root meets no
+    edge and flips nothing.  A walked edge labelled neither 1 nor s is a
+    broken construction, raised before any label is touched.
+    """
+    order, tree, bad = _walk(state, vset, root, s)
     if bad is not None:
         raise InvariantViolation(f"edge {bad} carries label {state.label(bad)}, expected 1 or {s}")
+    vset.difference_update(order)
     counts = state.d2 if s == 2 else state.d3
     for v in order[:0:-1]:  # reverse visit order, root excluded
         if (counts[v] % 2 == 1) != (side[v] == odd_side):
             eid = tree[v][1]
             state.set(eid, s if state.label(eid) == 1 else 1)
-
-
-def _sweep(state: ProfileTracker, vset: set[int], root: int,
-           side, odd_side: int, s: int) -> None:
-    """``_flip`` over a spanning tree of the subgraph induced by ``vset``,
-    which must be connected and contain the root, and every edge of which
-    must carry label 1 or s.  The fixers guarantee both, so a failure here
-    is a broken construction.
-    """
-    order, tree, bad = _walk(state, vset, root, s)
-    if len(order) != len(vset):
-        raise InvariantViolation("parity sweep requires a connected subgraph")
-    _flip(state, order, tree, bad, side, odd_side, s)
+    return tree
 
 
 def nullstellensatz_assign(counts) -> list[int]:
@@ -213,8 +208,9 @@ def nullstellensatz_assign(counts) -> list[int]:
 # Fixers
 
 
-def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
-    """Smallest 1-mono side-1 vertex with two 1-mono pendant side-2 neighbours."""
+def _anchor_seed(comp: ConflictComponent, state: ProfileTracker) -> tuple[int, int] | None:
+    """The edges to the first two 1-mono pendant side-2 neighbours of the
+    smallest 1-mono side-1 vertex that has two."""
     adj, degrees = state.g.adj, comp.degrees
     for v in comp.vertices:
         if comp.side[v] == 1 and state.is_mono1(v):
@@ -222,8 +218,8 @@ def _anchor_seed(comp: ConflictComponent, state: ProfileTracker):
             for w, eid in adj[v]:
                 if degrees[w] == 1 and state.is_mono1(w):
                     if first is not None:
-                        return v, first, (w, eid)
-                    first = w, eid
+                        return first, eid
+                    first = eid
     return None
 
 
@@ -250,9 +246,8 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     seed = _anchor_seed(comp, state)
     case = "anchor"
     if seed is not None:
-        _, (_, e1), (_, e2) = seed
-        state.set(e1, 3)
-        state.set(e2, 3)
+        state.set(seed[0], 3)
+        state.set(seed[1], 3)
         case = "anchor-seeded"
         if not conflicting_edges(state.g, d2, d3, comp.eids):
             return case + "-done"
@@ -274,10 +269,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
                 break
         else:
             continue  # no anchor neighbour: the walk from a larger contact reaches y
-        order, tree, bad = _walk(state, rest, y, 2)
-        rest.difference_update(order)
-        if len(order) > 1:
-            _flip(state, order, tree, bad, side, 2, 2)
+        tree = _parity_pass(state, rest, y, side, 2, 2)
         if d2[y] % 2 == 1:
             continue
         if d2[y] > 0:
@@ -294,11 +286,7 @@ def fix_anchored(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         for xk in anchors:
             if xk not in contact_graph:
                 continue
-            order, tree, bad = _walk(state, contact_graph, xk, 3)
-            contact_graph.difference_update(order)
-            if len(order) == 1:
-                continue  # an anchor without contacts: nothing to flip
-            _flip(state, order, tree, bad, side, 2, 3)
+            tree = _parity_pass(state, contact_graph, xk, side, 2, 3)
             if d3[xk] % 2 == 1:
                 for y, exy in adj[xk]:
                     if y not in tree or side[y] != 2 or state.key(y) != state.key(xk):
@@ -368,12 +356,8 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         for xj, exj in g.adj[rep]:
             if xj not in rest:
                 continue  # off the bottom, another piece's, or walked from a smaller contact
-            order, tree, bad = _walk(state, rest, xj, 2)
-            rest.difference_update(order)
-            piece.vset.update(order)
+            piece.vset.update(_parity_pass(state, rest, xj, comp.side, 2, 2))
             contacts.append((xj, exj))
-            if len(order) > 1:
-                _flip(state, order, tree, bad, comp.side, 2, 2)
         evens = [(x, ex) for x, ex in contacts if state.d2[x] % 2 == 0]
         if len(evens) >= 2 or (evens and state.d2[evens[0][0]] >= 1):
             for _, ez in evens:
@@ -500,7 +484,9 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
         if state.d3[x] != 0 or state.d2[x] < 1:
             raise InvariantViolation(f"side-2 neighbour {x} is not 2-monochromatic")
 
-    _sweep(state, rest, v, comp.side, 1, 2)
+    _parity_pass(state, rest, v, comp.side, 1, 2)
+    if rest:
+        raise InvariantViolation("parity sweep requires a connected subgraph")
 
     if state.d2[v] % 2 == 1:
         return "pendant-balanced"

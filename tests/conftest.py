@@ -57,15 +57,30 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
 
 
 class CountingAdj(list):
-    """Stand-in for ``Graph.adj`` that counts every adjacency entry handed
-    out, so a test can bound how much of the graph a walk reads."""
+    """Stand-in for ``Graph.adj`` that counts every adjacency entry a caller
+    iterates or indexes in a row it fetched, so a test can bound how much of
+    the graph a walk reads.  A row's ``len()`` reads no entry."""
 
     read = 0
 
     def __getitem__(self, v):
-        entries = super().__getitem__(v)
-        self.read += len(entries)
-        return entries
+        return _CountedRow(self, super().__getitem__(v))
+
+
+class _CountedRow:
+    """A row fetched from ``CountingAdj``; every entry read through it counts.
+    With no ``__iter__``, a loop over it indexes it until IndexError."""
+
+    def __init__(self, owner: CountingAdj, row: list):
+        self.owner, self.row = owner, row
+
+    def __len__(self):
+        return len(self.row)
+
+    def __getitem__(self, i):
+        entry = self.row[i]
+        self.owner.read += 1
+        return entry
 
 
 class CountingEdges(tuple):
@@ -124,6 +139,19 @@ def caterpillar(rng: random.Random, n: int) -> Graph:
     spine = rng.randint(2, max(2, n // 2))
     edges = [(ids[i], ids[i + 1]) for i in range(spine - 1)]
     edges += [(ids[i], ids[rng.randrange(spine)]) for i in range(spine, n)]
+    return Graph(n, edges)
+
+
+def spider(legs: int) -> Graph:
+    """Vertex 0 with 2*legs + 5 paths of length 2 hanging off it, joined to
+    vertex 1 with ``legs`` such paths: one conflict component on parts 1
+    and 2 holding two vertices of degree above ``legs``."""
+    edges = [(0, 1)]
+    n = 2
+    for centre, count in ((0, 2 * legs + 5), (1, legs)):
+        for _ in range(count):
+            edges += [(centre, n), (n, n + 1)]
+            n += 2
     return Graph(n, edges)
 
 

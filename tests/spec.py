@@ -5,7 +5,7 @@ the partition properties and the partition potential are written straight
 from their definitions, and so are connected components.  A partition is
 the ``part_of`` list the pipeline uses: each vertex's part index.
 ``parity_relabel`` checks its input and then runs the repair pass's own
-parity sweep, so tests of it drive the production ``repair._sweep``.
+parity pass, so tests of it drive the production ``repair._parity_pass``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from prodlabel.graph import Graph
 from prodlabel.labelling import Labelling, ProfileTracker
-from prodlabel.repair import _sweep, _within
+from prodlabel.repair import _parity_pass, _within
 
 
 def tracker(g: Graph, l: Labelling | None = None) -> ProfileTracker:
@@ -198,6 +198,21 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def two_colouring(g: Graph, vset, root: int) -> dict[int, int]:
+    """Distance parity from ``root`` of every vertex it reaches inside
+    ``vset``; ValueError if the subgraph it reaches is not bipartite."""
+    colour = {root: 0}
+    queue = [root]
+    for v in queue:  # grows while it is read: a queue
+        for w, _ in _within(g, v, vset):
+            if w not in colour:
+                colour[w] = colour[v] ^ 1
+                queue.append(w)
+            elif colour[w] == colour[v]:
+                raise ValueError("subgraph is not bipartite")
+    return colour
+
+
 def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
                    exempt: int, odd_on_exempt_side: bool = True) -> list[int]:
     """Relabel a connected bipartite subgraph with 1/s to fixed parities.
@@ -208,7 +223,8 @@ def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
     exempt vertex itself ends with odd s-degree and every vertex on the
     other side with even s-degree (or the swapped pattern when
     ``odd_on_exempt_side`` is false).  Parities count subgraph edges only.
-    Returns the edge ids whose label changed.
+    One ``_parity_pass`` over a copy of the vertex set relabels.  Returns
+    the edge ids whose label changed.
     """
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
@@ -223,19 +239,7 @@ def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
     induced = [eid for v in vset for w, eid in g.adj[v] if v < w and w in vset]
     if sorted(induced) != sorted(edge_ids):
         raise ValueError("edge_ids must be every edge its ends and the exempt vertex induce")
-    # 2-colour from the exempt vertex; the subgraph must be bipartite.
-    colour = {exempt: 0}
-    queue = [exempt]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w, _ in _within(g, v, vset):
-            if w not in colour:
-                colour[w] = colour[v] ^ 1
-                queue.append(w)
-            elif colour[w] == colour[v]:
-                raise ValueError("subgraph is not bipartite")
+    colour = two_colouring(g, vset, exempt)
     if len(colour) != len(vset):
         raise ValueError("subgraph is not connected")
     within = {v: 0 for v in vset}
@@ -250,5 +254,5 @@ def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
     odd_colour = 0 if odd_on_exempt_side else 1
     odd = {v: (colour[v] == odd_colour) != ((counts[v] - within[v]) % 2 == 1) for v in vset}
     before = {eid: state.label(eid) for eid in edge_ids}
-    _sweep(state, vset, exempt, odd, True, s)
+    _parity_pass(state, set(vset), exempt, odd, True, s)
     return [eid for eid in edge_ids if state.label(eid) != before[eid]]

@@ -27,6 +27,7 @@ from conftest import (
     induced_subgraph,
     path_graph,
     random_connected_nice_graph,
+    spider,
     star_graph,
     tree_plus_chords,
 )
@@ -525,14 +526,15 @@ class TestNamedFamilies:
 
 
 # Families for the linear-work gate, each built from a seeded rng at size n.
-# Stars are left out: CountingAdj counts ``len(adj[v])`` as reading the whole
-# row, and ``is_nice`` asks for the centre's row length once per leaf, so a
-# star reads as quadratic although its time is linear.
+# The star and the spider each hold vertices of degree about n: a stage that
+# scanned such a row once per neighbour would read about n**2 entries.
 WORK_FAMILIES = {
     "path": lambda rng, n: path_graph(n),
     "caterpillar": caterpillar,
     "sparse": lambda rng, n: tree_plus_chords(rng, n, 3 * n),
     "components": lambda rng, n: many_components(rng, n // 5),
+    "star": lambda rng, n: star_graph(n),
+    "spider": lambda rng, n: spider(n // 6),
 }
 
 

@@ -12,7 +12,7 @@ import prodlabel.repair as repair_module
 from prodlabel.repair import (
     ConflictComponent,
     _anchor_seed,
-    _sweep,
+    _parity_pass,
     component_violations,
     conflict_components,
     fix_anchored,
@@ -27,12 +27,15 @@ from prodlabel.upward import run_upward_pass
 from conftest import (
     CountingAdj,
     complete_graph,
+    exact_products,
     path_graph,
     random_connected_nice_graph,
+    spider,
     star_graph,
     tree_plus_chords,
 )
-from spec import VertexKind, classify, parity_relabel, profile, target_profile, tracker
+from spec import (VertexKind, classify, parity_relabel, profile, target_profile, tracker,
+                  two_colouring)
 from test_partition import many_components
 
 
@@ -95,25 +98,13 @@ class TestParityRelabel:
             l = Labelling([rng.choice((1, s)) for _ in range(g.m)])
             exempt = rng.randrange(g.n)
             parity_relabel(g, l, edge_ids, s=s, exempt=exempt, odd_on_exempt_side=mode)
-            side = self._sides(g, exempt)
+            side = two_colouring(g, range(g.n), exempt)
             for v in range(g.n):
                 if v == exempt:
                     continue
                 deg_s = sum(1 for _, eid in g.adj[v] if l.labels[eid] == s)
                 want_odd = (side[v] == 0) == mode
                 assert deg_s % 2 == (1 if want_odd else 0), (seed, v)
-
-    @staticmethod
-    def _sides(g, root):
-        side = {root: 0}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, _ in g.adj[v]:
-                if w not in side:
-                    side[w] = side[v] ^ 1
-                    stack.append(w)
-        return side
 
     def test_touches_only_listed_edges_and_labels(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -155,30 +146,31 @@ class TestParityRelabel:
         assert parity_relabel(g, l, [0, 1], s=s, exempt=0) == [0, 1]
         assert l.labels == [s, s, s]
 
-    def test_sweep_disconnected_is_internal(self):
-        # parity_relabel checks connectivity first, so only a fixer can hand
-        # the sweep a disconnected piece: that is a broken construction.
+    def test_pass_leaves_unreached_vertices_in_the_set(self):
+        # The pass takes out only the piece its walk reaches; the rest of a
+        # disconnected set stays for a later pass (or a caller's error).
         g = Graph(4, [(0, 1), (2, 3)])
         state = tracker(g, Labelling.all_ones(g))
-        with pytest.raises(InvariantViolation, match="connected"):
-            _sweep(state, {0, 1, 2, 3}, 0, {0: 1, 1: 2, 2: 1, 3: 2}, 1, 2)
-        assert state.labelling.labels == [1, 1]
+        vset = {0, 1, 2, 3}
+        assert _parity_pass(state, vset, 0, [1, 2, 1, 2], 1, 2) == {0: (0, -1), 1: (0, 0)}
+        assert vset == {2, 3} and state.labelling.labels == [1, 1]
 
-    def test_sweep_wrong_label_is_internal(self):
+    def test_pass_wrong_label_is_internal(self):
         # parity_relabel checks its caller's labels first, so only a fixer
-        # can hand the sweep an edge labelled neither 1 nor s.
+        # can hand the pass an edge labelled neither 1 nor s; it raises
+        # before it touches a label.
         g = path_graph(3)
         state = tracker(g, Labelling([1, 3]))
         with pytest.raises(InvariantViolation, match="expected 1 or 2"):
-            _sweep(state, {0, 1, 2}, 0, {0: 1, 1: 2, 2: 1}, 1, 2)
+            _parity_pass(state, {0, 1, 2}, 0, {0: 1, 1: 2, 2: 1}, 1, 2)
         assert state.labelling.labels == [1, 3]
 
-    def test_sweep_keeps_to_its_vertex_set(self):
+    def test_pass_keeps_to_its_vertex_set(self):
         # Edges leaving the vertex set neither join the tree nor get their
         # labels checked.
         g = path_graph(4)
         state = tracker(g, Labelling([1, 1, 3]))
-        _sweep(state, {0, 1, 2}, 0, {0: 1, 1: 1, 2: 1}, 1, 2)
+        _parity_pass(state, {0, 1, 2}, 0, {0: 1, 1: 1, 2: 1}, 1, 2)
         assert state.labelling.labels == [1, 2, 3]
 
 
@@ -331,7 +323,7 @@ class TestFixAnchored:
         # 1-mono centre in part 1 with three 1-mono pendant part-2 leaves.
         g, p, state = fixture([{0}, {1, 2, 3}], [(0, 1), (0, 2), (0, 3)])
         comp = the_component(g, p, state)
-        assert _anchor_seed(comp, state) == (0, (1, 0), (2, 1))  # centre 0 with pendants 1 and 2
+        assert _anchor_seed(comp, state) == (0, 1)  # edges from centre 0 to pendants 1 and 2
         case = fix_anchored(comp, state)
         assert case == "anchor-seeded-done"
         assert state.labelling.labels == [3, 3, 1]
@@ -559,6 +551,15 @@ class TestFixPendant:
         assert case == "pendant-balanced"
         assert component_violations(comp, state) == []
 
+    def test_disconnected_component_is_internal(self):
+        # PENDANT_BALANCED plus an isolated part-1 vertex 4 that no real
+        # component holds: the parity pass from the partner leaves it unwalked.
+        parts, edges, labels = PENDANT_BALANCED
+        g, p, state = fixture([parts[0] | {4}, *parts[1:]], edges, labels)
+        comp = ConflictComponent([0, 1, 2, 4], p, [0, 1], [1, 2, 1, 0, 0])
+        with pytest.raises(InvariantViolation, match="requires a connected subgraph"):
+            fix_pendant(comp, state)
+
 
 @pytest.mark.parametrize("fixer, scenario, case", [
     (fix_anchored, PENDANT_BALANCED, "pendant-balanced"),
@@ -610,19 +611,6 @@ PINNED_CASES = {
 }
 
 
-def spider(legs: int) -> Graph:
-    """Vertex 0 with 2*legs + 5 paths of length 2 hanging off it, joined to
-    vertex 1 with ``legs`` such paths: one conflict component on parts 1
-    and 2 holding two vertices of degree above ``legs``."""
-    edges = [(0, 1)]
-    n = 2
-    for centre, count in ((0, 2 * legs + 5), (1, legs)):
-        for _ in range(count):
-            edges += [(centre, n), (n, n + 1)]
-            n += 2
-    return Graph(n, edges)
-
-
 def seeded_graphs() -> list[Graph]:
     graphs = [random_connected_nice_graph(random.Random(seed + 555), n_max=16)
               for seed in range(150)]
@@ -652,24 +640,22 @@ def test_upward_pass_meets_the_repair_contract():
 
 
 def spy_walks(monkeypatch, fixer, graphs):
-    """Repair every graph, recording the visit orders of the ``_walk`` calls
-    in each call of ``fixer`` by (s, vertex-set object), and the visit order
-    of every ``_flip`` tree; also the tally of fixer cases."""
-    inside, walks, flips, tally = [], [], [], Counter()
+    """Repair every graph, recording the walked vertices of the
+    ``_parity_pass`` calls in each call of ``fixer`` by (s, vertex-set
+    object), and in ``lone`` whether each one-vertex pass changed a label;
+    also the tally of fixer cases."""
+    inside, walks, lone, tally = [], [], [], Counter()
+    real_pass = repair_module._parity_pass
 
-    def spy(name, record):
-        real = getattr(repair_module, name)
-
-        def wrapper(*args):
-            result = real(*args)
-            if inside:
-                record(args, result)
-            return result
-        monkeypatch.setattr(repair_module, name, wrapper)
-
-    spy("_walk", lambda args, result: walks[-1].setdefault((args[3], id(args[1])), [])
-        .append(result[0]))
-    spy("_flip", lambda args, result: flips.append(args[1]))
+    def spied_pass(state, vset, root, side, odd_side, s):
+        before = list(state.labelling.labels)
+        tree = real_pass(state, vset, root, side, odd_side, s)
+        if inside:
+            walks[-1].setdefault((s, id(vset)), []).append(list(tree))
+            if len(tree) == 1:
+                lone.append(state.labelling.labels != before)
+        return tree
+    monkeypatch.setattr(repair_module, "_parity_pass", spied_pass)
     real_fixer = getattr(repair_module, fixer)
 
     def tracked(*args):
@@ -684,11 +670,11 @@ def spy_walks(monkeypatch, fixer, graphs):
         state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
         tally.update(cases(run_repair_pass(g, part_of, state)))
         assert find_conflicts(g, state.labelling) == []
-    return walks, flips, tally
+    return walks, lone, tally
 
 
-def assert_one_walk_per_vertex(walks, flips):
-    assert all(len(order) > 1 for order in flips)
+def assert_one_walk_per_vertex(walks, lone):
+    assert lone and not any(lone)  # a one-vertex pass changes no label
     for per_set in walks:
         for orders in per_set.values():
             walked = [v for order in orders for v in order]
@@ -724,11 +710,11 @@ class TestRunRepairPass:
         # fix_anchored finds each piece with one walk from its smallest
         # contact (and each part of the contact graph with one walk from its
         # smallest anchor): no component search, every vertex walked at most
-        # once per pass, and no parity flip on a one-vertex piece.
+        # once per pass, and no label changed by a one-vertex piece's pass.
         graphs = [PINNED_CASES["anchor"], PINNED_CASES["anchor-seeded"]] + seeded_graphs()
-        walks, flips, tally = spy_walks(monkeypatch, "fix_anchored", graphs)
+        walks, lone, tally = spy_walks(monkeypatch, "fix_anchored", graphs)
         assert not hasattr(repair_module, "connected_components")
-        assert_one_walk_per_vertex(walks, flips)
+        assert_one_walk_per_vertex(walks, lone)
         # Not vacuous: one-vertex pieces and both passes were reached.
         pieces = [order for per_pass in walks for (s, _), orders in per_pass.items()
                   if s == 2 for order in orders]
@@ -741,8 +727,8 @@ class TestRunRepairPass:
         # fix_hub finds each block of a piece with one walk from its
         # smallest contact, the way fix_anchored finds its pieces.
         hubs = [g for case, g in PINNED_CASES.items() if case.startswith("hub")]
-        walks, flips, tally = spy_walks(monkeypatch, "fix_hub", hubs + [spider(4)] + seeded_graphs())
-        assert_one_walk_per_vertex(walks, flips)
+        walks, lone, tally = spy_walks(monkeypatch, "fix_hub", hubs + [spider(4)] + seeded_graphs())
+        assert_one_walk_per_vertex(walks, lone)
         blocks = [order for per_set in walks for orders in per_set.values() for order in orders]
         assert any(len(order) == 1 for order in blocks)
         assert any(len(order) > 1 for order in blocks)
@@ -778,8 +764,6 @@ class TestRunRepairPass:
         state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
         run_repair_pass(g, part_of, state)
         assert find_conflicts(g, state.labelling) == []
-        from conftest import exact_products
-
         assert sorted(exact_products(g, state.labelling.labels)) == [1, 3, 3, 9]
 
     def test_p5_proper(self):
