@@ -89,16 +89,68 @@ def _construct(g: Graph) -> tuple[Labelling, list[int], dict[str, int]]:
 
 
 # Search nodes (single-edge label assignments) one public oracle call may
-# visit, summed over every k it tries: about 0.87 s at 2.3 M nodes/s on one
-# core of a shared 2-CPU Linux machine (Python 3.11).  With the twin order of
-# brute_force_min_k, K8 (28 edges) needs 1.26 M nodes in all; K9 runs out of
-# budget at k = 2.
+# visit, summed over every k it tries: about 0.7 s at 2.6-3.0 M nodes/s on
+# one core of a shared 2-CPU Linux machine (Python 3.11).  With the twin-chain
+# bound of brute_force_min_k, K8 (28 edges) needs 306 nodes and K12 (66
+# edges) 4,264; with the order checked only on final products K8 needed
+# 1.26 M and K9 ran out.
 ORACLE_NODE_BUDGET = 2_000_000
 
 
+def _least_product(t: int, r: int, k: int) -> int:
+    """Least product of r labels from 1..k (k >= 2) that is at least t, or
+    0 when every such product is below t.
+
+    Exact for k = 2 and 3, where a product is 2**a * 3**b with a + b <= r
+    (b = 0 for k = 2).  For k > 3 it is t itself when t <= k**r: every product
+    lies in 1..k**r, so the answer is never above the exact one, which is
+    all the chain bound needs, and no table grows with k or r.
+    """
+    if k > 3:
+        return t if t <= k ** r else 0
+    if k < 3:
+        a = (t - 1).bit_length()
+        return 1 << a if a <= r else 0
+    best = 0
+    power = 1  # 3**b
+    for b in range(r + 1):
+        a = (-(-t // power) - 1).bit_length()  # least a with power << a >= t
+        if a + b <= r and (not best or power << a < best):
+            best = power << a
+        if power >= t:
+            break
+        power *= 3
+    return best
+
+
+def _chain_fits(chain: list[int], prod: list[int], left: list[int], k: int) -> bool:
+    """Whether the twin class ``chain`` (ascending ids) can still end with
+    strictly increasing products, when member x has product prod[x] so far
+    and left[x] edges still unlabelled.
+
+    The walk up the chain gives each member the least value above the
+    previous member's that its product can still reach; a member with no
+    such value ends the walk.  Greedy is exact here: a member's value is
+    the least any increasing choice can give it, so a later member that
+    finds nothing above it finds nothing above any other choice either.
+    """
+    prev = 0
+    for x in chain:
+        p = prod[x]
+        if left[x]:
+            q = _least_product(prev // p + 1, left[x], k)
+            if not q:
+                return False
+            prev = p * q
+        elif p > prev:
+            prev = p
+        else:
+            return False
+    return True
+
+
 def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
-                  twins: frozenset[tuple[int, int]] = frozenset()
-                  ) -> tuple[list[int] | None, int]:
+                  twins: Sequence[list[int]] = ()) -> tuple[list[int] | None, int]:
     """Lex-first proper k-labelling of ``edges`` on vertices 0..n-1 (or
     None), one label per entry of ``edges``, and the search nodes visited.
 
@@ -108,18 +160,35 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
     branch dies at the first edge whose ends must end up with equal
     products.
 
-    An edge ``(u, v)`` listed in ``twins`` is checked more strictly: its
-    branch dies unless prod(u) < prod(v).  The answer is then the first
-    labelling that is proper and obeys those orders.
+    Each list in ``twins`` is a class of pairwise adjacent vertices in
+    ascending order, c1 < c2 < ... < cs, whose products must end strictly
+    increasing.  The class is checked by ``_chain_fits`` at the index where
+    each member's last edge is labelled: the branch dies as soon as no
+    increasing choice is left among the products the members can still
+    reach.  Once every member is final, that is the check prod(c1) < ... <
+    prod(cs), which stands in for the equality checks of the class's own
+    edges.  The answer is then the first labelling that is proper and
+    obeys those orders.
     """
     m = len(edges)
     last = [-1] * n
+    left = [0] * n
     for j, (u, v) in enumerate(edges):
         last[u] = last[v] = j
+        left[u] += 1
+        left[v] += 1
+    class_of: list[list[int] | None] = [None] * n
+    chains: list[list[list[int]]] = [[] for _ in range(m)]
+    for chain in twins:
+        for x in chain:
+            class_of[x] = chain
+            here = chains[last[x]]
+            if not here or here[-1] is not chain:
+                here.append(chain)
     checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    ordered: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for u, v in edges:
-        (ordered if (u, v) in twins else checks)[max(last[u], last[v])].append((u, v))
+        if class_of[u] is None or class_of[u] is not class_of[v]:
+            checks[max(last[u], last[v])].append((u, v))
     prod = [1] * n
     labels = [0] * m
     nodes = 0
@@ -130,8 +199,13 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
         if lab:
             prod[u] //= lab
             prod[v] //= lab
+        else:
+            left[u] -= 1
+            left[v] -= 1
         if lab == k:
             labels[j] = 0
+            left[u] += 1
+            left[v] += 1
             j -= 1
             continue
         nodes += 1
@@ -146,23 +220,22 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
             if prod[a] == prod[b]:
                 break
         else:
-            for a, b in ordered[j]:
-                if prod[a] >= prod[b]:
+            for chain in chains[j]:
+                if not _chain_fits(chain, prod, left, k):
                     break
             else:
                 j += 1
     return (labels if j == m else None), nodes
 
 
-def _true_twins(g: Graph) -> frozenset[tuple[int, int]]:
-    """The edges ``(u, v)``, u < v, whose ends have equal closed
-    neighbourhoods (N[u] = N[v]).  Rows of ``g.adj`` are sorted by
-    neighbour, so equal neighbourhoods give equal lists."""
-    adj = g.adj
-    return frozenset(
-        (u, v) for u, v in g.edges
-        if len(adj[u]) == len(adj[v])
-        and [w for w, _ in adj[u] if w != v] == [w for w, _ in adj[v] if w != u])
+def _true_twins(g: Graph) -> list[list[int]]:
+    """The classes of true twins (vertices with equal closed
+    neighbourhoods, N[u] = N[v]) that have two or more members, each in
+    ascending order.  A class is a clique."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, row in enumerate(g.adj):
+        classes.setdefault(tuple(sorted([v, *(w for w, _ in row)])), []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
 
 
 def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
@@ -181,14 +254,24 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
     a proper labelling exists does not depend on the order; the node count
     does.
 
-    They also search only labellings in which every pair of true twins u < v
-    (adjacent, with N[u] = N[v]) has prod(u) < prod(v).  This keeps the
-    answer: a class of true twins is a clique, so a proper labelling gives
-    its members pairwise distinct products; any permutation of the class is
-    an automorphism that leaves every vertex outside it with its product,
-    because it only permutes that vertex's neighbours in the class; so
-    sorting each class's products by vertex id turns any proper labelling
-    into a proper labelling that obeys the order.
+    They also search only labellings in which each class of true twins
+    c1 < c2 < ... < cs (pairwise adjacent, with equal closed
+    neighbourhoods) has prod(c1) < prod(c2) < ... < prod(cs).  This keeps
+    the answer: a class of true twins is a clique, so a proper labelling
+    gives its members pairwise distinct products; any permutation of the
+    class is an automorphism that leaves every vertex outside it with its
+    product, because it only permutes that vertex's neighbours in the
+    class; so sorting each class's products by vertex id turns any proper
+    labelling into a proper labelling that obeys the order.
+
+    The order is enforced by a chain bound (see ``_first_proper``): a
+    member x with product p so far and r edges left ends in p times a
+    product of r labels, so a branch is cut once no strictly increasing
+    choice of such values exists.  Every leaf below a cut fails the order
+    at its end, so the bound only removes subtrees in which the check on
+    final products would reject every leaf: the first labelling found, the
+    answer and the meaning of the node budget stay as they were; only the
+    node counts fall.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -184,8 +185,10 @@ class TestBruteForceMinK:
     def test_complete_graphs_need_three(self):
         # With two labels the n pairwise-adjacent 2-counts would have to be
         # exactly 0..n-1, forcing an all-1 vertex adjacent to an all-2 vertex.
-        # K8 fits the default budget only through the twin order.
-        for n in (3, 4, 5, 6, 8):
+        # K9 and beyond fit the default budget only through the twin-chain
+        # bound: with the order checked on final products alone K8 took
+        # 1,259,590 nodes and K9 ran out.
+        for n in range(3, 13):
             g = complete_graph(n)
             assert brute_force_min_k(g, 2) is None
 
@@ -195,6 +198,10 @@ class TestBruteForceMinK:
         # is searched before each k fails.
         g = Graph(17, [(i, i + 1) for i in range(14)] + [(15, 16)])
         assert brute_force_min_k(g, 3) is None
+        # The K2 edge comes first, so every k up to 20 fails at its first
+        # edge: nothing set up per k may grow with k for the K20 beside it.
+        g = Graph(22, [(0, 1)] + [(i, j) for i in range(2, 22) for j in range(i + 1, 22)])
+        assert brute_force_min_k(g, 20) is None
 
     def test_edgeless_convention(self):
         assert brute_force_min_k(Graph(3, []), 3) == 1
@@ -314,9 +321,9 @@ class TestMinKEdgeOrder:
         for h in self.reorderings(complete_graph(6), random.Random(6)):
             seen[0] = 0
             assert brute_force_min_k(h) == 3
-            assert seen[0] == 5_203
+            assert seen[0] == 87
 
-    @pytest.mark.parametrize("n, nodes", [(7, 66_778), (8, 1_259_590)])
+    @pytest.mark.parametrize("n, nodes", [(7, 162), (8, 306), (9, 584), (10, 1_120)])
     def test_larger_complete_graph_nodes(self, seen, n, nodes):
         assert brute_force_min_k(complete_graph(n)) == 3
         assert seen[0] == nodes
@@ -365,6 +372,21 @@ class TestTwinOrder:
             for h in [g] + [self.relabelled(g, rng) for _ in range(3)]:
                 assert brute_force_min_k(h, 4) == expected, h.edges
         assert with_twins >= 550
+
+    def test_least_product_never_above_exact(self):
+        # Exact for k = 2 and 3.  For k > 3 it may fall below the exact
+        # least product, never above it, and is 0 only when that is.
+        for k in range(2, 6):
+            for r in range(5):
+                products = sorted({math.prod(c) for c in
+                                   itertools.product(range(1, k + 1), repeat=r)})
+                for t in range(1, k ** r + 3):
+                    exact = next((q for q in products if q >= t), 0)
+                    least = engine._least_product(t, r, k)
+                    if k <= 3:
+                        assert least == exact, (t, r, k)
+                    else:
+                        assert least <= exact and (least >= t or least == exact == 0), (t, r, k)
 
 
 def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
