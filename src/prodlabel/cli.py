@@ -6,6 +6,10 @@ component), 3 verification failure or internal error (a broken construction
 invariant, reported as "internal error: ..."; ``label`` then saves the graph
 to ``label_fail.edges`` in the working directory).
 
+``label`` on text in the form ``Graph.to_edge_list`` writes loads only the
+construction.  The oracle, the line readers and ``json`` are imported where
+they are used, when that code runs.
+
 ``main`` builds its parser once per process and runs each command with the
 cyclic garbage collector paused.  A command builds only acyclic data (a
 graph, a partition, a labelling), so the collector's passes over the
@@ -18,13 +22,12 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import sys
 from collections import Counter
 
-from .engine import brute_force_min_k, label_graph, random_nice_graph
+from .engine import label_graph
 from .graph import Graph, GraphFormatError, InvariantViolation, NotNiceError, parse_graph
-from .labelling import find_conflicts, format_counts, format_labelling, parse_labelling
+from .labelling import find_conflicts, format_counts, format_labelling
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,6 +74,8 @@ def cmd_label(args: argparse.Namespace) -> int:
     except InvariantViolation as exc:
         return _internal_error(g, str(exc))
     if args.stats:
+        import json
+
         print(json.dumps(report.stats, sort_keys=True), file=sys.stderr)
     # label_graph recomputes its verdict from the labels with the independent
     # conflict scan; refuse to report success unless that scan agrees.  The
@@ -91,6 +96,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .readers import parse_labelling
+
     if args.graph == "-" and args.labelling == "-":
         print("input error: only one input can come from stdin", file=sys.stderr)
         return EXIT_INPUT
@@ -107,6 +114,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_min_k
+
     g = _load_graph(args.graph)
     k = brute_force_min_k(g, args.kmax)
     if k is None:
@@ -117,6 +126,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    import json
+
+    from .oracle import random_nice_graph
+
     if args.trials < 1:
         print("trials must be at least 1", file=sys.stderr)
         return EXIT_INPUT

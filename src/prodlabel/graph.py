@@ -1,4 +1,11 @@
-"""Immutable simple-graph representation, parsers, and the nice-graph test."""
+"""Immutable simple-graph representation, the input caps, the bulk
+edge-list parser, format detection and the nice-graph test.
+
+Text in the form ``Graph.to_edge_list`` writes is parsed here.  Any other
+edge list, and DIMACS input, goes to the line readers in
+``prodlabel.readers``, which load on first use, so a ``prodlabel label``
+run on canonical text never compiles them.
+"""
 
 from __future__ import annotations
 
@@ -39,15 +46,6 @@ class InvariantViolation(AssertionError):
     """An internally unreachable branch was reached; the construction is broken."""
 
 
-def read_int(token: str, lineno: int) -> int:
-    """The non-negative integer a token of ASCII digits spells; a
-    GraphFormatError naming the line for any other token (``int`` alone also
-    takes a sign, underscores and non-ASCII digits)."""
-    if not (token.isascii() and token.isdecimal()):
-        raise GraphFormatError(f"malformed number {token!r}", lineno)
-    return int(token)
-
-
 class Graph:
     """Simple undirected graph with dense 0-based vertex ids and indexed edges.
 
@@ -71,7 +69,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.append((u, v) if u < v else (v, u))
         if len(set(norm)) != len(norm):
-            u, v = norm[_first_repeat(norm)]
+            u, v = norm[first_repeat(norm)]
             raise ValueError(f"duplicate edge ({u},{v})")
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(norm):
@@ -100,7 +98,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _first_repeat(edges) -> int:
+def first_repeat(edges) -> int:
     """Index of the first edge equal to an earlier one; called only on a
     list known to hold one."""
     seen: set[tuple[int, int]] = set()
@@ -120,8 +118,8 @@ def parse_edge_list(text: str) -> Graph:
     or above it and more than MAX_EDGES edges are rejected.
 
     Text in the form ``Graph.to_edge_list`` writes is read in bulk; any
-    other text, and any such text that fails a check, is read line by line,
-    which names the offending line.
+    other text, and any such text that fails a check, is read line by line
+    by ``readers.read_lines``, which names the offending line.
     """
     plain = _PLAIN.fullmatch(text)
     if plain is not None:
@@ -135,112 +133,9 @@ def parse_edge_list(text: str) -> Graph:
                     return Graph(n, zip(it, it))  # consecutive ids pair up
         except ValueError:  # an id out of range, a self-loop, a duplicate or an over-long number
             pass
-    return _read_lines(text)
+    from .readers import read_lines
 
-
-def _read_lines(text: str) -> Graph:
-    """``parse_edge_list`` one line at a time."""
-    edges: list[tuple[int, int]] = []
-    lines: list[int] = []  # the line of each edge, to name a duplicate's
-    declared: int | None = None
-    max_id = -1
-    first_content = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "n":
-            if not first_content:
-                raise GraphFormatError("header must come before edges", lineno)
-            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
-                raise GraphFormatError("malformed header, expected 'n <count>'", lineno)
-            declared = int(tokens[1])
-            if declared > MAX_VERTICES:
-                raise GraphFormatError(
-                    f"declared vertex count {declared} exceeds the limit of {MAX_VERTICES}", lineno)
-            first_content = False
-            continue
-        first_content = False
-        if len(tokens) != 2:
-            raise GraphFormatError(f"expected 'u v', got {line!r}", lineno)
-        if len(edges) == MAX_EDGES:
-            raise GraphFormatError(f"more than the limit of {MAX_EDGES} edges", lineno)
-        u, v = read_int(tokens[0], lineno), read_int(tokens[1], lineno)
-        top = max(u, v)
-        if top >= MAX_VERTICES:
-            raise GraphFormatError(
-                f"vertex id {top} needs more than the limit of {MAX_VERTICES} vertices", lineno)
-        if declared is not None and top >= declared:
-            raise GraphFormatError(f"vertex id {top} out of range for declared n={declared}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v) if u < v else (v, u))
-        lines.append(lineno)
-        max_id = max(max_id, top)
-    n = declared if declared is not None else max_id + 1
-    try:
-        return Graph(n, edges)
-    except ValueError:  # the only error left for Graph to find is a duplicate
-        i = _first_repeat(edges)
-        u, v = edges[i]
-        raise GraphFormatError(f"duplicate edge ({u},{v})", lines[i]) from None
-
-
-def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS "p edge n m" format with 1-based "e u v" lines.
-
-    A declared vertex count above MAX_VERTICES, and a declared or actual
-    edge count above MAX_EDGES, are rejected.
-    """
-    n = None
-    m_declared = 0
-    edges: list[tuple[int, int]] = []
-    lines: list[int] = []  # the line of each edge, to name a duplicate's
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate problem line", lineno)
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise GraphFormatError("expected 'p edge <n> <m>'", lineno)
-            n, m_declared = read_int(tokens[2], lineno), read_int(tokens[3], lineno)
-            if n > MAX_VERTICES:
-                raise GraphFormatError(
-                    f"declared vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
-            if m_declared > MAX_EDGES:
-                raise GraphFormatError(
-                    f"declared edge count {m_declared} exceeds the limit of {MAX_EDGES}", lineno)
-        elif tokens[0] == "e":
-            if n is None:
-                raise GraphFormatError("edge before problem line", lineno)
-            if len(tokens) != 3:
-                raise GraphFormatError("expected 'e <u> <v>'", lineno)
-            if len(edges) == MAX_EDGES:
-                raise GraphFormatError(f"more than the limit of {MAX_EDGES} edges", lineno)
-            u, v = read_int(tokens[1], lineno), read_int(tokens[2], lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"vertex id out of range in {line!r}", lineno)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            edges.append((u - 1, v - 1) if u < v else (v - 1, u - 1))
-            lines.append(lineno)
-        else:
-            raise GraphFormatError(f"unrecognised line {line!r}", lineno)
-    if n is None:
-        raise GraphFormatError("missing problem line")
-    if len(edges) != m_declared:
-        raise GraphFormatError(f"edge count mismatch: declared {m_declared}, found {len(edges)}")
-    try:
-        return Graph(n, edges)
-    except ValueError:  # the only error left for Graph to find is a duplicate
-        i = _first_repeat(edges)
-        # Named as its own line spells it, 1-based and in its own order.
-        u, v = (int(t) for t in text.splitlines()[lines[i] - 1].split()[1:])
-        raise GraphFormatError(f"duplicate edge ({u},{v})", lines[i]) from None
+    return read_lines(text)
 
 
 def detect_format(text: str) -> str:
@@ -253,6 +148,8 @@ def detect_format(text: str) -> str:
 def parse_graph(text: str) -> Graph:
     """Parse an edge list or a DIMACS graph, as ``detect_format`` finds it."""
     if detect_format(text) == "dimacs":
+        from .readers import parse_dimacs
+
         return parse_dimacs(text)
     return parse_edge_list(text)
 

@@ -7,9 +7,7 @@ overflow-free product key.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
-from .graph import Graph, GraphFormatError, read_int
+from .graph import Graph
 
 LABELS = frozenset((1, 2, 3))
 
@@ -130,41 +128,3 @@ def format_labelling(g: Graph, l: Labelling) -> str:
 def format_counts(d2: list[int], d3: list[int]) -> str:
     """One "v d2 d3" line per vertex, from the labelling's degree counts."""
     return "".join([f"{v} {a} {b}\n" for v, a, b in zip(range(len(d2)), d2, d3)])
-
-
-def parse_labelling(g: Graph, text: str) -> Labelling:
-    """Parse "u v label" lines and check they cover every edge exactly once.
-
-    A blank line that comes once every edge has a label ends the labelling,
-    so the product report that ``prodlabel label`` prints after one is not
-    read; an earlier blank line is skipped."""
-    labels: list[int | None] = [None] * g.m
-    labelled = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            if labelled == g.m:
-                break
-            continue
-        if line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise GraphFormatError(f"expected 'u v label', got {line!r}", lineno)
-        u, v, lab = (read_int(tok, lineno) for tok in tokens)
-        if lab not in LABELS:
-            raise GraphFormatError(f"label {lab} outside {{1,2,3}}", lineno)
-        row = g.adj[u] if u < g.n else []
-        at = bisect_left(row, (v,))  # (v,) sorts just before every (v, edge id)
-        if at == len(row) or row[at][0] != v:
-            raise GraphFormatError(f"({u},{v}) is not an edge of the graph", lineno)
-        eid = row[at][1]
-        if labels[eid] is not None:
-            raise GraphFormatError(f"edge ({u},{v}) labelled twice", lineno)
-        labels[eid] = lab
-        labelled += 1
-    missing = [eid for eid, lab in enumerate(labels) if lab is None]
-    if missing:
-        u, v = g.edges[missing[0]]
-        raise GraphFormatError(f"edge ({u},{v}) has no label ({len(missing)} missing)")
-    return Labelling(labels)  # type: ignore[arg-type]  # no None is left

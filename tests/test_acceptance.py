@@ -18,7 +18,7 @@ from prodlabel import (
     find_conflicts,
     label_graph,
 )
-from prodlabel.engine import random_nice_graph
+from prodlabel.oracle import random_nice_graph
 from prodlabel.partition import build_valid_partition, greedy_partition
 from prodlabel.repair import conflict_components, nullstellensatz_assign, run_repair_pass
 from prodlabel.upward import run_upward_pass

@@ -12,9 +12,10 @@ import pytest
 import prodlabel.cli
 import prodlabel.engine
 import prodlabel.graph
+import prodlabel.oracle
 from prodlabel import InvariantViolation, parse_graph
 from prodlabel.cli import main
-from prodlabel.engine import random_nice_graph
+from prodlabel.oracle import random_nice_graph
 
 from test_partition import BROKEN_STARTS, break_greedy_start
 
@@ -23,6 +24,8 @@ K2 = "0 1\n"
 P3 = "0 1\n1 2\n"
 P5 = "0 1\n1 2\n2 3\n3 4\n"
 K3_DIMACS = "c triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+# The oracle visits 1,120 search nodes on K10.
+K10 = "".join(f"{i} {j}\n" for i in range(10) for j in range(i + 1, 10))
 
 
 def run_cli(capsys, *argv):
@@ -294,18 +297,25 @@ class TestOracleCommand:
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         # An InvariantViolation that no command catches reaches main's own
         # handler: exit 3, one line on stderr, no traceback.
-        monkeypatch.setattr(prodlabel.cli, "brute_force_min_k", lambda g, kmax: broken(g))
+        monkeypatch.setattr(prodlabel.oracle, "brute_force_min_k", lambda g, kmax: broken(g))
         path = write(tmp_path, "k3.edges", K3)
         code, out, err = run_cli(capsys, "oracle", path)
         assert (code, out) == (3, "")
         assert err == "internal error: vertex 0 in part 3 ended with profile (0,0)\n"
 
     def test_budget_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(prodlabel.engine, "ORACLE_NODE_BUDGET", 1000)
-        path = write(tmp_path, "k2.edges", K2)
+        monkeypatch.setattr(prodlabel.oracle, "ORACLE_NODE_BUDGET", 1000)
+        path = write(tmp_path, "k10.edges", K10)
         code, out, err = run_cli(capsys, "oracle", path, "--kmax", "1000000")
         assert code == 1 and out == ""
         assert "budget" in err and "Traceback" not in err
+
+    def test_not_nice_answers_at_once(self, tmp_path, capsys):
+        # K20 beside an isolated edge: no labelling exists, and the oracle
+        # says so without a search (searched, it ran out of budget).
+        k20 = "".join(f"{i} {j}\n" for i in range(20) for j in range(i + 1, 20))
+        path = write(tmp_path, "g.edges", k20 + "20 21\n")
+        assert run_cli(capsys, "oracle", path) == (0, "chi_P > 3\n", "")
 
 
 class TestFuzzCommand:
@@ -392,17 +402,27 @@ def test_imports_only_the_standard_library():
     assert run_fresh(code) == "[]\n"
 
 
-def test_cold_start_skips_dataclasses_and_inspect():
-    """Importing the CLI and labelling the triangle with a pendant loads
-    neither ``dataclasses`` nor ``inspect``, which pulls in ``ast``,
-    ``dis`` and ``tokenize`` as well.  ``-S`` leaves out the ``site``
-    module, so no installed ``.pth`` file can load them first."""
+def test_cold_start_skips_dataclasses_and_inspect(tmp_path):
+    """Importing the CLI and labelling the triangle with a pendant, in the
+    library and by ``label --out`` on its canonical text, loads neither
+    ``dataclasses`` nor ``inspect``, which pulls in ``ast``, ``dis`` and
+    ``tokenize`` as well.  Nor does it load the oracle, the line readers,
+    ``json``, ``random`` or ``bisect``: the first access to
+    ``prodlabel.brute_force_min_k`` loads the oracle and keeps the name.
+    ``-S`` leaves out the ``site`` module, so no installed ``.pth`` file
+    can load any of them first."""
+    graph, out = str(tmp_path / "g.edges"), str(tmp_path / "g.out")
+    write(tmp_path, "g.edges", "n 4\n0 1\n0 2\n1 2\n2 3\n")
     code = ("import sys\n"
             "import prodlabel.cli\n"
             "g = prodlabel.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])\n"
             "assert prodlabel.label_graph(g).verified\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    assert run_fresh(code, "-S") == "[]\n"
+            f"assert prodlabel.cli.main(['label', {graph!r}, '--out', {out!r}]) == 0\n"
+            "print(sorted({'dataclasses', 'inspect', 'prodlabel.oracle', 'prodlabel.readers',\n"
+            "              'json', 'random', 'bisect'} & set(sys.modules)))\n"
+            "prodlabel.brute_force_min_k\n"
+            "print('prodlabel.oracle' in sys.modules, 'brute_force_min_k' in vars(prodlabel))\n")
+    assert run_fresh(code, "-S") == "[]\nTrue True\n"
 
 
 # Each way out of main: (argv, exit code), run in a directory holding the
@@ -414,12 +434,12 @@ EXITS = {
     "label-not-nice": (["label", "k2"], 2),
     "label-internal": (["label", "k3"], 3),
     "verify-conflicts": (["verify", "p3", "p3.labels"], 3),
-    "oracle-budget": (["oracle", "k2", "--kmax", "1000000"], 1),
+    "oracle-budget": (["oracle", "k10", "--kmax", "1000000"], 1),
     "fuzz": (["fuzz", "--trials", "3", "--n", "8"], 0),
     "usage-error": (["label"], 1),
     "help": (["--help"], 0),
 }
-EXIT_FILES = {"k3": K3, "k2": K2, "p3": P3, "bad": "0 zero\n", "p3.labels": "0 1 1\n1 2 1\n"}
+EXIT_FILES = {"k3": K3, "k2": K2, "k10": K10, "p3": P3, "bad": "0 zero\n", "p3.labels": "0 1 1\n1 2 1\n"}
 
 
 class TestCollectorPause:
@@ -441,7 +461,7 @@ class TestCollectorPause:
         if name == "label-internal":
             monkeypatch.setattr(prodlabel.cli, "label_graph", broken)
         if name == "oracle-budget":
-            monkeypatch.setattr(prodlabel.engine, "ORACLE_NODE_BUDGET", 1000)
+            monkeypatch.setattr(prodlabel.oracle, "ORACLE_NODE_BUDGET", 1000)
         argv, expected = EXITS[name]
         assert run_cli(capsys, *argv)[0] == expected
         assert gc.isenabled() == collecting

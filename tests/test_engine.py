@@ -10,11 +10,11 @@ from prodlabel import (
     NotNiceError,
     brute_force_labelling,
     brute_force_min_k,
-    engine,
     find_conflicts,
     label_graph,
+    oracle,
 )
-from prodlabel.engine import random_nice_graph
+from prodlabel.oracle import random_nice_graph
 from prodlabel.graph import is_nice
 
 from conftest import (
@@ -194,14 +194,22 @@ class TestBruteForceMinK:
 
     def test_k2_has_no_labelling(self):
         assert brute_force_min_k(Graph(2, [(0, 1)]), 3) is None
-        # The K2 edge comes last: every proper labelling of the 14-edge path
-        # is searched before each k fails.
+        # A K2 component beside other edges, numbered last and first.
         g = Graph(17, [(i, i + 1) for i in range(14)] + [(15, 16)])
         assert brute_force_min_k(g, 3) is None
-        # The K2 edge comes first, so every k up to 20 fails at its first
-        # edge: nothing set up per k may grow with k for the K20 beside it.
         g = Graph(22, [(0, 1)] + [(i, j) for i in range(2, 22) for j in range(i + 1, 22)])
         assert brute_force_min_k(g, 20) is None
+
+    def test_not_nice_answers_without_a_search(self, monkeypatch):
+        # Both ends of a two-vertex component get the product of its edge
+        # under every labelling.  Searched, this K20 beside an isolated edge
+        # ran out of the node budget in both entry points.
+        calls = []
+        monkeypatch.setattr(oracle, "_first_proper", lambda *args: calls.append(args))
+        g = Graph(22, [(i, j) for i in range(20) for j in range(i + 1, 20)] + [(20, 21)])
+        assert brute_force_min_k(g, 3) is None
+        assert brute_force_labelling(g, 3) is None
+        assert calls == []
 
     def test_edgeless_convention(self):
         assert brute_force_min_k(Graph(3, []), 3) == 1
@@ -223,14 +231,14 @@ class TestBruteForceMinK:
         assert brute_force_min_k(path_graph(17)) == 2
 
     def test_budget_shared_across_k(self, monkeypatch):
-        # K2 costs k search nodes at each k from 2 (k = 1 is not searched):
-        # 44 nodes for k <= 9, 54 for k <= 10, though no single k needs
-        # more than 10.
-        monkeypatch.setattr(engine, "ORACLE_NODE_BUDGET", 50)
-        k2 = Graph(2, [(0, 1)])
-        assert brute_force_min_k(k2, 9) is None
+        # K6 costs 62 search nodes at k = 2 and 25 more at k = 3 (k = 1 is
+        # not searched): 87 for k <= 3, though no single k needs more than
+        # 62.  The 59-edge path's labelling search needs 89.
+        monkeypatch.setattr(oracle, "ORACLE_NODE_BUDGET", 70)
+        k6 = complete_graph(6)
+        assert brute_force_min_k(k6, 2) is None
         with pytest.raises(ValueError, match="budget"):
-            brute_force_min_k(k2, 10)
+            brute_force_min_k(k6, 3)
         with pytest.raises(ValueError, match="budget"):
             brute_force_labelling(path_graph(60), 3)
 
@@ -283,14 +291,14 @@ class TestMinKEdgeOrder:
         """One-item list that sums the nodes of every search; reset it to 0
         to start a count."""
         seen = [0]
-        search = engine._first_proper
+        search = oracle._first_proper
 
         def counted(*args):
             labels, nodes = search(*args)
             seen[0] += nodes
             return labels, nodes
 
-        monkeypatch.setattr(engine, "_first_proper", counted)
+        monkeypatch.setattr(oracle, "_first_proper", counted)
         return seen
 
     @staticmethod
@@ -339,7 +347,7 @@ class TestTwinOrder:
     def unordered_min_k(g: Graph, k_max: int) -> int | None:
         edges = sorted(g.edges)
         for k in range(1, k_max + 1):
-            if engine._first_proper(g.n, edges, k, engine.ORACLE_NODE_BUDGET)[0] is not None:
+            if oracle._first_proper(g.n, edges, k, oracle.ORACLE_NODE_BUDGET)[0] is not None:
                 return k
         return None
 
@@ -368,7 +376,7 @@ class TestTwinOrder:
         with_twins = 0
         for g in self.graphs():
             expected = self.unordered_min_k(g, 4)
-            with_twins += bool(engine._true_twins(g))
+            with_twins += bool(oracle._true_twins(g))
             for h in [g] + [self.relabelled(g, rng) for _ in range(3)]:
                 assert brute_force_min_k(h, 4) == expected, h.edges
         assert with_twins >= 550
@@ -382,7 +390,7 @@ class TestTwinOrder:
                                    itertools.product(range(1, k + 1), repeat=r)})
                 for t in range(1, k ** r + 3):
                     exact = next((q for q in products if q >= t), 0)
-                    least = engine._least_product(t, r, k)
+                    least = oracle._least_product(t, r, k)
                     if k <= 3:
                         assert least == exact, (t, r, k)
                     else:

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import prodlabel.graph as graph_module
+import prodlabel.readers as readers_module
 from prodlabel.graph import (
     MAX_VERTICES,
     Graph,
     GraphFormatError,
     detect_format,
     is_nice,
-    parse_dimacs,
     parse_edge_list,
     parse_graph,
 )
+from prodlabel.readers import parse_dimacs
 
 from conftest import path_graph, random_graph, tree_plus_chords
 from spec import connected_components, edge_id
@@ -181,7 +182,7 @@ class TestBulkReader:
             g = tree_plus_chords(rng, n, min(n * (n - 1) // 2, n - 1 + rng.randint(0, 2 * n)))
             texts[g.to_edge_list()] = g
             texts["".join(f"{v} {u}\n" for u, v in g.edges)] = g  # no header, pairs reversed
-        monkeypatch.setattr(graph_module, "_read_lines", None)  # a call would fail
+        monkeypatch.setattr(readers_module, "read_lines", None)  # a call would fail
         for text, g in texts.items():
             assert parse_edge_list(text) == g
 
@@ -202,7 +203,7 @@ class TestBulkReader:
             monkeypatch.setattr(graph_module, "MAX_EDGES", rng.choice((3, 2**22)))
             bulk += graph_module._PLAIN.fullmatch(text) is not None
             try:
-                expected = graph_module._read_lines(text)
+                expected = readers_module.read_lines(text)
             except GraphFormatError as exc:
                 with pytest.raises(GraphFormatError) as info:
                     parse_edge_list(text)

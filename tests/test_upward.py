@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from prodlabel import Graph, Labelling, label_graph
-from prodlabel.engine import random_nice_graph
+from prodlabel.oracle import random_nice_graph
 from prodlabel.partition import _edge_pass, build_valid_partition
 from prodlabel.upward import run_upward_pass
 
