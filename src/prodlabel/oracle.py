@@ -19,7 +19,9 @@ from .graph import MAX_EDGES, Graph, is_nice
 # one core of a shared 2-CPU Linux machine (Python 3.11).  With the twin-chain
 # bound of brute_force_min_k, K8 (28 edges) needs 306 nodes and K12 (66
 # edges) 4,264; with the order checked only on final products K8 needed
-# 1.26 M and K9 ran out.
+# 1.26 M and K9 ran out.  With each pair checked once every other edge at its
+# ends is labelled, brute_force_labelling(g, 2) on seven of eight 60-edge
+# trees plus chords fits (four when pairs waited for both ends to be final).
 ORACLE_NODE_BUDGET = 2_000_000
 
 
@@ -81,10 +83,15 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
     None), one label per entry of ``edges``, and the search nodes visited.
 
     Depth-first over ``edges`` in the order given, labels 1..k.  A vertex's
-    exact integer product is final once its last incident edge is labelled,
-    and each edge is checked as soon as both of its ends are final, so a
-    branch dies at the first edge whose ends must end up with equal
-    products.
+    exact integer product is final once its last incident edge is labelled.
+    Edge j = (u, v) multiplies both ends' products by the same label, so
+    whether prod(u) = prod(v) is fixed once every other edge at u and at v
+    is labelled: the pair is checked at the larger of the two ends' last
+    edge indices other than j (0 when neither end has another edge), which
+    may come before j itself.  A branch dies at the first index where some
+    pair must end up with equal products; every leaf below it would fail
+    that same check, so the first labelling found stays the same and only
+    the node count falls.
 
     Each list in ``twins`` is a class of pairwise adjacent vertices in
     ascending order, c1 < c2 < ... < cs, whose products must end strictly
@@ -98,8 +105,11 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
     """
     m = len(edges)
     last = [-1] * n
+    before = [-1] * n  # each vertex's second-last edge
     left = [0] * n
     for j, (u, v) in enumerate(edges):
+        before[u] = last[u]
+        before[v] = last[v]
         last[u] = last[v] = j
         left[u] += 1
         left[v] += 1
@@ -112,9 +122,11 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
             if not here or here[-1] is not chain:
                 here.append(chain)
     checks: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for u, v in edges:
+    for j, (u, v) in enumerate(edges):
         if class_of[u] is None or class_of[u] is not class_of[v]:
-            checks[max(last[u], last[v])].append((u, v))
+            at_u = before[u] if last[u] == j else last[u]
+            at_v = before[v] if last[v] == j else last[v]
+            checks[max(at_u, at_v, 0)].append((u, v))
     prod = [1] * n
     labels = [0] * m
     nodes = 0
@@ -178,9 +190,10 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
 
     The searches run over the edges in sorted (u, v) order, whatever order
     ``g`` lists them in: each vertex's edges to higher ids come together, so
-    products become final early and dead branches are cut sooner.  Whether
-    a proper labelling exists does not depend on the order; the node count
-    does.
+    each pair's other edges are labelled early and dead branches are cut
+    sooner (a pair is checked once every edge at its ends but its own is
+    labelled; see ``_first_proper``).  Whether a proper labelling exists
+    does not depend on the order; the node count does.
 
     They also search only labellings in which each class of true twins
     c1 < c2 < ... < cs (pairwise adjacent, with equal closed

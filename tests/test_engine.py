@@ -281,25 +281,26 @@ def shuffled_pairs(n: int, m: int, seed: int) -> Graph:
     return Graph(n, pairs[:m])
 
 
+@pytest.fixture
+def seen(monkeypatch):
+    """One-item list that sums the nodes of every search; reset it to 0 to
+    start a count."""
+    seen = [0]
+    search = oracle._first_proper
+
+    def counted(*args):
+        labels, nodes = search(*args)
+        seen[0] += nodes
+        return labels, nodes
+
+    monkeypatch.setattr(oracle, "_first_proper", counted)
+    return seen
+
+
 class TestMinKEdgeOrder:
     """brute_force_min_k searches one edge order whatever order the input
     lists its edges in, so its answer and its search nodes are properties of
     the graph alone."""
-
-    @pytest.fixture
-    def seen(self, monkeypatch):
-        """One-item list that sums the nodes of every search; reset it to 0
-        to start a count."""
-        seen = [0]
-        search = oracle._first_proper
-
-        def counted(*args):
-            labels, nodes = search(*args)
-            seen[0] += nodes
-            return labels, nodes
-
-        monkeypatch.setattr(oracle, "_first_proper", counted)
-        return seen
 
     @staticmethod
     def reorderings(g: Graph, rng: random.Random, count: int = 3):
@@ -405,6 +406,18 @@ def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
     return None
 
 
+# pipebench/gen.py's tree_plus_chords(random.Random(2), 30, 60), in the order
+# it draws the edges: the tree's 29, then 31 chords.
+TREE_PLUS_CHORDS_60 = Graph(30, [
+    (3, 22), (17, 22), (15, 22), (0, 22), (0, 25), (4, 22), (7, 22), (14, 15), (3, 16), (17, 20),
+    (24, 25), (12, 17), (17, 18), (10, 14), (13, 14), (23, 24), (23, 28), (6, 28), (19, 25), (8, 10),
+    (9, 18), (21, 23), (5, 24), (6, 11), (24, 26), (2, 24), (1, 10), (25, 29), (11, 27), (12, 22),
+    (14, 23), (16, 20), (7, 15), (8, 29), (15, 16), (16, 26), (11, 25), (21, 28), (14, 28), (11, 18),
+    (23, 29), (17, 23), (7, 21), (10, 26), (22, 26), (5, 28), (19, 29), (8, 24), (15, 29), (22, 25),
+    (16, 17), (18, 19), (9, 13), (6, 23), (11, 29), (19, 21), (2, 28), (25, 26), (10, 23), (0, 29),
+])
+
+
 class TestBruteForceLabelling:
     def test_matches_definition(self):
         checked = 0
@@ -438,6 +451,15 @@ class TestBruteForceLabelling:
         g = path_graph(100_001)
         labels = brute_force_labelling(g, 3)
         assert labels is not None and not exact_conflicts(g, labels)
+
+    def test_sixty_edges_within_budget(self, seen):
+        # Fits the node budget because each pair is checked once every other
+        # edge at its ends is labelled; checked once both ends were final, the
+        # search ran over it.
+        g = TREE_PLUS_CHORDS_60
+        labels = brute_force_labelling(g, 2)
+        assert labels is not None and not exact_conflicts(g, labels)
+        assert seen[0] == 7_368
 
 
 class TestConstructionNeverBeatsOracle:

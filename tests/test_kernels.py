@@ -6,10 +6,13 @@ a label above 3 counts as the product of its prime factors.
 """
 
 import itertools
+import random
 
 from prodlabel import Graph, brute_force_labelling
+from prodlabel.graph import is_nice
 
 from conftest import complete_graph, exact_conflicts, exact_products, path_graph
+from test_engine import first_proper_by_definition
 
 # Lex-first search reaches label 4 on edge 6: with edge 6 at 3, the last edge
 # would need 4, which gives vertex 0 the product 4 of vertex 1 (2 * 2).
@@ -66,3 +69,32 @@ class TestDecode:
             assert exact_conflicts(g, earlier)
         else:
             raise AssertionError("labelling not in product order")
+
+
+def has_early_check(g: Graph) -> bool:
+    """Whether an edge before the final one is the last edge at both of its
+    ends: the oracle checks such an edge's pair before labelling it."""
+    last = {}
+    for j, (u, v) in enumerate(g.edges):
+        last[u] = last[v] = j
+    return any(last[u] == last[v] == j for j, (u, v) in enumerate(g.edges[:-1]))
+
+
+class TestEarlyPairCheck:
+    def test_matches_product_order(self):
+        # Edge j = (u, v) multiplies both ends by the same label, so the search
+        # checks prod(u) = prod(v) once every other edge at u and v is labelled,
+        # before j itself when j is the last edge at both ends.  The answer must
+        # still be the first vector of itertools.product with no conflict.
+        rng = random.Random(32)
+        graphs = []
+        while len(graphs) < 24:
+            n = rng.randint(4, 7)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            rng.shuffle(pairs)
+            g = Graph(n, pairs[:rng.randint(4, min(8, len(pairs)))])
+            if is_nice(g) and has_early_check(g):
+                graphs.append(g)
+        for i, g in enumerate(graphs):
+            for k in (2, 3):
+                assert brute_force_labelling(g, k) == first_proper_by_definition(g, k), (i, k)
