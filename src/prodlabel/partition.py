@@ -168,10 +168,10 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
     greedy start misses no lower neighbour, so settle rounds run only after
     a witness round's swaps.  The witness rounds walk the first certificate
     sweep's witness vertices once, in ascending order, each applying move
-    (b) with its current witness while it has one; after each round's
-    settle, every settled vertex that landed in V1 u V2 deletes the
-    swappable edges next to it from the end map.  If a witness round ran, a
-    second sweep checks the result.
+    (b) with its current witness while it has one; a vertex that a settle
+    round moves into V1 u V2 deletes the swappable edges next to it from the
+    end map as it moves.  If a witness round ran, a second sweep checks the
+    result.
 
     The walk is the rescan's order, and the end map stays exact, because no
     vertex ever gains a witness.  Parts 1 and 2 lose vertices only through
@@ -196,10 +196,10 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
         neighbour_parts = {part_of[w] for w, _ in adj[v]}
         return next((k for k in range(1, i) if k not in neighbour_parts), None)
 
-    def settle(seeds: list[int]) -> set[int]:
+    def settle(seeds: list[int]) -> None:
         """Run settle rounds, each on the closed neighbourhood of ``seeds`` (the
-        swapped ends, then the last round's moves); return every vertex moved."""
-        moved_all: set[int] = set()
+        swapped ends, then the last round's moves); each move into V1 u V2
+        deletes the swappable edges next to the mover from the end map."""
         while seeds:
             dirty = set(seeds)
             for v in seeds:
@@ -211,9 +211,12 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
                 if target is not None:
                     part_of[v] = target
                     moved.append(v)
-            moved_all.update(moved)
+                    if target <= 2:
+                        for w, _ in adj[v]:
+                            if w in end_edge:
+                                for end in g.edges[end_edge[w]]:
+                                    del end_edge[end]
             seeds = moved
-        return moved_all
 
     end_edge, witnesses = _certificate(g, part_of)
     if not witnesses:
@@ -225,12 +228,7 @@ def _local_search(g: Graph, part_of: list[int]) -> dict[int, int]:
                 a, b = g.edges[eid]
                 part_of[a], part_of[b] = part_of[b], part_of[a]
                 swapped += (a, b)
-            for x in settle(swapped):
-                if part_of[x] <= 2:
-                    for w, _ in adj[x]:
-                        if w in end_edge:
-                            for end in g.edges[end_edge[w]]:
-                                del end_edge[end]
+            settle(swapped)
     end_edge, witnesses = _certificate(g, part_of)
     if witnesses:
         raise InvariantViolation("the witness worklist missed a swap-safety witness")

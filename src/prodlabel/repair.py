@@ -9,10 +9,11 @@ the subgraph induced by those two parts that still contains a conflict is
 rewritten in place on it, so that no internal conflict remains and every
 vertex of the component ends monochromatic or special (special: exactly one
 3, at least two 2s, odd 2+3 count).  Only edges inside the component are
-touched, so products elsewhere are unaffected.  Every conflict test is
+touched, so products elsewhere are unaffected and the order in which the
+components are settled changes no label.  Every conflict test is
 ``labelling.conflicting_edges``, the verdict's scan: discovery runs it over
-all edges and walks only the bottom components that hold a conflict, and a
-fixer runs it over its component's edges.
+all edges, and ``fix_pendant`` takes its conflict from discovery; the other
+fixers and the settled-state check run it over a component's edges.
 
 The partition is the only record of a vertex's side.  A component is a whole
 connected component of the bottom subgraph, so a neighbour of one of its
@@ -47,19 +48,20 @@ from .labelling import ProfileTracker, conflicting_edges
 class ConflictComponent:
     """One connected component of the bottom subgraph holding a conflict.
 
-    Only ``vertices`` and ``eids`` are its own: ``side`` is the pass's
-    ``part_of`` and ``degrees`` its bottom-degree list (0 off the bottom),
-    both shared by every component of the pass.
+    Only ``vertices``, ``eids`` and ``conflict`` are its own: ``side`` is the
+    pass's ``part_of`` and ``degrees`` its bottom-degree list (0 off the
+    bottom), both shared by every component of the pass.
     """
 
-    __slots__ = ("vertices", "side", "eids", "degrees")
+    __slots__ = ("vertices", "side", "eids", "degrees", "conflict")
 
     def __init__(self, vertices: list[int], side: list[int],
-                 eids: list[int], degrees: list[int]):
+                 eids: list[int], degrees: list[int], conflict: int):
         self.vertices = vertices                 # sorted global ids
         self.side = side                         # part_of: 1 or 2 on the component
-        self.eids = eids                         # sorted global edge ids
+        self.eids = eids                         # global edge ids, in walk order
         self.degrees = degrees                   # degree inside the bottom subgraph
+        self.conflict = conflict                 # its smallest conflicting edge id
 
 
 def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
@@ -71,22 +73,22 @@ def _within(g: Graph, v: int, vset) -> list[tuple[int, int]]:
 def conflict_components(g: Graph, part_of: list[int],
                         state: ProfileTracker) -> tuple[list[ConflictComponent], int]:
     """Connected components of the bottom subgraph that contain a conflict,
-    ordered by smallest vertex, and the number of conflicting edges.
+    in discovery order, and the number of conflicting edges.
 
-    ``conflicting_edges`` lists the conflicting edges, and one walk from
-    each bottom one not yet walked writes its component's bottom degrees
-    and collects its vertices and edges.  Components without a conflict
-    are never walked.  Each returned component is guaranteed (and asserted)
-    to span at least two edges; a single-edge conflict component would mean
-    the upward pass failed to break up an isolated bottom edge.
+    ``conflicting_edges`` lists the conflicting edges, all in the bottom by
+    the entry contract.  One walk from each whose component is not yet
+    walked, its smallest conflict, writes the component's bottom degrees and
+    collects its vertices and edges; clean components are never walked.
+    Each component spans at least two edges (asserted); one edge alone would
+    mean the upward pass failed to break up an isolated bottom edge.
     """
     adj = g.adj
     degrees = [0] * g.n
     out = []
     conflicts = conflicting_edges(g, state.d2, state.d3, range(g.m))
-    for eid in conflicts:
-        u, v = g.edges[eid]
-        if part_of[u] > 2 or part_of[v] > 2 or degrees[u]:
+    for first in conflicts:
+        u = g.edges[first][0]
+        if degrees[u]:
             continue
         vertices = [u]
         eids = []
@@ -106,9 +108,7 @@ def conflict_components(g: Graph, part_of: list[int],
         if len(eids) < 2:
             raise InvariantViolation(
                 f"conflict component {vertices} has fewer than two edges")
-        eids.sort()
-        out.append(ConflictComponent(vertices, part_of, eids, degrees))
-    out.sort(key=lambda comp: comp.vertices[0])
+        out.append(ConflictComponent(vertices, part_of, eids, degrees, first))
     return out, len(conflicts)
 
 
@@ -185,12 +185,7 @@ def nullstellensatz_assign(counts) -> list[int]:
     count is s must take 1 and one whose count is s - 1 must take 0; the
     other positions take 1 in ascending order until the total is s.
     """
-    counts = list(counts)
     r = len(counts)
-    if r < 2:
-        raise ValueError("need at least two positions")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
     for s in range(r + 1):
         z = [int(c == s) for c in counts]
         free = [i for i, c in enumerate(counts) if c != s and c != s - 1]
@@ -426,7 +421,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
             continue
         x, ex = others[0]
         for w, eid in g.adj[p.rep]:
-            if comp.side[w] <= 2 and state.label(eid) == 3:
+            if state.label(eid) == 3:  # a bottom edge: the fixer started 3-free
                 state.set(eid, 2)
         if state.d2[p.rep] % 2 == 1:
             state.set(p.hub_edge, 2)
@@ -468,10 +463,7 @@ def fix_pendant(comp: ConflictComponent, state: ProfileTracker) -> str:
     leaves at most the partner unbalanced, and a single 3 repairs it.
     """
     g = state.g
-    conflicts = conflicting_edges(g, state.d2, state.d3, comp.eids)
-    if not conflicts:
-        raise InvariantViolation("pendant fixer ran on a settled component")
-    eid_uv = conflicts[0]  # both its ends are 1-mono, by the entry contract
+    eid_uv = comp.conflict  # both its ends are 1-mono, by the entry contract
     a, b = g.edges[eid_uv]
     v, u = (a, b) if comp.side[a] == 1 else (b, a)
     if comp.degrees[u] != 1:

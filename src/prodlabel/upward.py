@@ -81,7 +81,7 @@ def run_upward_pass(g: Graph, part_of: list[int],
             chosen: list[tuple[int, int]] = []
             for pe in mu:
                 pair = ends[pe]
-                if len(pair) == 2 and part_of[pair[0][0]] != far:
+                if part_of[pair[0][0]] != far:
                     pair.reverse()  # the end already in part far comes first
                 if part_of[pair[0][0]] != far:
                     do_swap(pe)

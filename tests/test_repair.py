@@ -204,24 +204,8 @@ class TestNullstellensatzAssign:
         assert nullstellensatz_assign([1, 0]) == [1, 0]
         assert [1, 0] in enumerate_assignments([1, 0])
 
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            nullstellensatz_assign([0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            nullstellensatz_assign([0, -1])
-
-    def test_exhaustive_small(self):
-        for r in (2, 3, 4):
-            for counts in itertools.product(range(r + 1), repeat=r):
-                z = nullstellensatz_assign(list(counts))
-                sols = enumerate_assignments(list(counts))
-                assert sols, counts
-                assert z in sols, counts
-
     def test_pinned_outputs(self):
-        # test_exhaustive_small accepts any solution; this pins which one.
+        # Acceptance criterion 7 accepts any solution; this pins which one.
         digest = hashlib.sha256()
         for r in range(2, 7):
             for counts in itertools.product(range(r + 2), repeat=r):
@@ -257,16 +241,17 @@ class TestConflictComponents:
     @pytest.mark.parametrize("clean", [1, 40, 400])
     def test_clean_components_never_walked(self, clean):
         # `clean` bottom paths a-b-c whose middle carries a 2 towards its own
-        # part-3 vertex d (b and d share a key, but d is not in the bottom),
-        # then a conflicting star on the highest ids, its edges listed first.
+        # part-3 vertex d, which carries a 3 towards a (no key repeats on an
+        # edge), then a conflicting star on the highest ids, its edges listed
+        # first.
         parts, edges, labels = [set(), set(), set()], [], []
         for i in range(clean):
             a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
             parts[0] |= {a, c}
             parts[1].add(b)
             parts[2].add(d)
-            edges += [(a, b), (b, c), (b, d)]
-            labels += [1, 1, 2]
+            edges += [(a, b), (b, c), (b, d), (a, d)]
+            labels += [1, 1, 2, 3]
         centre = 4 * clean
         leaves = [centre + 1, centre + 2, centre + 3]
         parts[0].add(centre)
@@ -278,21 +263,23 @@ class TestConflictComponents:
         g.adj = CountingAdj(g.adj)
         comps, conflicts = conflict_components(g, p, state)
         assert [c.vertices for c in comps] == [[centre] + leaves]
-        assert conflicts == 3 + clean  # the star's edges and every b-d
+        assert conflicts == 3  # the star's edges
         assert comps[0].eids == [0, 1, 2]
         assert comps[0].degrees == [0] * centre + [3, 1, 1, 1]  # no clean vertex walked
         assert g.adj.read <= 2 * star_degrees
 
-    def test_ordered_by_smallest_vertex(self):
+    def test_discovery_order(self):
         # The first conflicting edge lies in the component with the larger
-        # ids; the components still come out by smallest vertex.
+        # ids, so that component comes first; each keeps the edge its walk
+        # started from and lists its edges in walk order.
         parts = [{0, 2, 3}, {1, 4, 5, 6}]
         edges = [(3, 4), (3, 5), (3, 6), (0, 1), (1, 2)]
         g, p, state = fixture(parts, edges)
         comps, conflicts = conflict_components(g, p, state)
-        assert [c.vertices for c in comps] == [[0, 1, 2], [3, 4, 5, 6]]
+        assert [c.vertices for c in comps] == [[3, 4, 5, 6], [0, 1, 2]]
         assert conflicts == 5
-        assert [c.eids for c in comps] == [[3, 4], [0, 1, 2]]
+        assert [c.conflict for c in comps] == [0, 3]
+        assert [c.eids for c in comps] == [[0, 1, 2], [3, 4]]
 
     def test_violations_name_conflicts_and_unspecial_vertices(self):
         # The hub-6 star before any fix: every edge joins two 1-mono ends.
@@ -346,12 +333,13 @@ class TestFixAnchored:
         assert component_violations(comp, state) == []
 
     @staticmethod
-    def _merged(g, p):
+    def _merged(g, p, state):
         """One ConflictComponent over the whole bottom of g, connected or not."""
         vertices = [v for v in range(g.n) if p[v] <= 2]
         edge_ids = [eid for eid, (a, b) in enumerate(g.edges) if p[a] <= 2 and p[b] <= 2]
         degrees = [sum(1 for w, _ in g.adj[v] if p[w] <= 2) if p[v] <= 2 else 0 for v in range(g.n)]
-        return ConflictComponent(vertices, p, edge_ids, degrees)
+        conflict = conflicting_edges(g, state.d2, state.d3, edge_ids)[0]
+        return ConflictComponent(vertices, p, edge_ids, degrees, conflict)
 
     def test_piece_without_contact(self):
         # The anchored component of test_contact_turns_special glued to a
@@ -361,7 +349,7 @@ class TestFixAnchored:
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (7, 8), (8, 9), (8, 10)]
         g, p, state = fixture(parts, edges, [1, 1, 1, 1, 1, 3, 1, 1, 1])
         with pytest.raises(InvariantViolation, match="piece without contact"):
-            fix_anchored(self._merged(g, p), state)
+            fix_anchored(self._merged(g, p, state), state)
 
     def test_leftover_one_mono_contacts(self):
         # Two pieces whose contacts stay 1-mono force the 1/3 pass over the
@@ -493,7 +481,7 @@ class TestFixHub:
         # component: no walk from the hub's neighbours reaches the path.
         g, p, state = fixture([{1, 2, 3, 4, 6}, {0, 5}],
                               [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
-        comp = TestFixAnchored._merged(g, p)
+        comp = TestFixAnchored._merged(g, p, state)
         with pytest.raises(InvariantViolation, match="vertex 4 is not attached to the hub 0"):
             fix_hub(comp, state)
 
@@ -556,7 +544,7 @@ class TestFixPendant:
         # component holds: the parity pass from the partner leaves it unwalked.
         parts, edges, labels = PENDANT_BALANCED
         g, p, state = fixture([parts[0] | {4}, *parts[1:]], edges, labels)
-        comp = ConflictComponent([0, 1, 2, 4], p, [0, 1], [1, 2, 1, 0, 0])
+        comp = ConflictComponent([0, 1, 2, 4], p, [0, 1], [1, 2, 1, 0, 0], 0)
         with pytest.raises(InvariantViolation, match="requires a connected subgraph"):
             fix_pendant(comp, state)
 
@@ -588,15 +576,18 @@ def mask_graph(mask: int) -> Graph:
 # One small graph per fixer case, on which the case is the only repair the
 # whole pipeline makes.  The first five were found by seeded search over the
 # fuzz families (G(n, p), spanning tree plus noise, tree plus chords,
-# caterpillars) and shrunk edge by edge; the others are the first 7-vertex
-# masks that reach their case.  No graph on 7 vertices reaches hub-5-odd or
-# hub-5-cycle; TestFixHub pins them on handmade states.
+# caterpillars) and hub-5-odd in a component of a seeded nice graph, each
+# shrunk edge by edge; the others are the first 7-vertex masks that reach
+# their case.  No graph on 7 vertices reaches hub-5-odd or hub-5-cycle, and
+# no seeded graph reached hub-5-cycle in 200,000 draws, so TestFixHub's
+# handmade state is its only pin.
 PINNED_CASES = {
     "anchor": Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
     "anchor-seeded": Graph(5, [(0, 3), (1, 3), (0, 4), (0, 2)]),
     "hub-2-many": Graph(5, [(1, 3), (0, 3), (0, 2), (1, 4)]),
     "hub-3-even": Graph(9, [(3, 4), (2, 3), (0, 2), (1, 2), (0, 5), (0, 8), (2, 6), (7, 8), (1, 4)]),
     "hub-3-odd": path_graph(4),
+    "hub-5-odd": Graph(8, [(2, 5), (1, 5), (2, 7), (2, 4), (3, 4), (3, 6), (0, 4), (2, 6)]),
     "anchor-seeded-done": mask_graph(3),
     "hub-1-even": mask_graph(198),
     "hub-4-anchored": mask_graph(206),
@@ -624,7 +615,8 @@ def seeded_graphs() -> list[Graph]:
 def test_upward_pass_meets_the_repair_contract():
     # What the fixers rest on: after the upward pass no part-1 vertex has a
     # 2 and no part-2 vertex a 3, so every conflict joins two 1-mono
-    # vertices of parts 1 and 2.
+    # vertices of parts 1 and 2.  Discovery hands out the components by
+    # their smallest conflict, each holding that edge.
     graphs = list(PINNED_CASES.values()) + [spider(4), many_components(random.Random(27), 300)]
     conflicts = 0
     for g in graphs + seeded_graphs():
@@ -636,6 +628,10 @@ def test_upward_pass_meets_the_repair_contract():
             assert {part_of[u], part_of[v]} == {1, 2}
             assert state.is_mono1(u) and state.is_mono1(v)
             conflicts += 1
+        comps = conflict_components(g, part_of, state)[0]
+        for comp in comps:
+            assert comp.conflict == min(conflicting_edges(g, state.d2, state.d3, comp.eids))
+        assert [c.conflict for c in comps] == sorted(c.conflict for c in comps)
     assert conflicts >= 500
 
 
