@@ -122,7 +122,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"vertex id out of range in {line!r}", lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            edges.append((u - 1, v - 1) if u < v else (v - 1, u - 1))
+            edges.append((u - 1, v - 1))
             lines.append(lineno)
         else:
             raise GraphFormatError(f"unrecognised line {line!r}", lineno)
@@ -133,7 +133,7 @@ def parse_dimacs(text: str) -> Graph:
     try:
         return Graph(n, edges)
     except ValueError:  # the only error left for Graph to find is a duplicate
-        i = first_repeat(edges)
+        i = first_repeat([(u, v) if u < v else (v, u) for u, v in edges])
         # Named as its own line spells it, 1-based and in its own order.
         u, v = (int(t) for t in text.splitlines()[lines[i] - 1].split()[1:])
         raise GraphFormatError(f"duplicate edge ({u},{v})", lines[i]) from None

@@ -24,12 +24,13 @@ the filtered lists hand out neighbours in ascending order and every
 smallest-neighbour choice is deterministic.  A fixer relabels an edge
 through the edge id that came with the neighbour it picked, from a
 ``(neighbour, edge id)`` entry or a walk-tree link; no edge is ever looked
-up by its ends.  Every 1/s relabelling is one ``_parity_pass``: a
-breadth-first walk inside a vertex set that takes the walked piece out of
-the set and flips tree edges bottom-up until each vertex but the root has
-the parity its side needs.  ``fix_anchored`` and ``fix_hub`` run one from
-the smallest contact of each piece or block (a whole component of the set,
-so no later walk changes), ``fix_pendant`` one from the pendant's partner.
+up by its ends.  Every 1/s relabelling is one ``_parity_pass``, the only
+walk: a breadth-first walk inside a vertex set that takes the walked piece
+out of the set and writes s onto tree edges bottom-up until each vertex but
+the root has the parity its side needs; every walked edge still carries 1.
+``fix_anchored`` and ``fix_hub`` run one from the smallest contact of each
+piece or block (a whole component of the set, so no later walk changes),
+``fix_pendant`` one from the pendant's partner.
 
 Three fixers cover all components, tried in order; each returns None, with
 no label touched, when it does not apply:
@@ -130,49 +131,33 @@ def component_violations(comp: ConflictComponent, state: ProfileTracker) -> list
 # Parity machinery
 
 
-def _walk(state: ProfileTracker, vset, root: int, s: int):
-    """Breadth-first spanning tree of the subgraph induced by ``vset`` from
-    ``root``: the visit order, a map from each reached vertex to its
-    (parent, tree edge) (the root maps to itself and -1), and the first edge
-    met whose label is neither 1 nor s (None when there is none)."""
+def _parity_pass(state: ProfileTracker, vset: set[int], root: int,
+                 side, odd_side: int, s: int) -> dict[int, tuple[int, int]]:
+    """Walk ``vset`` breadth-first from ``root``, take the walked vertices
+    out of it and write s onto tree edges bottom-up, so that each walked
+    vertex but the root ends with an odd s-count iff its ``side`` is
+    ``odd_side``.  Returns the tree: each walked vertex's (parent, tree
+    edge), the root's (root, -1).  The writes go in reverse visit order, so
+    a vertex's live s-count holds every write below it.  The upward pass
+    labels no bottom edge, so a walked edge not labelled 1 raises before any write.
+    """
     adj, labels = state.g.adj, state.labelling.labels
     order = [root]
     tree = {root: (root, -1)}
-    bad = None
     for v in order:  # grows while it is read: a queue
         for w, eid in adj[v]:
             if w not in vset:
                 continue
-            if bad is None and labels[eid] != 1 and labels[eid] != s:
-                bad = eid
+            if labels[eid] != 1:
+                raise InvariantViolation(f"edge {eid} carries label {labels[eid]}, expected 1")
             if w not in tree:
                 tree[w] = (v, eid)
                 order.append(w)
-    return order, tree, bad
-
-
-def _parity_pass(state: ProfileTracker, vset: set[int], root: int,
-                 side, odd_side: int, s: int) -> dict[int, tuple[int, int]]:
-    """Walk ``vset`` from ``root``, take the walked vertices out of it and
-    toggle the tree edges (1 <-> s) bottom-up, so that each walked vertex
-    but the root ends with an odd s-count iff its ``side`` is ``odd_side``;
-    the root absorbs the slack.  Returns the walk's tree.
-
-    A vertex is flipped after every vertex below it, so its live s-count
-    already holds their flips, and the tree edge above it flips iff that
-    count has the wrong parity.  A walk that reaches only its root meets no
-    edge and flips nothing.  A walked edge labelled neither 1 nor s is a
-    broken construction, raised before any label is touched.
-    """
-    order, tree, bad = _walk(state, vset, root, s)
-    if bad is not None:
-        raise InvariantViolation(f"edge {bad} carries label {state.label(bad)}, expected 1 or {s}")
     vset.difference_update(order)
     counts = state.d2 if s == 2 else state.d3
     for v in order[:0:-1]:  # reverse visit order, root excluded
         if (counts[v] % 2 == 1) != (side[v] == odd_side):
-            eid = tree[v][1]
-            state.set(eid, s if state.label(eid) == 1 else 1)
+            state.set(tree[v][1], s)
     return tree
 
 
@@ -300,10 +285,13 @@ def hub_vertex(comp: ConflictComponent, state: ProfileTracker) -> int | None:
 
 
 class _Piece:
-    __slots__ = ("vset", "rep", "hub_edge", "lone", "mate")
+    """A piece of the hub's component minus the hub: its representative,
+    hub edge, endgame edges and a spanning tree rooted at the representative."""
 
-    def __init__(self, vset: set[int], rep: int, hub_edge: int):
-        self.vset = vset
+    __slots__ = ("tree", "rep", "hub_edge", "lone", "mate")
+
+    def __init__(self, rep: int, hub_edge: int):
+        self.tree = {rep: (rep, -1)}      # vertex -> (parent, tree edge), rooted at rep
         self.rep = rep                    # smallest hub neighbour inside the piece
         self.hub_edge = hub_edge          # the edge from the hub to rep
         self.lone: int | None = None      # edge from rep to its single even contact; None iff nice
@@ -323,7 +311,9 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     its representative falls into blocks, found the same way from the
     representative's neighbours; one breadth-first walk from a block's
     smallest contact collects the block and is the spanning tree of its
-    parity pass, as in ``fix_anchored``.
+    parity pass, as in ``fix_anchored``.  The piece keeps those trees, each
+    contact hung on the representative, and the hub-5 cycle follows them: any
+    path in the piece closes an even cycle through the hub.
     """
     u = hub_vertex(comp, state)
     if u is None:
@@ -343,7 +333,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         if rep not in rest:
             continue
         rest.discard(rep)  # no walk of this piece's blocks may pass through it
-        piece = _Piece({rep}, rep, hub_edge)
+        piece = _Piece(rep, hub_edge)
         # Normalise every block hanging off the representative with a 1/2
         # parity pass; the block's contact is the one vertex allowed to end
         # with an even 2-count.
@@ -351,7 +341,8 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         for xj, exj in g.adj[rep]:
             if xj not in rest:
                 continue  # off the bottom, another piece's, or walked from a smaller contact
-            piece.vset.update(_parity_pass(state, rest, xj, comp.side, 2, 2))
+            piece.tree.update(_parity_pass(state, rest, xj, comp.side, 2, 2))
+            piece.tree[xj] = (rep, exj)
             contacts.append((xj, exj))
         evens = [(x, ex) for x, ex in contacts if state.d2[x] % 2 == 0]
         if len(evens) >= 2 or (evens and state.d2[evens[0][0]] >= 1):
@@ -359,12 +350,12 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
                 state.set(ez, 3)  # the piece stays nice
         elif evens:
             w, piece.lone = evens[0]
-            piece.mate = next((ey for y, ey in _within(g, w, piece.vset)
+            piece.mate = next((ey for y, ey in _within(g, w, piece.tree)
                                if y != piece.rep and state.is_mono1(y)), None)
         pieces.append(piece)
     if rest:
         raise InvariantViolation(f"vertex {min(rest)} is not attached to the hub {u}")
-    pieces.sort(key=lambda p: min(p.vset))
+    pieces.sort(key=lambda p: min(p.tree))
 
     tricky = [p for p in pieces if p.mate is not None]
     bad = [p for p in pieces if p.lone is not None and p.mate is None]
@@ -416,7 +407,7 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
     for p in pieces:
         if state.d3[p.rep] < 2:
             continue
-        others = [(w, e) for w, e in nbrs if w in p.vset and w != p.rep]
+        others = [(w, e) for w, e in nbrs if w in p.tree and w != p.rep]
         if not others:
             continue
         x, ex = others[0]
@@ -426,10 +417,9 @@ def fix_hub(comp: ConflictComponent, state: ProfileTracker) -> str | None:
         if state.d2[p.rep] % 2 == 1:
             state.set(p.hub_edge, 2)
             return "hub-5-odd"
-        tree = _walk(state, p.vset, p.rep, 2)[1]
         cycle = [p.hub_edge, ex]
         while x != p.rep:  # the tree path from x up to the representative
-            x, eid = tree[x]
+            x, eid = p.tree[x]
             cycle.append(eid)
         for eid in cycle:
             lab = state.label(eid)

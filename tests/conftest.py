@@ -7,9 +7,10 @@ import random
 from hypothesis import settings
 
 from prodlabel.graph import Graph, NotNiceError, is_nice
+from prodlabel.labelling import Labelling
 from prodlabel.partition import _certificate, greedy_partition
 
-from spec import missing_lower_neighbours, validate_partition
+from spec import missing_lower_neighbours, tracker, validate_partition
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -108,14 +109,26 @@ def random_connected_nice_graph(rng: random.Random, n_max: int = 12, p: float = 
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
-        j = order[rng.randint(0, i - 1)]
-        u, v = order[i], j
+        u, v = order[i], order[rng.randint(0, i - 1)]
         edges.add((min(u, v), max(u, v)))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.add((i, j))
     return Graph(n, sorted(edges))
+
+
+def parity_draw(rng: random.Random, n_max: int):
+    """Inputs for a parity pass: a tracker over a random connected nice graph
+    whose edges carry 1 inside the set and a random label outside it, the set
+    (about 80% of the vertices), a root in it and a random side per vertex."""
+    g = random_connected_nice_graph(rng, n_max, p=0.15)
+    root = rng.randrange(g.n)
+    vset = {v for v in range(g.n) if v == root or rng.random() < 0.8}
+    labels = [1 if u in vset and v in vset else rng.randint(1, 3) for u, v in g.edges]
+    side = [rng.randint(1, 2) for _ in range(g.n)]
+    return tracker(g, Labelling(labels)), vset, root, side
+
 
 def tree_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
     """Connected graph: a random recursive tree on n vertices in shuffled id
@@ -162,7 +175,6 @@ def disjoint_union(graphs) -> Graph:
         edges.extend((u + n, v + n) for u, v in h.edges)
         n += h.n
     return Graph(n, edges)
-
 
 
 def reference_build_valid_partition(g: Graph) -> list[int]:

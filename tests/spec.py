@@ -4,8 +4,8 @@ Vertex profiles and their classes, the per-part targets of the upward pass,
 the partition properties and the partition potential are written straight
 from their definitions, and so are connected components.  A partition is
 the ``part_of`` list the pipeline uses: each vertex's part index.
-``parity_relabel`` checks its input and then runs the repair pass's own
-parity pass, so tests of it drive the production ``repair._parity_pass``.
+``parity_pass_misses`` runs the repair pass's own ``_parity_pass`` and
+checks its result against the pass's contract.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from prodlabel.graph import Graph
 from prodlabel.labelling import Labelling, ProfileTracker
-from prodlabel.repair import _parity_pass, _within
+from prodlabel.repair import _parity_pass
 
 
 def tracker(g: Graph, l: Labelling | None = None) -> ProfileTracker:
@@ -198,61 +198,30 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def two_colouring(g: Graph, vset, root: int) -> dict[int, int]:
-    """Distance parity from ``root`` of every vertex it reaches inside
-    ``vset``; ValueError if the subgraph it reaches is not bipartite."""
-    colour = {root: 0}
-    queue = [root]
-    for v in queue:  # grows while it is read: a queue
-        for w, _ in _within(g, v, vset):
-            if w not in colour:
-                colour[w] = colour[v] ^ 1
-                queue.append(w)
-            elif colour[w] == colour[v]:
-                raise ValueError("subgraph is not bipartite")
-    return colour
-
-
-def parity_relabel(g: Graph, l: Labelling, edge_ids, s: int,
-                   exempt: int, odd_on_exempt_side: bool = True) -> list[int]:
-    """Relabel a connected bipartite subgraph with 1/s to fixed parities.
-
-    The subgraph is the one induced by the ends of ``edge_ids`` plus the
-    exempt vertex; ``edge_ids`` must be exactly its edge set, each carrying
-    label 1 or s.  Every vertex on the exempt vertex's side except the
-    exempt vertex itself ends with odd s-degree and every vertex on the
-    other side with even s-degree (or the swapped pattern when
-    ``odd_on_exempt_side`` is false).  Parities count subgraph edges only.
-    One ``_parity_pass`` over a copy of the vertex set relabels.  Returns
-    the edge ids whose label changed.
-    """
-    if s not in (2, 3):
-        raise ValueError("s must be 2 or 3")
-    state = tracker(g, l)
-    edge_ids = list(edge_ids)
-    for eid in edge_ids:
-        if state.label(eid) not in (1, s):
-            raise ValueError(f"edge {eid} carries label {state.label(eid)}, expected 1 or {s}")
-    vset = {exempt}
-    for eid in edge_ids:
-        vset.update(g.edges[eid])
-    induced = [eid for v in vset for w, eid in g.adj[v] if v < w and w in vset]
-    if sorted(induced) != sorted(edge_ids):
-        raise ValueError("edge_ids must be every edge its ends and the exempt vertex induce")
-    colour = two_colouring(g, vset, exempt)
-    if len(colour) != len(vset):
-        raise ValueError("subgraph is not connected")
-    within = {v: 0 for v in vset}
-    for eid in edge_ids:
-        if state.label(eid) == s:
-            u, v = g.edges[eid]
-            within[u] += 1
-            within[v] += 1
-    # The sweep sets the parity of each vertex's whole s-count, so a vertex
-    # with an odd number of s-edges leaving the set wants the other parity.
-    counts = state.d2 if s == 2 else state.d3
-    odd_colour = 0 if odd_on_exempt_side else 1
-    odd = {v: (colour[v] == odd_colour) != ((counts[v] - within[v]) % 2 == 1) for v in vset}
-    before = {eid: state.label(eid) for eid in edge_ids}
-    _parity_pass(state, set(vset), exempt, odd, True, s)
-    return [eid for eid in edge_ids if state.label(eid) != before[eid]]
+def parity_pass_misses(state: ProfileTracker, vset: set[int], root: int,
+                       side, odd_side: int, s: int) -> list[str]:
+    """Run ``_parity_pass`` and list how it misses its contract: the piece of
+    ``vset`` that ``root`` reaches is walked and leaves the set, each vertex
+    of it but the root ends with an odd s-count iff its ``side`` is
+    ``odd_side``, and only tree edges change, each from 1 to s."""
+    g, labels = state.g, state.labelling.labels
+    piece = [root]
+    for v in piece:  # grows while it is read: a queue
+        piece.extend(w for w, _ in g.adj[v] if w in vset and w not in piece)
+    rest = set(vset) - set(piece)
+    before = list(labels)
+    tree = _parity_pass(state, vset, root, side, odd_side, s)
+    misses = []
+    if sorted(tree) != sorted(piece):
+        misses.append(f"walked {sorted(tree)}, the piece is {sorted(piece)}")
+    if vset != rest:
+        misses.append(f"the set keeps {sorted(vset)}, expected {sorted(rest)}")
+    tree_edges = {eid for _, eid in tree.values()}
+    for eid, (old, new) in enumerate(zip(before, labels)):
+        if old != new and (eid not in tree_edges or (old, new) != (1, s)):
+            misses.append(f"edge {eid} went from {old} to {new}")
+    for v in piece[1:]:
+        count = sum(labels[eid] == s for _, eid in g.adj[v])
+        if (count % 2 == 1) != (side[v] == odd_side):
+            misses.append(f"vertex {v} on side {side[v]} ends with s-count {count}")
+    return misses

@@ -23,8 +23,8 @@ from prodlabel.partition import build_valid_partition, greedy_partition
 from prodlabel.repair import conflict_components, nullstellensatz_assign, run_repair_pass
 from prodlabel.upward import run_upward_pass
 
-from conftest import complete_graph, exact_conflicts, induced_subgraph, path_graph
-from spec import (connected_components, missing_lower_neighbours, parity_relabel, tracker,
+from conftest import complete_graph, exact_conflicts, induced_subgraph, parity_draw, path_graph
+from spec import (connected_components, missing_lower_neighbours, parity_pass_misses, tracker,
                   validate_partition)
 from test_partition import exhaustive_swap_check, swap_witness, swappable_edges
 from test_upward import check_items
@@ -172,54 +172,16 @@ def test_criterion_5_upward_postconditions():
            f"bottom edges all 1 ({failures} violations)")
 
 
-def _random_connected_bipartite(rng: random.Random, n_max: int):
-    total = rng.randint(2, n_max)
-    left = rng.randint(1, total - 1)
-    sides = [0] * left + [1] * (total - left)
-    edges = set()
-    order = list(range(total))
-    rng.shuffle(order)
-    # Spanning connectivity first, then noise edges across the sides.
-    for i in range(1, total):
-        a = order[i]
-        partners = [order[j] for j in range(i) if sides[order[j]] != sides[a]]
-        if not partners:
-            sides[a] ^= 1
-            partners = [order[j] for j in range(i) if sides[order[j]] != sides[a]]
-        b = rng.choice(partners)
-        edges.add((min(a, b), max(a, b)))
-    for a in range(total):
-        for b in range(a + 1, total):
-            if sides[a] != sides[b] and rng.random() < 0.25:
-                edges.add((a, b))
-    return Graph(total, sorted(edges)), sides
-
-
 def test_criterion_6_parity_relabel_suite():
     graphs = 1_000
     failures = 0
     for trial in range(graphs):
-        rng = random.Random(0xB1B + trial)
-        g, sides = _random_connected_bipartite(rng, 40)
-        for s in (2, 3):
-            for mode in (True, False):
-                labels = Labelling([rng.choice((1, s)) for _ in range(g.m)])
-                exempt = rng.randrange(g.n)
-                snapshot = list(labels.labels)
-                changed = parity_relabel(g, labels, list(range(g.m)), s=s,
-                                         exempt=exempt, odd_on_exempt_side=mode)
-                for eid, old in enumerate(snapshot):
-                    if labels.labels[eid] != old and eid not in changed:
-                        failures += 1
-                for v in range(g.n):
-                    if v == exempt:
-                        continue
-                    deg_s = sum(1 for _, eid in g.adj[v] if labels.labels[eid] == s)
-                    want_odd = (sides[v] == sides[exempt]) == mode
-                    if deg_s % 2 != (1 if want_odd else 0):
-                        failures += 1
+        state, vset, root, side = parity_draw(random.Random(0xB1B + trial), 40)
+        s, odd_side = (2, 3)[trial % 2], (1, 2)[trial // 2 % 2]
+        failures += len(parity_pass_misses(state, vset, root, side, odd_side, s))
     report(6, failures == 0,
-           f"{graphs} bipartite graphs x 2 labels x 2 modes: exact parities ({failures} misses)")
+           f"{graphs} parity passes (n <= 40, s in {{2,3}}, odd side 1 or 2): piece leaves "
+           f"the set, exact s-parities, only tree edges 1 -> s ({failures} misses)")
 
 
 def test_criterion_7_nullstellensatz_exhaustive():

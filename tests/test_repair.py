@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts
+from prodlabel import Graph, InvariantViolation, Labelling, find_conflicts, label_graph
 from prodlabel.labelling import conflicting_edges, degree_counts
 from prodlabel.partition import build_valid_partition
 import prodlabel.repair as repair_module
@@ -28,14 +28,14 @@ from conftest import (
     CountingAdj,
     complete_graph,
     exact_products,
+    parity_draw,
     path_graph,
     random_connected_nice_graph,
     spider,
     star_graph,
     tree_plus_chords,
 )
-from spec import (VertexKind, classify, parity_relabel, profile, target_profile, tracker,
-                  two_colouring)
+from spec import VertexKind, classify, parity_pass_misses, profile, target_profile, tracker
 from test_partition import many_components
 
 
@@ -66,85 +66,29 @@ HUB_6 = ([{1, 2, 3}, {0}], [(0, 1), (0, 2), (0, 3)])
 PENDANT_BALANCED = ([{1}, {0, 2}, {3}], [(0, 1), (1, 2), (2, 3)], [1, 1, 2])
 
 
-class TestParityRelabel:
-    def test_single_edge_exempt_side_odd(self):
-        g = Graph(2, [(0, 1)])
-        l = Labelling([1])
-        changed = parity_relabel(g, l, [0], s=2, exempt=0, odd_on_exempt_side=True)
-        assert changed == [] and l.labels == [1]
-
-    def test_path_both_edges_flip(self):
-        g = path_graph(3)
-        l = Labelling([1, 1])
-        parity_relabel(g, l, [0, 1], s=2, exempt=0, odd_on_exempt_side=True)
-        assert l.labels == [2, 2]
-
-    def test_swapped_mode(self):
-        g = path_graph(3)
-        l = Labelling([1, 1])
-        parity_relabel(g, l, [0, 1], s=2, exempt=0, odd_on_exempt_side=False)
-        # b must end odd, c even: only the first edge flips.
-        assert l.labels == [2, 1]
-
+class TestParityPass:
     @pytest.mark.parametrize("s", [2, 3])
-    @pytest.mark.parametrize("mode", [True, False])
-    def test_parity_postcondition_random(self, s, mode):
+    @pytest.mark.parametrize("odd_side", [1, 2])
+    def test_contract(self, s, odd_side):
         for seed in range(120):
-            rng = random.Random(seed)
-            g = random_connected_nice_graph(rng, n_max=10, p=0.0)  # trees
-            if g.n < 2:
-                continue
-            edge_ids = list(range(g.m))
-            l = Labelling([rng.choice((1, s)) for _ in range(g.m)])
-            exempt = rng.randrange(g.n)
-            parity_relabel(g, l, edge_ids, s=s, exempt=exempt, odd_on_exempt_side=mode)
-            side = two_colouring(g, range(g.n), exempt)
-            for v in range(g.n):
-                if v == exempt:
-                    continue
-                deg_s = sum(1 for _, eid in g.adj[v] if l.labels[eid] == s)
-                want_odd = (side[v] == 0) == mode
-                assert deg_s % 2 == (1 if want_odd else 0), (seed, v)
+            state, vset, root, side = parity_draw(random.Random(seed), 12)
+            assert parity_pass_misses(state, vset, root, side, odd_side, s) == [], seed
 
-    def test_touches_only_listed_edges_and_labels(self):
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        l = Labelling([1, 1, 3, 2])
-        parity_relabel(g, l, [0, 1], s=2, exempt=0)
-        assert l.labels[2] == 3 and l.labels[3] == 2
-        assert all(lab in (1, 2) for lab in l.labels[:2])
+    def test_path(self):
+        # Vertex 2 wants an odd 2-count, vertex 1 an even one: both edges take 2.
+        state = tracker(path_graph(3))
+        assert _parity_pass(state, {0, 1, 2}, 0, [1, 2, 1], 1, 2) == {
+            0: (0, -1), 1: (0, 0), 2: (1, 1)}
+        assert state.labelling.labels == [2, 2]
 
-    def test_rejects_wrong_labels(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError, match="expected 1 or"):
-            parity_relabel(g, Labelling([3, 1]), [0, 1], s=2, exempt=0)
-
-    def test_rejects_odd_cycle(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError, match="bipartite"):
-            parity_relabel(g, Labelling.all_ones(g), [0, 1, 2], s=2, exempt=0)
-
-    def test_rejects_disconnected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            parity_relabel(g, Labelling.all_ones(g), [0, 1], s=2, exempt=0)
-
-    def test_rejects_non_induced_edges(self):
-        # Two of K3's three edges: their ends induce the third one too.
-        g = complete_graph(3)
-        l = Labelling.all_ones(g)
-        with pytest.raises(ValueError, match="induce"):
-            parity_relabel(g, l, [0, 1], s=2, exempt=0)
-        assert l.labels == [1, 1, 1]
-
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_parity_counts_subgraph_edges_only(self, s):
-        # Path 0-1-2-3 with the set {0, 1, 2}: vertex 2's s-labelled edge to
-        # 3 leaves the set, so its subgraph s-count starts even and must turn
-        # odd although its whole s-count is odd already.
-        g = path_graph(4)
-        l = Labelling([1, 1, s])
-        assert parity_relabel(g, l, [0, 1], s=s, exempt=0) == [0, 1]
-        assert l.labels == [s, s, s]
+    @pytest.mark.parametrize("label", [2, 3])
+    def test_wrong_label_is_internal(self, label):
+        # A walked edge not labelled 1, s included, is a broken construction:
+        # the pass raises before it touches a label.
+        state = tracker(path_graph(3), Labelling([1, label]))
+        with pytest.raises(InvariantViolation, match=f"edge 1 carries label {label}, expected 1$"):
+            _parity_pass(state, {0, 1, 2}, 0, [1, 2, 1], 1, 2)
+        assert state.labelling.labels == [1, label]
 
     def test_pass_leaves_unreached_vertices_in_the_set(self):
         # The pass takes out only the piece its walk reaches; the rest of a
@@ -154,16 +98,6 @@ class TestParityRelabel:
         vset = {0, 1, 2, 3}
         assert _parity_pass(state, vset, 0, [1, 2, 1, 2], 1, 2) == {0: (0, -1), 1: (0, 0)}
         assert vset == {2, 3} and state.labelling.labels == [1, 1]
-
-    def test_pass_wrong_label_is_internal(self):
-        # parity_relabel checks its caller's labels first, so only a fixer
-        # can hand the pass an edge labelled neither 1 nor s; it raises
-        # before it touches a label.
-        g = path_graph(3)
-        state = tracker(g, Labelling([1, 3]))
-        with pytest.raises(InvariantViolation, match="expected 1 or 2"):
-            _parity_pass(state, {0, 1, 2}, 0, {0: 1, 1: 2, 2: 1}, 1, 2)
-        assert state.labelling.labels == [1, 3]
 
     def test_pass_keeps_to_its_vertex_set(self):
         # Edges leaving the vertex set neither join the tree nor get their
@@ -576,11 +510,10 @@ def mask_graph(mask: int) -> Graph:
 # One small graph per fixer case, on which the case is the only repair the
 # whole pipeline makes.  The first five were found by seeded search over the
 # fuzz families (G(n, p), spanning tree plus noise, tree plus chords,
-# caterpillars) and hub-5-odd in a component of a seeded nice graph, each
-# shrunk edge by edge; the others are the first 7-vertex masks that reach
-# their case.  No graph on 7 vertices reaches hub-5-odd or hub-5-cycle, and
-# no seeded graph reached hub-5-cycle in 200,000 draws, so TestFixHub's
-# handmade state is its only pin.
+# caterpillars), hub-5-odd in a component of a seeded nice graph and
+# hub-5-cycle in a seeded tree plus chords, each shrunk edge by edge; the
+# others are the first 7-vertex masks that reach their case.  No graph on 7
+# vertices reaches hub-5-odd or hub-5-cycle.
 PINNED_CASES = {
     "anchor": Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
     "anchor-seeded": Graph(5, [(0, 3), (1, 3), (0, 4), (0, 2)]),
@@ -588,6 +521,8 @@ PINNED_CASES = {
     "hub-3-even": Graph(9, [(3, 4), (2, 3), (0, 2), (1, 2), (0, 5), (0, 8), (2, 6), (7, 8), (1, 4)]),
     "hub-3-odd": path_graph(4),
     "hub-5-odd": Graph(8, [(2, 5), (1, 5), (2, 7), (2, 4), (3, 4), (3, 6), (0, 4), (2, 6)]),
+    "hub-5-cycle": Graph(13, [(2, 5), (2, 10), (5, 12), (7, 11), (1, 2), (4, 5), (1, 6), (1, 3),
+                              (6, 8), (0, 9), (5, 7), (0, 4), (1, 4)]),
     "anchor-seeded-done": mask_graph(3),
     "hub-1-even": mask_graph(198),
     "hub-4-anchored": mask_graph(206),
@@ -613,14 +548,16 @@ def seeded_graphs() -> list[Graph]:
 
 
 def test_upward_pass_meets_the_repair_contract():
-    # What the fixers rest on: after the upward pass no part-1 vertex has a
-    # 2 and no part-2 vertex a 3, so every conflict joins two 1-mono
-    # vertices of parts 1 and 2.  Discovery hands out the components by
-    # their smallest conflict, each holding that edge.
+    # What the fixers rest on: after the upward pass every bottom edge still
+    # carries 1, no part-1 vertex has a 2 and no part-2 vertex a 3, so every
+    # conflict joins two 1-mono vertices of parts 1 and 2.  Discovery hands
+    # out the components by their smallest conflict, each holding that edge.
     graphs = list(PINNED_CASES.values()) + [spider(4), many_components(random.Random(27), 300)]
     conflicts = 0
     for g in graphs + seeded_graphs():
         state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
+        assert all(lab == 1 for (u, v), lab in zip(g.edges, state.labelling.labels)
+                   if part_of[u] <= 2 and part_of[v] <= 2)
         assert all(state.d2[v] == 0 for v in range(g.n) if part_of[v] == 1)
         assert all(state.d3[v] == 0 for v in range(g.n) if part_of[v] == 2)
         for eid in conflicting_edges(g, state.d2, state.d3, range(g.m)):
@@ -635,21 +572,51 @@ def test_upward_pass_meets_the_repair_contract():
     assert conflicts >= 500
 
 
+# Small graphs with their labels and stats.  The first three, shrunk from
+# seeded draws, catch one-operator changes to fix_pendant's and hub-1's parity
+# tests and to hub-5-cycle-special's smallest other piece; on the last, the
+# hub-5 cycle follows the piece's tree, not a fresh walk from the representative.
+PINNED_RUNS = [
+    (Graph(11, [(0, 2), (1, 2), (1, 4), (3, 4), (3, 5), (2, 6), (2, 7), (5, 8), (7, 9), (8, 9),
+                (0, 10), (8, 10)]),
+     [2, 2, 2, 3, 1, 1, 2, 1, 2, 3, 2, 3],
+     {"upward.branch.plain": 3, "repair.conflicts_in": 1, "repair.components": 1,
+      "repair.case.pendant-balanced": 1}),
+    (Graph(17, [(2, 15), (3, 9), (9, 16), (3, 7), (7, 8), (1, 7), (1, 13), (0, 14), (2, 11),
+                (3, 12), (5, 8), (4, 12), (0, 10), (6, 16)]),
+     [3, 1, 2, 2, 2, 2, 2, 3, 3, 2, 2, 1, 3, 2],
+     {"repair.conflicts_in": 14, "repair.components": 3, "repair.case.anchor-seeded-done": 2,
+      "repair.case.hub-1-even": 1}),
+    (Graph(13, [(2, 12), (2, 4), (4, 5), (2, 9), (6, 11), (1, 4), (4, 8), (1, 3), (1, 7), (0, 11),
+                (10, 12), (2, 7)]),
+     [2, 2, 3, 2, 3, 2, 1, 2, 1, 3, 1, 2],
+     {"repair.conflicts_in": 12, "repair.components": 2, "repair.case.anchor-seeded-done": 1,
+      "repair.case.hub-5-cycle-special": 1}),
+    (Graph(9, [(0, 2), (2, 3), (0, 4), (1, 4), (0, 5), (1, 5), (2, 6), (5, 6), (1, 7), (0, 8)]),
+     [2, 3, 1, 2, 1, 1, 2, 2, 2, 2],
+     {"repair.conflicts_in": 10, "repair.components": 1, "repair.case.hub-5-cycle-special": 1}),
+]
+
+
+@pytest.mark.parametrize("g, labels, stats", PINNED_RUNS,
+                         ids=["pendant-parity", "hub-1-parity", "hub-5-smallest-piece", "hub-5-tree"])
+def test_pinned_run(g, labels, stats):
+    rep = label_graph(g)
+    assert (rep.labelling.labels, rep.stats) == (labels, stats)
+    assert find_conflicts(g, rep.labelling) == []
+
+
 def spy_walks(monkeypatch, fixer, graphs):
     """Repair every graph, recording the walked vertices of the
     ``_parity_pass`` calls in each call of ``fixer`` by (s, vertex-set
-    object), and in ``lone`` whether each one-vertex pass changed a label;
-    also the tally of fixer cases."""
-    inside, walks, lone, tally = [], [], [], Counter()
+    object); also the tally of fixer cases."""
+    inside, walks, tally = [], [], Counter()
     real_pass = repair_module._parity_pass
 
     def spied_pass(state, vset, root, side, odd_side, s):
-        before = list(state.labelling.labels)
         tree = real_pass(state, vset, root, side, odd_side, s)
         if inside:
             walks[-1].setdefault((s, id(vset)), []).append(list(tree))
-            if len(tree) == 1:
-                lone.append(state.labelling.labels != before)
         return tree
     monkeypatch.setattr(repair_module, "_parity_pass", spied_pass)
     real_fixer = getattr(repair_module, fixer)
@@ -666,11 +633,10 @@ def spy_walks(monkeypatch, fixer, graphs):
         state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
         tally.update(cases(run_repair_pass(g, part_of, state)))
         assert find_conflicts(g, state.labelling) == []
-    return walks, lone, tally
+    return walks, tally
 
 
-def assert_one_walk_per_vertex(walks, lone):
-    assert lone and not any(lone)  # a one-vertex pass changes no label
+def assert_one_walk_per_vertex(walks):
     for per_set in walks:
         for orders in per_set.values():
             walked = [v for order in orders for v in order]
@@ -705,12 +671,12 @@ class TestRunRepairPass:
     def test_one_walk_per_anchored_piece(self, monkeypatch):
         # fix_anchored finds each piece with one walk from its smallest
         # contact (and each part of the contact graph with one walk from its
-        # smallest anchor): no component search, every vertex walked at most
-        # once per pass, and no label changed by a one-vertex piece's pass.
+        # smallest anchor): no component search, and every vertex walked at
+        # most once per pass.
         graphs = [PINNED_CASES["anchor"], PINNED_CASES["anchor-seeded"]] + seeded_graphs()
-        walks, lone, tally = spy_walks(monkeypatch, "fix_anchored", graphs)
+        walks, tally = spy_walks(monkeypatch, "fix_anchored", graphs)
         assert not hasattr(repair_module, "connected_components")
-        assert_one_walk_per_vertex(walks, lone)
+        assert_one_walk_per_vertex(walks)
         # Not vacuous: one-vertex pieces and both passes were reached.
         pieces = [order for per_pass in walks for (s, _), orders in per_pass.items()
                   if s == 2 for order in orders]
@@ -723,8 +689,8 @@ class TestRunRepairPass:
         # fix_hub finds each block of a piece with one walk from its
         # smallest contact, the way fix_anchored finds its pieces.
         hubs = [g for case, g in PINNED_CASES.items() if case.startswith("hub")]
-        walks, lone, tally = spy_walks(monkeypatch, "fix_hub", hubs + [spider(4)] + seeded_graphs())
-        assert_one_walk_per_vertex(walks, lone)
+        walks, tally = spy_walks(monkeypatch, "fix_hub", hubs + [spider(4)] + seeded_graphs())
+        assert_one_walk_per_vertex(walks)
         blocks = [order for per_set in walks for orders in per_set.values() for order in orders]
         assert any(len(order) == 1 for order in blocks)
         assert any(len(order) > 1 for order in blocks)
