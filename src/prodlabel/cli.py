@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes are stable: 0 success, 1 input or usage problem (or an oracle
-search over its node budget), 2 graph not nice (contains a two-vertex
+Exit codes are stable: 0 success, 1 input, output or usage problem (or an
+oracle search over its node budget), 2 graph not nice (contains a two-vertex
 component), 3 verification failure or internal error (a broken construction
 invariant, reported as "internal error: ..."; ``label`` then saves the graph
 to ``label_fail.edges`` in the working directory).
@@ -38,10 +38,13 @@ LABEL_REPRO = "label_fail.edges"
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -84,12 +87,8 @@ def cmd_label(args: argparse.Namespace) -> int:
         return _internal_error(g, "labelling failed verification")
     out = format_labelling(g, report.labelling) + "\n" + format_counts(*report.products)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        except OSError as exc:
-            print(f"cannot write output: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out)
     else:
         sys.stdout.write(out)
     return EXIT_OK
@@ -117,11 +116,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import brute_force_min_k
 
     g = _load_graph(args.graph)
-    k = brute_force_min_k(g, args.kmax)
-    if k is None:
-        print(f"chi_P > {args.kmax}")
-    else:
-        print(f"chi_P = {k}")
+    k = brute_force_min_k(g)
+    print("chi_P > 3" if k is None else f"chi_P = {k}")
     return EXIT_OK
 
 
@@ -176,10 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labelling", help="labelling file with 'u v label' lines, or - for stdin")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustive smallest-k search; exit 1 when it "
-                       "exceeds its search-node budget")
+    p = sub.add_parser("oracle", help="exhaustive smallest-k search over k = 2 and 3 "
+                       "(chi_P > 3 when neither fits); exit 1 over its search-node budget")
     p.add_argument("graph", help="graph file, or - for stdin")
-    p.add_argument("--kmax", type=int, default=3, help="largest k to try (default 3)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fuzz", help="random end-to-end trials with verification; "
@@ -202,7 +197,9 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except GraphFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -210,7 +207,7 @@ def main(argv=None) -> int:
         print("graph is not nice: it contains a two-vertex component", file=sys.stderr)
         return EXIT_NOT_NICE
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

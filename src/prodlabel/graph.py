@@ -29,7 +29,7 @@ _PLAIN = re.compile(r"(?:n ([0-9]+)\n)?((?:[0-9]+ [0-9]+\n)*)")
 
 
 class GraphFormatError(ValueError):
-    """Raised on malformed graph input; carries the offending line number."""
+    """Raised on input that is malformed or cannot be read; carries the line, if any."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -96,8 +96,6 @@ class ProfileTracker:
 
     def set(self, eid: int, lab: int) -> None:
         old = self.labelling.labels[eid]
-        if old == lab:
-            return
         u, v = self.g.edges[eid]
         if old == 2:
             self.d2[u] -= 1

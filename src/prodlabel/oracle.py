@@ -26,17 +26,10 @@ ORACLE_NODE_BUDGET = 2_000_000
 
 
 def _least_product(t: int, r: int, k: int) -> int:
-    """Least product of r labels from 1..k (k >= 2) that is at least t, or
-    0 when every such product is below t.
-
-    Exact for k = 2 and 3, where a product is 2**a * 3**b with a + b <= r
-    (b = 0 for k = 2).  For k > 3 it is t itself when t <= k**r: every product
-    lies in 1..k**r, so the answer is never above the exact one, which is
-    all the chain bound needs, and no table grows with k or r.
-    """
-    if k > 3:
-        return t if t <= k ** r else 0
-    if k < 3:
+    """Least product of r labels from 1..k (k = 2 or 3) that is at least t,
+    or 0 when every such product is below t: a product is 2**a * 3**b with
+    a + b <= r (b = 0 for k = 2)."""
+    if k == 2:
         a = (t - 1).bit_length()
         return 1 << a if a <= r else 0
     best = 0
@@ -93,7 +86,8 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
     that same check, so the first labelling found stays the same and only
     the node count falls.
 
-    Each list in ``twins`` is a class of pairwise adjacent vertices in
+    Each list in ``twins`` (given only at k = 2 and 3, the k that
+    ``_least_product`` covers) is a class of pairwise adjacent vertices in
     ascending order, c1 < c2 < ... < cs, whose products must end strictly
     increasing.  The class is checked by ``_chain_fits`` at the index where
     each member's last edge is labelled: the branch dies as soon as no
@@ -176,12 +170,13 @@ def _true_twins(g: Graph) -> list[list[int]]:
     return [c for c in classes.values() if len(c) > 1]
 
 
-def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
-    """Smallest k <= k_max admitting a proper k-labelling, by exhaustive search.
+def brute_force_min_k(g: Graph) -> int | None:
+    """Smallest k admitting a proper k-labelling, by exhaustive search over
+    k = 2, then k = 3.
 
-    An edgeless graph answers 1 by convention.  None when even k_max labels
-    do not suffice.  All k values share ORACLE_NODE_BUDGET search nodes;
-    going over it raises ValueError.
+    An edgeless graph answers 1 by convention.  None when three labels do
+    not suffice, which on a nice graph the theorem rules out.  Both k share
+    ORACLE_NODE_BUDGET search nodes; going over it raises ValueError.
 
     k = 1 is not searched on a graph with an edge: with one label every
     product is 1, so every edge conflicts.  A graph that is not nice answers
@@ -214,8 +209,6 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
     answer and the meaning of the node budget stay as they were; only the
     node counts fall.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
     if g.m == 0:
         return 1
     if not is_nice(g):
@@ -223,7 +216,7 @@ def brute_force_min_k(g: Graph, k_max: int = 3) -> int | None:
     edges = sorted(g.edges)
     twins = _true_twins(g)
     budget = ORACLE_NODE_BUDGET
-    for k in range(2, k_max + 1):
+    for k in (2, 3):
         labels, nodes = _first_proper(g.n, edges, k, budget, twins)
         if labels is not None:
             return k

@@ -21,8 +21,6 @@ def greedy_partition(g: Graph) -> list[int]:
     By construction every vertex in part i ends up with a placed neighbour in
     every part below i, so the lower-neighbour property holds on the output.
     """
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
     part_of, adj = [0] * g.n, g.adj
     for v in sorted(range(g.n), key=lambda v: -len(adj[v])):  # a stable sort
         used = {part_of[w] for w, _ in adj[v]}  # 0 marks a vertex not yet placed
@@ -63,41 +61,35 @@ def _edge_pass(g: Graph, part_of: list[int]) -> tuple[dict[int, int], list[int]]
     return end_edge, seen
 
 
-def _side_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
-                  v: int, side: int) -> frozenset[int] | None:
-    """The swappable edges whose swap leaves ``v`` with no neighbour in part
-    ``side`` (a witness that swap robustness fails), or None.
+def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
+                    v: int) -> frozenset[int] | None:
+    """The first witness at ``v`` that swap robustness fails, side 1 before
+    side 2: the swappable edges whose swap leaves ``v`` with no neighbour in
+    that part.  None when there is none, or below part 3.
 
-    ``end_edge`` maps each swappable-edge end to its edge.  The vertex keeps
-    a neighbour on that side under every swap subset iff it has a neighbour
-    there that is not a swappable-edge end, or it is adjacent to both ends of
-    one swappable edge (the pair always occupies both sides).
-    """
+    ``end_edge`` maps each swappable-edge end to its edge.  A side is safe
+    iff ``v`` has a neighbour there that is no swappable-edge end, or ``v``
+    is adjacent to both ends of one swappable edge (the pair always occupies
+    both sides).  On a partition with the lower-neighbour property no part-2
+    vertex has a witness: an end sits in part 2 only while its partner sits
+    in part 1, and any other part-2 vertex has a part-1 neighbour that is no
+    end either (its only bottom edge would make ``v`` its partner)."""
+    if part_of[v] < 3:
+        return None
+    fixed = set()  # the parts of v's neighbours that no swap moves
     adjacent_end: dict[int, int] = {}
     for w, _ in g.adj[v]:
         eid = end_edge.get(w)
         if eid is None:
-            if part_of[w] == side:
-                return None
+            fixed.add(part_of[w])
         elif eid in adjacent_end:
             return None
         else:
             adjacent_end[eid] = w
-    return frozenset(eid for eid, w in adjacent_end.items() if part_of[w] == side)
-
-
-def _vertex_witness(g: Graph, part_of: list[int], end_edge: dict[int, int],
-                    v: int) -> frozenset[int] | None:
-    """The first witness at ``v``: side 1, then side 2, for a vertex above
-    part 2; None below part 3.  On a partition with the lower-neighbour
-    property no part-2 vertex has a witness: a swappable-edge end sits in
-    part 2 only while its partner sits in part 1, and any other part-2
-    vertex has a neighbour in part 1 that is no end either (its only bottom
-    edge would make ``v`` its partner), so that neighbour never moves."""
-    if part_of[v] < 3:
-        return None
-    w = _side_witness(g, part_of, end_edge, v, 1)
-    return w if w is not None else _side_witness(g, part_of, end_edge, v, 2)
+    for side in (1, 2):
+        if side not in fixed:
+            return frozenset(eid for eid, w in adjacent_end.items() if part_of[w] == side)
+    return None
 
 
 def _certificate(g: Graph, part_of: list[int]) -> tuple[dict[int, int], dict[int, frozenset[int]]]:

@@ -80,7 +80,7 @@ def test_criterion_2_oracle_agreement():
         if g.m == 0 or g.m > 12:
             continue
         found += 1
-        k = brute_force_min_k(g, 3)
+        k = brute_force_min_k(g)
         if k is None or k > 3:
             failures += 1
             continue
@@ -103,7 +103,7 @@ def test_criterion_2_oracle_agreement():
         if not 17 <= g.m <= 24:
             continue
         wide += 1
-        k = brute_force_min_k(g, 3)
+        k = brute_force_min_k(g)
         witness = brute_force_labelling(g, k) if k else None
         if k is None or exact_conflicts(g, witness) or not label_graph(g).verified:
             wide_failures += 1
@@ -115,8 +115,8 @@ def test_criterion_2_oracle_agreement():
 
 
 def test_criterion_3_tightness():
-    values = {n: brute_force_min_k(complete_graph(n), 3) for n in (3, 4, 5, 6, 7)}
-    p3 = brute_force_min_k(path_graph(3), 3)
+    values = {n: brute_force_min_k(complete_graph(n)) for n in (3, 4, 5, 6, 7)}
+    p3 = brute_force_min_k(path_graph(3))
     ok = all(v == 3 for v in values.values()) and p3 == 2
     report(3, ok, f"complete graphs 3..7 need exactly 3 labels {values}, path-3 needs {p3}")
 

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -75,7 +76,7 @@ class TestLabelCommand:
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "label", "no_such_file.edges")
-        assert code == 1
+        assert code == 1 and err.startswith("input error: cannot read no_such_file.edges: [Errno 2]")
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "bad.edges", "0 zero\n")
@@ -277,9 +278,6 @@ class TestOracleCommand:
         path = write(tmp_path, "k2.edges", K2)
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P > 3\n"
-        # Labels with a prime factor above 13.
-        code, out, _ = run_cli(capsys, "oracle", path, "--kmax", "17")
-        assert code == 0 and out == "chi_P > 17\n"
 
     def test_bound_exit_1(self, tmp_path, capsys):
         edges = "".join(f"{i} {i + 1}\n" for i in range(17))
@@ -287,17 +285,10 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P = 3\n"
 
-    @pytest.mark.parametrize("content", ["n 3\n", P3], ids=["edgeless", "path"])
-    def test_kmax_zero_exit_1(self, tmp_path, capsys, content):
-        path = write(tmp_path, "g.edges", content)
-        code, out, err = run_cli(capsys, "oracle", path, "--kmax", "0")
-        assert code == 1 and out == ""
-        assert "k_max must be positive" in err
-
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         # An InvariantViolation that no command catches reaches main's own
         # handler: exit 3, one line on stderr, no traceback.
-        monkeypatch.setattr(prodlabel.oracle, "brute_force_min_k", lambda g, kmax: broken(g))
+        monkeypatch.setattr(prodlabel.oracle, "brute_force_min_k", broken)
         path = write(tmp_path, "k3.edges", K3)
         code, out, err = run_cli(capsys, "oracle", path)
         assert (code, out) == (3, "")
@@ -306,7 +297,7 @@ class TestOracleCommand:
     def test_budget_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(prodlabel.oracle, "ORACLE_NODE_BUDGET", 1000)
         path = write(tmp_path, "k10.edges", K10)
-        code, out, err = run_cli(capsys, "oracle", path, "--kmax", "1000000")
+        code, out, err = run_cli(capsys, "oracle", path)
         assert code == 1 and out == ""
         assert "budget" in err and "Traceback" not in err
 
@@ -372,12 +363,26 @@ class TestFuzzCommand:
 
 def test_usage_errors_exit_1(capsys):
     # argparse's own exit code 2 would read as "graph not nice".
-    for argv in (["label"], ["bogus"], ["oracle", "--kmax", "x", "-"]):
+    for argv in (["label"], ["bogus"], ["oracle", "--kmax", "3", "-"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "", argv
         assert "usage: prodlabel" in err, argv
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "usage: prodlabel" in out
+
+
+def test_output_errors_exit_1(tmp_path, capsys, monkeypatch):
+    class Full(io.StringIO):  # stdout on a full disk
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)
+    k3 = write(tmp_path, "k3.edges", K3)
+    labels = write(tmp_path, "k3.labels", "0 1 1\n0 2 3\n1 2 2\n")
+    monkeypatch.setattr(sys, "stdout", Full())
+    for argv in (["label", k3], ["verify", k3, labels], ["oracle", k3], ["fuzz", "--trials", "2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "cannot write output: [Errno 28] No space left on device\n"), argv
 
 
 def run_fresh(code: str, *flags: str) -> str:
@@ -434,7 +439,7 @@ EXITS = {
     "label-not-nice": (["label", "k2"], 2),
     "label-internal": (["label", "k3"], 3),
     "verify-conflicts": (["verify", "p3", "p3.labels"], 3),
-    "oracle-budget": (["oracle", "k10", "--kmax", "1000000"], 1),
+    "oracle-budget": (["oracle", "k10"], 1),
     "fuzz": (["fuzz", "--trials", "3", "--n", "8"], 0),
     "usage-error": (["label"], 1),
     "help": (["--help"], 0),

@@ -189,16 +189,15 @@ class TestBruteForceMinK:
         # bound: with the order checked on final products alone K8 took
         # 1,259,590 nodes and K9 ran out.
         for n in range(3, 13):
-            g = complete_graph(n)
-            assert brute_force_min_k(g, 2) is None
+            assert brute_force_min_k(complete_graph(n)) == 3
 
     def test_k2_has_no_labelling(self):
-        assert brute_force_min_k(Graph(2, [(0, 1)]), 3) is None
+        assert brute_force_min_k(Graph(2, [(0, 1)])) is None
         # A K2 component beside other edges, numbered last and first.
         g = Graph(17, [(i, i + 1) for i in range(14)] + [(15, 16)])
-        assert brute_force_min_k(g, 3) is None
+        assert brute_force_min_k(g) is None
         g = Graph(22, [(0, 1)] + [(i, j) for i in range(2, 22) for j in range(i + 1, 22)])
-        assert brute_force_min_k(g, 20) is None
+        assert brute_force_min_k(g) is None
 
     def test_not_nice_answers_without_a_search(self, monkeypatch):
         # Both ends of a two-vertex component get the product of its edge
@@ -207,17 +206,12 @@ class TestBruteForceMinK:
         calls = []
         monkeypatch.setattr(oracle, "_first_proper", lambda *args: calls.append(args))
         g = Graph(22, [(i, j) for i in range(20) for j in range(i + 1, 20)] + [(20, 21)])
-        assert brute_force_min_k(g, 3) is None
+        assert brute_force_min_k(g) is None
         assert brute_force_labelling(g, 3) is None
         assert calls == []
 
     def test_edgeless_convention(self):
-        assert brute_force_min_k(Graph(3, []), 3) == 1
-
-    def test_kmax_checked_first(self):
-        for g in (Graph(3, []), path_graph(3)):
-            with pytest.raises(ValueError, match="k_max must be positive"):
-                brute_force_min_k(g, 0)
+        assert brute_force_min_k(Graph(3, [])) == 1
 
     def test_labelling_needs_a_positive_k(self):
         with pytest.raises(ValueError, match="^k must be positive$"):
@@ -231,14 +225,14 @@ class TestBruteForceMinK:
         assert brute_force_min_k(path_graph(17)) == 2
 
     def test_budget_shared_across_k(self, monkeypatch):
-        # K6 costs 62 search nodes at k = 2 and 25 more at k = 3 (k = 1 is
-        # not searched): 87 for k <= 3, though no single k needs more than
-        # 62.  The 59-edge path's labelling search needs 89.
-        monkeypatch.setattr(oracle, "ORACLE_NODE_BUDGET", 70)
+        # K6 costs 62 search nodes at k = 2 and 25 more at k = 3: 87 in all,
+        # though no single k needs 63.  The 59-edge path's labelling needs 89.
         k6 = complete_graph(6)
-        assert brute_force_min_k(k6, 2) is None
+        monkeypatch.setattr(oracle, "ORACLE_NODE_BUDGET", 87)
+        assert brute_force_min_k(k6) == 3
+        monkeypatch.setattr(oracle, "ORACLE_NODE_BUDGET", 86)
         with pytest.raises(ValueError, match="budget"):
-            brute_force_min_k(k6, 3)
+            brute_force_min_k(k6)
         with pytest.raises(ValueError, match="budget"):
             brute_force_labelling(path_graph(60), 3)
 
@@ -250,7 +244,7 @@ class TestBruteForceMinK:
             if len(edges) > 8:
                 continue
             g = Graph(n, edges)
-            assert brute_force_min_k(g, 3) == python_min_k(g, 3), seed
+            assert brute_force_min_k(g) == python_min_k(g, 3), seed
 
     def test_monotone_in_k(self):
         for seed in range(40):
@@ -260,8 +254,8 @@ class TestBruteForceMinK:
             if not edges or len(edges) > 8:
                 continue
             g = Graph(n, edges)
-            k = brute_force_min_k(g, 4)
-            if k is not None and k < 4:
+            k = brute_force_min_k(g)
+            if k is not None:
                 assert brute_force_labelling(g, k + 1) is not None
 
     def test_witness_labelling_is_proper(self):
@@ -376,26 +370,20 @@ class TestTwinOrder:
         rng = random.Random(23)
         with_twins = 0
         for g in self.graphs():
-            expected = self.unordered_min_k(g, 4)
+            expected = self.unordered_min_k(g, 3)
             with_twins += bool(oracle._true_twins(g))
             for h in [g] + [self.relabelled(g, rng) for _ in range(3)]:
-                assert brute_force_min_k(h, 4) == expected, h.edges
+                assert brute_force_min_k(h) == expected, h.edges
         assert with_twins >= 550
 
     def test_least_product_never_above_exact(self):
-        # Exact for k = 2 and 3.  For k > 3 it may fall below the exact
-        # least product, never above it, and is 0 only when that is.
-        for k in range(2, 6):
+        for k in (2, 3):
             for r in range(5):
                 products = sorted({math.prod(c) for c in
                                    itertools.product(range(1, k + 1), repeat=r)})
                 for t in range(1, k ** r + 3):
                     exact = next((q for q in products if q >= t), 0)
-                    least = oracle._least_product(t, r, k)
-                    if k <= 3:
-                        assert least == exact, (t, r, k)
-                    else:
-                        assert least <= exact and (least >= t or least == exact == 0), (t, r, k)
+                    assert oracle._least_product(t, r, k) == exact, (t, r, k)
 
 
 def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
@@ -468,7 +456,7 @@ class TestConstructionNeverBeatsOracle:
             g = random_nice_graph(6, 0.45, seed)
             if g.m == 0 or g.m > 10:
                 continue
-            k = brute_force_min_k(g, 3)
+            k = brute_force_min_k(g)
             assert k is not None and k <= 3
             rep = label_graph(g)
             assert rep.verified
@@ -571,7 +559,7 @@ class TestNamedFamilies:
 
     def test_small_families_against_oracle(self):
         for g in (cycle_graph(5), cycle_graph(6), _complete_bipartite(2, 3), path_graph(6)):
-            k = brute_force_min_k(g, 3)
+            k = brute_force_min_k(g)
             assert k is not None and k <= 3
             rep = label_graph(g)
             assert rep.verified

@@ -104,10 +104,6 @@ class TestGreedy:
     def test_edgeless(self):
         assert greedy_partition(Graph(3, [])) == [1, 1, 1]
 
-    def test_rejects_no_vertices(self):
-        with pytest.raises(ValueError, match="^graph has no vertices$"):
-            greedy_partition(Graph(0, []))
-
     @given(st.integers(min_value=0, max_value=299))
     def test_output_is_independent_and_linked(self, seed):
         g = random_connected_nice_graph(random.Random(seed))

@@ -53,5 +53,5 @@ def test_graph_atlas_needs_at_most_three_labels():
     for h in nx.graph_atlas_g():
         g = Graph(h.number_of_nodes(), h.edges())
         if is_nice(g):
-            chi[brute_force_min_k(g, 4)] += 1
+            chi[brute_force_min_k(g)] += 1
     assert chi == {1: 8, 2: 1113, 3: 79}
