@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 from collections import Counter
 
@@ -197,8 +198,11 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if sys.stdout is None and not getattr(args, "out", None):
+            raise OSError("stdout is closed")
         code = args.func(args)
-        sys.stdout.flush()  # a buffered write fails here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except GraphFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -208,6 +212,14 @@ def main(argv=None) -> int:
         return EXIT_NOT_NICE
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
+        # stdout's buffer keeps the bytes a write failed on; with fd 1 on the
+        # null device the interpreter's flush at exit does not fail again.
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -379,21 +379,49 @@ def test_output_errors_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     k3 = write(tmp_path, "k3.edges", K3)
     labels = write(tmp_path, "k3.labels", "0 1 1\n0 2 3\n1 2 2\n")
+    commands = (["label", k3], ["verify", k3, labels], ["oracle", k3], ["fuzz", "--trials", "2"])
     monkeypatch.setattr(sys, "stdout", Full())
-    for argv in (["label", k3], ["verify", k3, labels], ["oracle", k3], ["fuzz", "--trials", "2"]):
+    for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (1, "cannot write output: [Errno 28] No space left on device\n"), argv
+    monkeypatch.setattr(sys, "stdout", None)  # stdout closed, as by >&-
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "cannot write output: stdout is closed\n"), argv
+    assert run_cli(capsys, "label", k3, "--out", "k3.out")[:2] == (0, "")
+    assert (tmp_path / "k3.out").read_text().startswith("0 1 ")
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that finds the package under
+    test first on its path."""
+    src = os.path.dirname(os.path.dirname(prodlabel.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_fresh(code: str, *flags: str) -> str:
-    """What ``code`` prints in a fresh interpreter that finds the package
-    under test first on its path."""
-    src = os.path.dirname(os.path.dirname(prodlabel.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True)
+    """What ``code`` prints in a fresh interpreter."""
+    result = subprocess.run([sys.executable, *flags, "-c", code], env=fresh_env(),
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exit_1(tmp_path):
+    """With stdout block-buffered on a full device, the failed flush inside
+    main is reported once, and the interpreter's own flush at exit does not
+    fail again on the bytes left in the buffer (which would print "Exception
+    ignored" and exit 120)."""
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    graph = write(tmp_path, "p5.edges", P5)
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "prodlabel.cli", "label", graph],
+                                env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (result.returncode, result.stderr) == (
+        1, "cannot write output: [Errno 28] No space left on device\n")
 
 
 def test_imports_only_the_standard_library():
