@@ -130,31 +130,6 @@ def parity_draw(rng: random.Random, n_max: int):
     return tracker(g, Labelling(labels)), vset, root, side
 
 
-def tree_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
-    """Connected graph: a random recursive tree on n vertices in shuffled id
-    order, plus random chords up to m <= n(n-1)/2 edges; O(m) time when m is
-    well below that."""
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
-
-
-def caterpillar(rng: random.Random, n: int) -> Graph:
-    """A path (the spine) on a random prefix of shuffled ids, with each
-    remaining vertex hung on a random spine vertex; connected, n >= 3."""
-    ids = list(range(n))
-    rng.shuffle(ids)
-    spine = rng.randint(2, max(2, n // 2))
-    edges = [(ids[i], ids[i + 1]) for i in range(spine - 1)]
-    edges += [(ids[i], ids[rng.randrange(spine)]) for i in range(spine, n)]
-    return Graph(n, edges)
-
-
 def spider(legs: int) -> Graph:
     """Vertex 0 with 2*legs + 5 paths of length 2 hanging off it, joined to
     vertex 1 with ``legs`` such paths: one conflict component on parts 1
@@ -165,15 +140,6 @@ def spider(legs: int) -> Graph:
         for _ in range(count):
             edges += [(centre, n), (n, n + 1)]
             n += 2
-    return Graph(n, edges)
-
-
-def disjoint_union(graphs) -> Graph:
-    """The graphs side by side, each on the next block of vertex ids."""
-    edges, n = [], 0
-    for h in graphs:
-        edges.extend((u + n, v + n) for u, v in h.edges)
-        n += h.n
     return Graph(n, edges)
 
 

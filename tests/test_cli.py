@@ -274,12 +274,12 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P = 2\n"
 
-    def test_k2_exceeds_kmax(self, tmp_path, capsys):
+    def test_k2_needs_more_than_three(self, tmp_path, capsys):
         path = write(tmp_path, "k2.edges", K2)
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P > 3\n"
 
-    def test_bound_exit_1(self, tmp_path, capsys):
+    def test_path_17_needs_three(self, tmp_path, capsys):
         edges = "".join(f"{i} {i + 1}\n" for i in range(17))
         path = write(tmp_path, "long.edges", edges)
         code, out, _ = run_cli(capsys, "oracle", path)

@@ -17,10 +17,10 @@ from prodlabel import (
 from prodlabel.oracle import random_nice_graph
 from prodlabel.graph import is_nice
 
+import gen
 from conftest import (
     CountingAdj,
     CountingEdges,
-    caterpillar,
     complete_graph,
     cycle_graph,
     exact_conflicts,
@@ -30,21 +30,22 @@ from conftest import (
     random_connected_nice_graph,
     spider,
     star_graph,
-    tree_plus_chords,
 )
 from spec import connected_components, validate_partition
-from test_partition import many_components
 
 
-def python_min_k(g: Graph, k_max: int) -> int | None:
-    """Independent oracle: enumerate label vectors, compare exact products."""
-    if g.m == 0:
-        return 1
-    for k in range(1, k_max + 1):
-        for labels in itertools.product(range(1, k + 1), repeat=g.m):
-            if not exact_conflicts(g, labels):
-                return k
+def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
+    """First vector of the lexicographic enumeration that exact products accept."""
+    for labels in itertools.product(range(1, k + 1), repeat=g.m):
+        if not exact_conflicts(g, labels):
+            return list(labels)
     return None
+
+
+def python_min_k(g: Graph) -> int | None:
+    """Independent oracle: the fewest labels the enumeration finds a proper
+    labelling with, or None if three do not suffice."""
+    return next((k for k in (1, 2, 3) if first_proper_by_definition(g, k) is not None), None)
 
 
 class TestLabelGraph:
@@ -169,17 +170,17 @@ class TestComponentLocality:
 class TestBruteForceMinK:
     def test_p3_is_two(self):
         g = path_graph(3)
-        assert python_min_k(g, 3) == 2
+        assert python_min_k(g) == 2
         assert brute_force_min_k(g) == 2
 
     def test_k3_is_three(self):
         g = complete_graph(3)
-        assert python_min_k(g, 3) == 3
+        assert python_min_k(g) == 3
         assert brute_force_min_k(g) == 3
 
     def test_k4_is_three(self):
         g = complete_graph(4)
-        assert python_min_k(g, 3) == 3
+        assert python_min_k(g) == 3
         assert brute_force_min_k(g) == 3
 
     def test_complete_graphs_need_three(self):
@@ -244,7 +245,7 @@ class TestBruteForceMinK:
             if len(edges) > 8:
                 continue
             g = Graph(n, edges)
-            assert brute_force_min_k(g) == python_min_k(g, 3), seed
+            assert brute_force_min_k(g) == python_min_k(g), seed
 
     def test_monotone_in_k(self):
         for seed in range(40):
@@ -265,14 +266,6 @@ class TestBruteForceMinK:
             assert labels is not None
             assert not exact_conflicts(g, labels)
             assert brute_force_labelling(g, 2) is None
-
-
-def shuffled_pairs(n: int, m: int, seed: int) -> Graph:
-    """m of the n-choose-2 vertex pairs, drawn by a seeded shuffle."""
-    rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng.shuffle(pairs)
-    return Graph(n, pairs[:m])
 
 
 @pytest.fixture
@@ -306,11 +299,11 @@ class TestMinKEdgeOrder:
 
     def test_same_answer_and_nodes_in_every_order(self, seen):
         rng = random.Random(9)
-        graphs = [complete_graph(5), complete_graph(6),
-                  shuffled_pairs(12, 16, seed=7), shuffled_pairs(10, 14, seed=3)]
+        graphs = [complete_graph(5), complete_graph(6), Graph(*gen.shuffled_pairs(12, 16, seed=7)),
+                  Graph(*gen.shuffled_pairs(10, 14, seed=3))]
         while len(graphs) < 54:
             n = rng.randint(6, 9)
-            g = tree_plus_chords(rng, n, rng.randint(14, min(16, n * (n - 1) // 2)))
+            g = Graph(*gen.tree_plus_chords(rng, n, rng.randint(14, min(16, n * (n - 1) // 2))))
             if is_nice(g):
                 graphs.append(g)
         for i, g in enumerate(graphs):
@@ -339,9 +332,9 @@ class TestTwinOrder:
     twin must get the smaller product."""
 
     @staticmethod
-    def unordered_min_k(g: Graph, k_max: int) -> int | None:
+    def unordered_min_k(g: Graph) -> int | None:
         edges = sorted(g.edges)
-        for k in range(1, k_max + 1):
+        for k in (1, 2, 3):
             if oracle._first_proper(g.n, edges, k, oracle.ORACLE_NODE_BUDGET)[0] is not None:
                 return k
         return None
@@ -370,7 +363,7 @@ class TestTwinOrder:
         rng = random.Random(23)
         with_twins = 0
         for g in self.graphs():
-            expected = self.unordered_min_k(g, 3)
+            expected = self.unordered_min_k(g)
             with_twins += bool(oracle._true_twins(g))
             for h in [g] + [self.relabelled(g, rng) for _ in range(3)]:
                 assert brute_force_min_k(h) == expected, h.edges
@@ -384,26 +377,6 @@ class TestTwinOrder:
                 for t in range(1, k ** r + 3):
                     exact = next((q for q in products if q >= t), 0)
                     assert oracle._least_product(t, r, k) == exact, (t, r, k)
-
-
-def first_proper_by_definition(g: Graph, k: int) -> list[int] | None:
-    """First vector of the lexicographic enumeration that exact products accept."""
-    for labels in itertools.product(range(1, k + 1), repeat=g.m):
-        if not exact_conflicts(g, labels):
-            return list(labels)
-    return None
-
-
-# pipebench/gen.py's tree_plus_chords(random.Random(2), 30, 60), in the order
-# it draws the edges: the tree's 29, then 31 chords.
-TREE_PLUS_CHORDS_60 = Graph(30, [
-    (3, 22), (17, 22), (15, 22), (0, 22), (0, 25), (4, 22), (7, 22), (14, 15), (3, 16), (17, 20),
-    (24, 25), (12, 17), (17, 18), (10, 14), (13, 14), (23, 24), (23, 28), (6, 28), (19, 25), (8, 10),
-    (9, 18), (21, 23), (5, 24), (6, 11), (24, 26), (2, 24), (1, 10), (25, 29), (11, 27), (12, 22),
-    (14, 23), (16, 20), (7, 15), (8, 29), (15, 16), (16, 26), (11, 25), (21, 28), (14, 28), (11, 18),
-    (23, 29), (17, 23), (7, 21), (10, 26), (22, 26), (5, 28), (19, 29), (8, 24), (15, 29), (22, 25),
-    (16, 17), (18, 19), (9, 13), (6, 23), (11, 29), (19, 21), (2, 28), (25, 26), (10, 23), (0, 29),
-])
 
 
 class TestBruteForceLabelling:
@@ -444,7 +417,7 @@ class TestBruteForceLabelling:
         # Fits the node budget because each pair is checked once every other
         # edge at its ends is labelled; checked once both ends were final, the
         # search ran over it.
-        g = TREE_PLUS_CHORDS_60
+        g = Graph(*gen.tree_plus_chords(random.Random(2), 30, 60))
         labels = brute_force_labelling(g, 2)
         assert labels is not None and not exact_conflicts(g, labels)
         assert seen[0] == 7_368
@@ -570,9 +543,9 @@ class TestNamedFamilies:
 # scanned such a row once per neighbour would read about n**2 entries.
 WORK_FAMILIES = {
     "path": lambda rng, n: path_graph(n),
-    "caterpillar": caterpillar,
-    "sparse": lambda rng, n: tree_plus_chords(rng, n, 3 * n),
-    "components": lambda rng, n: many_components(rng, n // 5),
+    "caterpillar": lambda rng, n: Graph(*gen.caterpillar(rng, n)),
+    "sparse": lambda rng, n: Graph(*gen.tree_plus_chords(rng, n, 3 * n)),
+    "components": lambda rng, n: Graph(*gen.many_components(rng, n // 5)),
     "star": lambda rng, n: star_graph(n),
     "spider": lambda rng, n: spider(n // 6),
 }

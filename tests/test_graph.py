@@ -17,7 +17,8 @@ from prodlabel.graph import (
 )
 from prodlabel.readers import parse_dimacs
 
-from conftest import path_graph, random_graph, tree_plus_chords
+import gen
+from conftest import path_graph, random_graph
 from spec import connected_components, edge_id
 
 
@@ -179,7 +180,7 @@ class TestBulkReader:
         for seed in range(40):
             rng = random.Random(seed)
             n = rng.randint(3, 400)
-            g = tree_plus_chords(rng, n, min(n * (n - 1) // 2, n - 1 + rng.randint(0, 2 * n)))
+            g = Graph(*gen.tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n)))
             texts[g.to_edge_list()] = g
             texts["".join(f"{v} {u}\n" for u, v in g.edges)] = g  # no header, pairs reversed
         monkeypatch.setattr(readers_module, "read_lines", None)  # a call would fail

@@ -1,4 +1,4 @@
-"""Search order and label arithmetic of the oracle's search kernel.
+"""Search order and label arithmetic of the oracle's lex-first search.
 
 brute_force_labelling returns the first proper vector in itertools.product
 order (first edge most significant) and compares exact integer products, so
@@ -49,15 +49,15 @@ class TestLabelWeights:
         assert brute_force_labelling(g, 6) == [1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 2, 2, 6, 5]
 
 
-class TestDecode:
-    def test_round_trip_order(self):
+class TestProductOrder:
+    def test_first_edge_most_significant(self):
         # On P4 both [1, 2, 2] and [2, 2, 1] are proper; the first edge is the
         # most significant digit, so [1, 2, 2] comes first.
         g = path_graph(4)
         assert not exact_conflicts(g, [2, 2, 1])
         assert brute_force_labelling(g, 3) == [1, 2, 2]
 
-    def test_found_index_decodes_to_proper_labelling(self):
+    def test_every_earlier_vector_conflicts(self):
         g = complete_graph(4)
         labels = brute_force_labelling(g, 3)
         assert labels is not None

@@ -17,15 +17,14 @@ from prodlabel.partition import (
     greedy_partition,
 )
 
+import gen
 from conftest import (
     CountingEdges,
     complete_graph,
-    disjoint_union,
     path_graph,
     random_connected_nice_graph,
     reference_build_valid_partition,
     star_graph,
-    tree_plus_chords,
 )
 from spec import edge_id, missing_lower_neighbours, potential, validate_partition
 
@@ -244,17 +243,6 @@ class TestBuildValidPartition:
             assert exhaustive_swap_check(g, p)
 
 
-def many_components(rng: random.Random, count: int) -> Graph:
-    """``count`` components of 3-8 vertices on consecutive id blocks, each a
-    random tree plus up to as many chords as it has vertices (the shape of
-    the benchmark's many-components files)."""
-    pieces = []
-    for _ in range(count):
-        s = rng.randint(3, 8)
-        pieces.append(tree_plus_chords(rng, s, min(s * (s - 1) // 2, s - 1 + rng.randint(0, s))))
-    return disjoint_union(pieces)
-
-
 # The whole-graph passes a build could make, with the objects they are looked
 # up on.  _edge_pass is the one edge pass of a certificate sweep, so a build
 # makes it once per sweep.  is_nice is a degree test: it reads the length of
@@ -310,7 +298,7 @@ class TestWorklistMatchesFullScan:
                 g = random_connected_nice_graph(rng, n_max=14, p=rng.choice((0.0, 0.1, 0.2, 0.35)))
             else:
                 n = rng.randint(10, 300)
-                g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
+                g = Graph(*gen.tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n)))
             (p, end_edge), sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
             assert end_edge == _edge_pass(g, p)[0], seed
@@ -322,7 +310,7 @@ class TestWorklistMatchesFullScan:
         with_rounds = 0
         for seed in range(400):
             rng = random.Random(seed)
-            g = many_components(rng, rng.randint(2, 40))
+            g = Graph(*gen.many_components(rng, rng.randint(2, 40)))
             (p, _), sweeps, calls = build_with_scans(monkeypatch, g)
             assert p == reference_build_valid_partition(g), seed
             assert_greedy_scans(sweeps, calls)
@@ -345,24 +333,24 @@ class TestWorklistMatchesFullScan:
 
 class TestNoRescanPerRound:
     """A build scans the whole graph a fixed number of times, however many
-    rounds it makes: the full rescan per round makes 17 and 12 witness scans
+    rounds it makes: the full rescan per round makes 17 and 6 witness scans
     on these graphs."""
 
     def test_sparse(self, monkeypatch):
-        g = tree_plus_chords(random.Random(20_000), 20_000, 60_000)
+        g = Graph(*gen.tree_plus_chords(random.Random(20_000), 20_000, 60_000))
         _, sweeps, calls = build_with_scans(monkeypatch, g)
         assert sweeps[0]
         assert_greedy_scans(sweeps, calls)
 
     def test_many_components(self, monkeypatch):
-        g = many_components(random.Random(1500), 1500)
+        g = Graph(*gen.many_components(random.Random(1500), 1500))
         _, sweeps, calls = build_with_scans(monkeypatch, g)
         assert sweeps[0]
         assert_greedy_scans(sweeps, calls)
 
     @pytest.mark.parametrize("make, sweeps", [
         (lambda: complete_graph(4), 1), (lambda: WITNESS_PATH, 2),
-        (lambda: tree_plus_chords(random.Random(20_000), 20_000, 60_000), 2),
+        (lambda: Graph(*gen.tree_plus_chords(random.Random(20_000), 20_000, 60_000)), 2),
     ], ids=["K4", "witness-path", "sparse"])
     def test_label_graph_builds_one_end_map_per_sweep(self, monkeypatch, make, sweeps):
         # The upward pass takes the end map of the builder's last sweep, so
@@ -385,10 +373,10 @@ class TestOneEdgePass:
         for seed in range(60):
             rng = random.Random(seed)
             if seed % 2:
-                yield many_components(rng, rng.randint(2, 40))
+                yield Graph(*gen.many_components(rng, rng.randint(2, 40)))
             else:
                 n = rng.randint(10, 300)
-                yield tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))
+                yield Graph(*gen.tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n)))
         yield WITNESS_PATH
 
     def test_sweep(self):
@@ -441,7 +429,7 @@ class TestCertificateFilter:
         for seed in range(1200):
             rng = random.Random(seed)
             n = rng.randint(4, 120)
-            g = tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 2))
+            g = Graph(*gen.tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 2)))
             part_of = greedy_partition(g) if seed % 4 else build_valid_partition(g)[0]
             for step in range(rng.randint(1, 5)):
                 if step:

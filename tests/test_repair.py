@@ -24,6 +24,7 @@ from prodlabel.repair import (
 )
 from prodlabel.upward import run_upward_pass
 
+import gen
 from conftest import (
     CountingAdj,
     complete_graph,
@@ -33,10 +34,8 @@ from conftest import (
     random_connected_nice_graph,
     spider,
     star_graph,
-    tree_plus_chords,
 )
 from spec import VertexKind, classify, parity_pass_misses, profile, target_profile, tracker
-from test_partition import many_components
 
 
 def fixture(parts, edges, labels=None):
@@ -543,7 +542,7 @@ def seeded_graphs() -> list[Graph]:
     rng = random.Random(556)
     for _ in range(150):
         n = rng.randint(8, 40)
-        graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 4)))
+        graphs.append(Graph(*gen.tree_plus_chords(rng, n, n - 1 + rng.randint(0, n // 4))))
     return graphs
 
 
@@ -552,7 +551,8 @@ def test_upward_pass_meets_the_repair_contract():
     # carries 1, no part-1 vertex has a 2 and no part-2 vertex a 3, so every
     # conflict joins two 1-mono vertices of parts 1 and 2.  Discovery hands
     # out the components by their smallest conflict, each holding that edge.
-    graphs = list(PINNED_CASES.values()) + [spider(4), many_components(random.Random(27), 300)]
+    graphs = list(PINNED_CASES.values()) + [spider(4),
+                                            Graph(*gen.many_components(random.Random(27), 300))]
     conflicts = 0
     for g in graphs + seeded_graphs():
         state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
@@ -762,10 +762,10 @@ class TestRunRepairPass:
         # scratch, and the labels and stats equal those of a run handed a
         # tracker counted from scratch over a copy of the same labels.
         rng = random.Random(4242)
-        graphs = [many_components(rng, rng.randint(20, 200)) for _ in range(20)]
+        graphs = [Graph(*gen.many_components(rng, rng.randint(20, 200))) for _ in range(20)]
         for _ in range(40):
             n = rng.randint(10, 400)
-            graphs.append(tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n)))
+            graphs.append(Graph(*gen.tree_plus_chords(rng, n, n - 1 + rng.randint(0, 2 * n))))
         repaired = 0
         for g in graphs:
             state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
