@@ -21,10 +21,14 @@ from .labelling import LABELS, Labelling
 def read_int(token: str, lineno: int) -> int:
     """The non-negative integer a token of ASCII digits spells; a
     GraphFormatError naming the line for any other token (``int`` alone also
-    takes a sign, underscores and non-ASCII digits)."""
+    takes a sign, underscores and non-ASCII digits) and for one with more
+    digits than ``int`` converts."""
     if not (token.isascii() and token.isdecimal()):
         raise GraphFormatError(f"malformed number {token!r}", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"malformed number: too long ({len(token)} digits)", lineno) from None
 
 
 def read_lines(text: str) -> Graph:
@@ -49,7 +53,7 @@ def read_lines(text: str) -> Graph:
                 raise GraphFormatError("header must come before edges", lineno)
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
                 raise GraphFormatError("malformed header, expected 'n <count>'", lineno)
-            declared = int(tokens[1])
+            declared = read_int(tokens[1], lineno)
             if declared > max_vertices:
                 raise GraphFormatError(
                     f"declared vertex count {declared} exceeds the limit of {max_vertices}", lineno)

@@ -1,8 +1,8 @@
 """Specifications the tests hold the pipeline to, outside the package.
 
-Vertex profiles and their classes, the per-part targets of the upward pass,
-the partition properties and the partition potential are written straight
-from their definitions, and so are connected components.  A partition is
+Vertex profiles and their classes, the per-part targets of the upward pass
+and the partition properties are written straight from their definitions,
+and so are connected components.  A partition is
 the ``part_of`` list the pipeline uses: each vertex's part index.
 ``parity_pass_misses`` runs the repair pass's own ``_parity_pass`` and
 checks its result against the pass's contract.
@@ -132,12 +132,6 @@ def target_profile(i: int, t: int | None = None) -> PartTarget:
     if i % 2 == 0:
         return PartTarget(i, None, i // 2, 1, ("BICHROMATIC",))
     return PartTarget(i, (i - 1) // 2, None, 0, ("BICHROMATIC",))
-
-
-def potential(part_of: list[int]) -> int:
-    """Sum of part_index * part_size, which is the sum of the vertices' part
-    indices; strictly decreases on every repair move."""
-    return sum(part_of)
 
 
 def validate_partition(g: Graph, part_of: list[int]) -> None:

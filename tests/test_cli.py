@@ -78,6 +78,13 @@ class TestLabelCommand:
         code, _, err = run_cli(capsys, "label", "no_such_file.edges")
         assert code == 1 and err.startswith("input error: cannot read no_such_file.edges: [Errno 2]")
 
+    def test_file_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"\xff0 1\n1 2\n")
+        code, out, err = run_cli(capsys, "label", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"input error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "bad.edges", "0 zero\n")
         code, _, err = run_cli(capsys, "label", path)

@@ -115,6 +115,8 @@ class TestParseEdgeList:
     def test_declared_count_above_limit(self):
         with pytest.raises(GraphFormatError, match="line 1.*exceeds the limit"):
             parse_edge_list(f"n {MAX_VERTICES + 1}\n0 1\n1 2")
+        with pytest.raises(GraphFormatError, match=r"^line 1: malformed number: too long \(5000"):
+            parse_edge_list("n " + "9" * 5000 + "\n0 1\n1 2\n")
 
     def test_id_above_limit(self):
         with pytest.raises(GraphFormatError, match="line 2.*more than the limit"):
@@ -131,12 +133,18 @@ class TestParseEdgeList:
             parse_edge_list("0 1\n1 2\n2 3\n")
         assert str(info.value) == "line 3: more than the limit of 2 edges" and info.value.line == 3
 
-    # int() alone reads each of these as a number: 1_0 as 10.
-    @pytest.mark.parametrize("token", ["+1", "-1", "1_0", "\uff13", "1\u0661"],
-                             ids=["plus", "minus", "underscore", "full-width", "arabic-indic"])
-    def test_ids_are_ascii_digits(self, token):
-        with pytest.raises(GraphFormatError, match=re.escape(f"line 2: malformed number '{token}'")):
+    # int() alone reads each of the first five as a number: 1_0 as 10.  It
+    # refuses the last, over its digit limit, with a message that names no line.
+    @pytest.mark.parametrize("token, message", [
+        ("+1", "malformed number '+1'"), ("-1", "malformed number '-1'"),
+        ("1_0", "malformed number '1_0'"), ("\uff13", "malformed number '\uff13'"),
+        ("1\u0661", "malformed number '1\u0661'"),
+        ("9" * 5000, "malformed number: too long (5000 digits)"),
+    ], ids=["plus", "minus", "underscore", "full-width", "arabic-indic", "over-long"])
+    def test_ids_are_ascii_digits(self, token, message):
+        with pytest.raises(GraphFormatError) as info:
             parse_edge_list(f"0 1\n0 {token}")
+        assert str(info.value) == f"line 2: {message}"
 
 
 class TestBulkReader:
@@ -257,7 +265,8 @@ class TestParseDimacs:
         ("p edge 2 +1\ne 1 2", 1),
         ("p edge 2 1\ne 1 \uff12", 2),
         ("p edge 2 1\ne -1 2", 2),
-    ], ids=["underscore-count", "signed-count", "full-width-id", "negative-id"])
+        ("p edge 2 " + "9" * 5000 + "\ne 1 2", 1),
+    ], ids=["underscore-count", "signed-count", "full-width-id", "negative-id", "over-long-count"])
     def test_counts_and_ids_are_ascii_digits(self, text, line):
         with pytest.raises(GraphFormatError, match=f"line {line}: malformed number"):
             parse_dimacs(text)

@@ -212,8 +212,9 @@ class TestFormats:
 
     # int() alone reads "+1" as 1 and the full-width "３" as 3.
     @pytest.mark.parametrize("text", ["0 1 1\n1 2 +1\n", "0 1 1\n1 2 ３\n", "0 1 1\n+1 2 1\n",
-                                      "0 1 1\n1 2_0 1\n"],
-                             ids=["signed-label", "full-width-label", "signed-id", "underscore-id"])
+                                      "0 1 1\n1 2_0 1\n", "0 1 1\n1 2 " + "9" * 5000 + "\n"],
+                             ids=["signed-label", "full-width-label", "signed-id", "underscore-id",
+                                  "over-long-label"])
     def test_parse_rejects_non_ascii_digits(self, text):
         with pytest.raises(GraphFormatError, match="line 2: malformed number"):
             parse_labelling(path_graph(3), text)
