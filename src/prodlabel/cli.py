@@ -41,7 +41,12 @@ LABEL_REPRO = "label_fail.edges"
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
+            # As open() reads a file below: strict UTF-8, whatever the
+            # locale, and universal newlines.
+            text = sys.stdin.buffer.read().decode("utf-8")
+            return text.replace("\r\n", "\n").replace("\r", "\n")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

@@ -49,6 +49,8 @@ def read_lines(text: str) -> Graph:
             continue
         tokens = line.split()
         if tokens[0] == "n":
+            if declared is not None:
+                raise GraphFormatError("duplicate header", lineno)
             if not first_content:
                 raise GraphFormatError("header must come before edges", lineno)
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):

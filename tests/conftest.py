@@ -4,16 +4,11 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import settings
-
 from prodlabel.graph import Graph, NotNiceError, is_nice
 from prodlabel.labelling import Labelling
 from prodlabel.partition import _certificate, greedy_partition
 
 from spec import missing_lower_neighbours, tracker, validate_partition
-
-settings.register_profile("suite", deadline=None)
-settings.load_profile("suite")
 
 
 def complete_graph(n: int) -> Graph:

@@ -10,9 +10,6 @@ checks its result against the pass's contract.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 from prodlabel.graph import Graph
 from prodlabel.labelling import Labelling, ProfileTracker
 from prodlabel.repair import _parity_pass
@@ -40,98 +37,36 @@ def edge_id(g: Graph, u: int, v: int) -> int:
     raise KeyError((u, v))
 
 
-@dataclass(frozen=True)
-class VertexProfile:
-    """Counts of incident edges per label; d1 + d2 + d3 equals the degree."""
-
-    d1: int
-    d2: int
-    d3: int
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.d2, self.d3)
+def profile(g: Graph, l: Labelling, v: int) -> tuple[int, int, int]:
+    """Exact incident-label counts (d1, d2, d3) of v; they sum to its degree."""
+    labels = [l.labels[eid] for _, eid in g.adj[v]]
+    return labels.count(1), labels.count(2), labels.count(3)
 
 
-class VertexKind(enum.Enum):
-    MONO1 = 1
-    MONO2 = 2
-    MONO3 = 3
-    BICHROMATIC = 4
+def kind(d2: int, d3: int) -> str:
+    """The kind of a vertex: "mono2" or "mono3" when its labels other than 1
+    are all 2s or all 3s, "mono1" when it has none, else "bichromatic"."""
+    if d2 and d3:
+        return "bichromatic"
+    return "mono2" if d2 else "mono3" if d3 else "mono1"
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    kind: VertexKind
-    special: bool
+def special(d2: int, d3: int) -> bool:
+    """d3 == 1, d2 >= 2 and d2 + d3 odd (so d2 is even)."""
+    return d3 == 1 and d2 >= 2 and (d2 + d3) % 2 == 1
 
 
-def profile(g: Graph, l: Labelling, v: int) -> VertexProfile:
-    """Exact incident-label counts of v."""
-    d1 = d2 = d3 = 0
-    for _, eid in g.adj[v]:
-        lab = l.labels[eid]
-        if lab == 1:
-            d1 += 1
-        elif lab == 2:
-            d2 += 1
-        else:
-            d3 += 1
-    return VertexProfile(d1, d2, d3)
-
-
-def classify(p: VertexProfile) -> VertexClass:
-    """Kind of a vertex plus its special flag.
-
-    Special means d3 == 1, d2 >= 2, and d2 + d3 odd (so d2 is even).
-    """
-    if p.d2 == 0 and p.d3 == 0:
-        kind = VertexKind.MONO1
-    elif p.d2 > 0 and p.d3 == 0:
-        kind = VertexKind.MONO2
-    elif p.d3 > 0 and p.d2 == 0:
-        kind = VertexKind.MONO3
-    else:
-        kind = VertexKind.BICHROMATIC
-    special = p.d3 == 1 and p.d2 >= 2 and (p.d2 + p.d3) % 2 == 1
-    return VertexClass(kind, special)
-
-
-@dataclass(frozen=True)
-class PartTarget:
-    """Required final profile for vertices of one part."""
-
-    part: int
-    d2_exact: int | None
-    d3_exact: int | None
-    parity: int | None  # required (d2+d3) % 2, None for parts 1 and 2
-    kinds: tuple[str, ...]  # admissible kinds for parts 1 and 2
-
-    def matches(self, d2: int, d3: int) -> bool:
-        if self.part == 1:
-            return (d2 == 0 and d3 == 0) or (d3 > 0 and d2 == 0)
-        if self.part == 2:
-            return (d2 == 0 and d3 == 0) or (d2 > 0 and d3 == 0)
-        if d2 == 0 or d3 == 0:
-            return False
-        if self.d2_exact is not None and d2 != self.d2_exact:
-            return False
-        if self.d3_exact is not None and d3 != self.d3_exact:
-            return False
-        return (d2 + d3) % 2 == self.parity
-
-
-def target_profile(i: int, t: int | None = None) -> PartTarget:
-    """Profile constraint for part i (1-based); t only bounds the range check."""
-    if i < 1 or (t is not None and i > t):
-        raise ValueError(f"part index {i} out of range")
+def meets_target(i: int, d2: int, d3: int) -> bool:
+    """Whether (d2, d3) is the final profile the upward pass owes a vertex
+    of part i (1-based): no 2 in part 1 and no 3 in part 2.  Above them the
+    kept label (3 in an even part, 2 in an odd one) occurs exactly i // 2
+    times, the other label at least once, and d2 + d3 is odd iff i is even."""
     if i == 1:
-        return PartTarget(1, None, None, None, ("MONO1", "MONO3"))
+        return d2 == 0
     if i == 2:
-        return PartTarget(2, None, None, None, ("MONO1", "MONO2"))
-    if i % 2 == 0:
-        return PartTarget(i, None, i // 2, 1, ("BICHROMATIC",))
-    return PartTarget(i, (i - 1) // 2, None, 0, ("BICHROMATIC",))
+        return d3 == 0
+    kept, other = (d3, d2) if i % 2 == 0 else (d2, d3)
+    return kept == i // 2 and other > 0 and (d2 + d3) % 2 != i % 2
 
 
 def validate_partition(g: Graph, part_of: list[int]) -> None:

@@ -35,6 +35,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(data: bytes):
+    """A stdin over ``data``, set up as a C locale sets it up: UTF-8 text
+    with ``surrogateescape``, and the bytes under it in ``.buffer``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
@@ -98,9 +104,16 @@ class TestLabelCommand:
         assert out.splitlines()[0] == "0 1 1"
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(K3))
+        monkeypatch.setattr(sys, "stdin", stdin_of(K3.encode()))
         code, out, _ = run_cli(capsys, "label", "-")
         assert code == 0 and out.startswith("0 1 1")
+
+    def test_stdin_not_utf8_exit_1(self, capsys, monkeypatch):
+        # Read by the rule a file is read by, not by the locale's text layer.
+        monkeypatch.setattr(sys, "stdin", stdin_of(b"\xff0 1\n1 2\n"))
+        code, out, err = run_cli(capsys, "label", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("input error: cannot read -: 'utf-8' codec can't decode byte 0xff")
 
     def test_out_file(self, tmp_path, capsys):
         path = write(tmp_path, "k3.edges", K3)
@@ -242,11 +255,16 @@ class TestVerifyCommand:
 
     def test_both_inputs_from_stdin_exit_1(self, capsys, monkeypatch):
         # Nothing is read: a second read of stdin would find it empty.
-        monkeypatch.setattr(sys, "stdin", io.StringIO(P3))
+        monkeypatch.setattr(sys, "stdin", stdin_of(P3.encode()))
         code, out, err = run_cli(capsys, "verify", "-", "-")
         assert code == 1 and out == ""
         assert err == "input error: only one input can come from stdin\n"
         assert sys.stdin.read() == P3
+
+    def test_labelling_from_stdin(self, tmp_path, capsys, monkeypatch):
+        g = write(tmp_path, "k3.edges", K3)
+        monkeypatch.setattr(sys, "stdin", stdin_of(b"0 1 1\n0 2 3\n1 2 2\n"))
+        assert run_cli(capsys, "verify", g, "-") == (0, "ok\n", "")
 
     def test_label_output_verifies(self, tmp_path, capsys):
         g = write(tmp_path, "k3.edges", K3)
@@ -280,6 +298,10 @@ class TestOracleCommand:
         path = write(tmp_path, "p3.edges", P3)
         code, out, _ = run_cli(capsys, "oracle", path)
         assert code == 0 and out == "chi_P = 2\n"
+
+    def test_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", stdin_of(K3.encode()))
+        assert run_cli(capsys, "oracle", "-") == (0, "chi_P = 3\n", "")
 
     def test_k2_needs_more_than_three(self, tmp_path, capsys):
         path = write(tmp_path, "k2.edges", K2)
@@ -366,6 +388,17 @@ class TestFuzzCommand:
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--trials", "0")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["label", "-"], ["verify", "-", "k3.edges"], ["verify", "k3.edges", "-"], ["oracle", "-"],
+], ids=["label", "verify-graph", "verify-labelling", "oracle"])
+def test_closed_stdin_exit_1(tmp_path, capsys, monkeypatch, argv):
+    # The interpreter sets sys.stdin to None when file descriptor 0 is closed.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "k3.edges", K3)
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run_cli(capsys, *argv) == (1, "", "input error: cannot read -: stdin is closed\n")
 
 
 def test_usage_errors_exit_1(capsys):

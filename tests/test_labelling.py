@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from prodlabel import (
     Graph,
@@ -14,46 +13,30 @@ from prodlabel import (
 from prodlabel.labelling import degree_counts, format_counts
 
 from conftest import exact_conflicts, path_graph, random_graph, star_graph
-from spec import VertexKind, VertexProfile, classify, profile, tracker
+from spec import kind, profile, special, tracker
 
 
-class TestProfile:
-    def test_k3_mixed(self):
-        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        l = Labelling([1, 3, 2])
-        assert profile(g, l, 2) == VertexProfile(0, 1, 1)
-
-    def test_all_ones(self):
-        g = star_graph(4)
-        l = Labelling.all_ones(g)
-        assert profile(g, l, 0) == VertexProfile(4, 0, 0)
-
-    def test_isolated(self):
-        g = Graph(1, [])
-        assert profile(g, Labelling([]), 0) == VertexProfile(0, 0, 0)
+@pytest.mark.parametrize("g, labels, v, expected", [
+    (Graph(3, [(0, 1), (0, 2), (1, 2)]), [1, 3, 2], 2, (0, 1, 1)),
+    (star_graph(4), [1, 1, 1, 1], 0, (4, 0, 0)),
+    (Graph(1, []), [], 0, (0, 0, 0)),
+], ids=["k3-mixed", "star-all-ones", "isolated"])
+def test_profile(g, labels, v, expected):
+    assert profile(g, Labelling(labels), v) == expected
 
 
-class TestClassify:
-    def test_mono1(self):
-        c = classify(VertexProfile(5, 0, 0))
-        assert c.kind is VertexKind.MONO1 and not c.special
-
-    def test_special(self):
-        c = classify(VertexProfile(0, 2, 1))
-        assert c.kind is VertexKind.BICHROMATIC and c.special
-
-    def test_bichromatic_not_special(self):
-        c = classify(VertexProfile(1, 2, 2))
-        assert c.kind is VertexKind.BICHROMATIC and not c.special
-
-    def test_mono2_mono3(self):
-        assert classify(VertexProfile(0, 3, 0)).kind is VertexKind.MONO2
-        assert classify(VertexProfile(2, 0, 1)).kind is VertexKind.MONO3
-
-    def test_special_requires_odd_total(self):
-        # d2 odd with d3 == 1 gives an even total, hence not special.
-        assert not classify(VertexProfile(0, 3, 1)).special
-        assert classify(VertexProfile(0, 4, 1)).special
+@pytest.mark.parametrize("d2, d3, expected_kind, expected_special", [
+    (0, 0, "mono1", False),
+    (3, 0, "mono2", False),
+    (0, 1, "mono3", False),
+    (2, 2, "bichromatic", False),
+    (2, 1, "bichromatic", True),
+    (4, 1, "bichromatic", True),
+    # d2 odd with d3 == 1 gives an even total, hence not special.
+    (3, 1, "bichromatic", False),
+])
+def test_kind_and_special(d2, d3, expected_kind, expected_special):
+    assert kind(d2, d3) == expected_kind and special(d2, d3) == expected_special
 
 
 class TestFindConflicts:
@@ -73,31 +56,29 @@ class TestFindConflicts:
     def test_empty_graph(self):
         assert find_conflicts(Graph(4, []), Labelling([])) == []
 
-    @given(st.integers(min_value=0, max_value=499))
-    def test_matches_exact_products(self, seed):
-        rng = random.Random(seed)
-        g = random_graph(rng)
-        labels = [rng.choice((1, 2, 3)) for _ in range(g.m)]
-        assert find_conflicts(g, Labelling(labels)) == exact_conflicts(g, labels)
+    def test_matches_exact_products(self):
+        for seed in range(500):
+            rng = random.Random(seed)
+            g = random_graph(rng)
+            labels = [rng.choice((1, 2, 3)) for _ in range(g.m)]
+            assert find_conflicts(g, Labelling(labels)) == exact_conflicts(g, labels)
 
-    @given(st.integers(min_value=0, max_value=199))
-    def test_key_equality_iff_product_equality(self, seed):
-        rng = random.Random(seed)
-        d2a, d3a = rng.randint(0, 40), rng.randint(0, 40)
-        d2b, d3b = rng.randint(0, 40), rng.randint(0, 40)
-        keys_equal = (d2a, d3a) == (d2b, d3b)
-        products_equal = 2**d2a * 3**d3a == 2**d2b * 3**d3b
-        assert keys_equal == products_equal
+    def test_key_equality_iff_product_equality(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            d2a, d3a = rng.randint(0, 40), rng.randint(0, 40)
+            d2b, d3b = rng.randint(0, 40), rng.randint(0, 40)
+            keys_equal = (d2a, d3a) == (d2b, d3b)
+            products_equal = 2**d2a * 3**d3a == 2**d2b * 3**d3b
+            assert keys_equal == products_equal
 
-    @given(st.integers(min_value=0, max_value=199))
-    def test_label_handshake(self, seed):
-        rng = random.Random(seed)
-        g = random_graph(rng)
-        labels = [rng.choice((1, 2, 3)) for _ in range(g.m)]
-        l = Labelling(labels)
-        for i in (1, 2, 3):
-            total = sum(getattr(profile(g, l, v), f"d{i}") for v in range(g.n))
-            assert total % 2 == 0
+    def test_label_handshake(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_graph(rng)
+            l = Labelling([rng.choice((1, 2, 3)) for _ in range(g.m)])
+            for i in range(3):  # d1, d2, d3
+                assert sum(profile(g, l, v)[i] for v in range(g.n)) % 2 == 0
 
 
 def product_report(g, l):
@@ -123,18 +104,17 @@ class TestLabellingMustFitGraph:
 
 
 class TestProfileTracker:
-    @given(st.integers(min_value=0, max_value=199))
-    def test_incremental_matches_recompute(self, seed):
-        rng = random.Random(seed)
-        g = random_graph(rng)
-        state = tracker(g)
-        for _ in range(60):
-            if not g.m:
-                break
-            state.set(rng.randrange(g.m), rng.choice((1, 2, 3)))
-        for v in range(g.n):
-            p = profile(g, state.labelling, v)
-            assert state.key(v) == (p.d2, p.d3)
+    def test_incremental_matches_recompute(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_graph(rng)
+            state = tracker(g)
+            for _ in range(60):
+                if not g.m:
+                    break
+                state.set(rng.randrange(g.m), rng.choice((1, 2, 3)))
+            for v in range(g.n):
+                assert state.key(v) == profile(g, state.labelling, v)[1:]
 
 
 class TestLabellingValue:

@@ -33,7 +33,7 @@ from conftest import (
     spider,
     star_graph,
 )
-from spec import VertexKind, classify, profile, target_profile, tracker
+from spec import kind, meets_target, profile, special, tracker
 
 
 def fixture(parts, edges, labels=None):
@@ -761,11 +761,8 @@ class TestRunRepairPass:
             state, part_of, _ = run_upward_pass(g, *build_valid_partition(g))
             run_repair_pass(g, part_of, state)
             for v in range(g.n):
-                prof = profile(g, state.labelling, v)
-                cls = classify(prof)
+                d2, d3 = profile(g, state.labelling, v)[1:]
                 if part_of[v] <= 2:
-                    assert cls.kind is not VertexKind.BICHROMATIC or cls.special
+                    assert kind(d2, d3) != "bichromatic" or special(d2, d3)
                 else:
-                    tgt = target_profile(part_of[v])
-                    assert tgt.matches(prof.d2, prof.d3)
-                    assert cls.kind is VertexKind.BICHROMATIC and not cls.special
+                    assert meets_target(part_of[v], d2, d3) and not special(d2, d3)

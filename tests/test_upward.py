@@ -9,7 +9,7 @@ from prodlabel.partition import _edge_pass, build_valid_partition
 from prodlabel.upward import run_upward_pass
 
 from conftest import complete_graph, path_graph, random_connected_nice_graph, star_graph
-from spec import VertexKind, classify, edge_id, profile, target_profile
+from spec import edge_id, meets_target, profile, special
 
 
 def upward(g: Graph, part_of: list[int]):
@@ -17,63 +17,40 @@ def upward(g: Graph, part_of: list[int]):
     return run_upward_pass(g, part_of, _edge_pass(g, part_of)[0])
 
 
-class TestTargetProfile:
-    def test_part3(self):
-        t = target_profile(3)
-        assert t.d2_exact == 1 and t.parity == 0
-
-    def test_part4(self):
-        t = target_profile(4)
-        assert t.d3_exact == 2 and t.parity == 1
-
-    def test_part7(self):
-        t = target_profile(7)
-        assert t.d2_exact == 3 and t.parity == 0
-
-    def test_part1_part2_kinds(self):
-        assert target_profile(1).kinds == ("MONO1", "MONO3")
-        assert target_profile(2).kinds == ("MONO1", "MONO2")
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            target_profile(0)
-        with pytest.raises(ValueError):
-            target_profile(5, t=4)
-
-    def test_matches_table(self):
-        assert target_profile(3).matches(1, 3)
-        assert not target_profile(3).matches(2, 2)
-        assert target_profile(4).matches(3, 2)
-        assert not target_profile(4).matches(2, 2)
-        assert target_profile(1).matches(0, 4)
-        assert not target_profile(1).matches(1, 4)
+@pytest.mark.parametrize("i, d2, d3, expected", [
+    # Parts 1 and 2 are monochromatic in their own colour, or all 1s.
+    (1, 0, 0, True), (1, 0, 4, True), (1, 2, 0, False), (1, 1, 4, False),
+    (2, 0, 0, True), (2, 3, 0, True), (2, 0, 1, False), (2, 1, 1, False),
+    # Part 3: exactly one 2 and an even total.
+    (3, 1, 3, True), (3, 2, 2, False), (3, 1, 2, False),
+    # Part 4: exactly two 3s and an odd total.
+    (4, 3, 2, True), (4, 2, 3, False), (4, 2, 2, False),
+    # Part 7: exactly three 2s and an even total.
+    (7, 3, 1, True), (7, 2, 2, False), (7, 3, 2, False),
+    # Deeper parts are bichromatic.
+    (5, 2, 0, False),
+])
+def test_meets_target(i, d2, d3, expected):
+    assert meets_target(i, d2, d3) == expected
 
 
 def check_items(g: Graph, part_of: list[int], l: Labelling) -> None:
     """The six contract checks of the upward pass, straight off profiles,
     and its downward invariant."""
-    profs = {v: profile(g, l, v) for v in range(g.n)}
-    classes = {v: classify(profs[v]) for v in range(g.n)}
-    t = max(part_of)
+    keys = [profile(g, l, v)[1:] for v in range(g.n)]
+    # 1-3: parts 1/2 are monochromatic in their own colour; deeper parts are
+    # bichromatic and meet their exact targets.
     for v, i in enumerate(part_of):
-        if i == 1:
-            # 1 and 2: parts 1/2 are monochromatic in their own colour.
-            assert classes[v].kind in (VertexKind.MONO1, VertexKind.MONO3)
-        elif i == 2:
-            assert classes[v].kind in (VertexKind.MONO1, VertexKind.MONO2)
-        else:
-            # 3: deeper parts are bichromatic and match their exact targets.
-            assert classes[v].kind is VertexKind.BICHROMATIC
-            assert target_profile(i, t).matches(profs[v].d2, profs[v].d3), (v, i, profs[v])
+        assert meets_target(i, *keys[v]), (v, i, keys[v])
     # 4: nobody special.
-    assert not any(c.special for c in classes.values())
+    assert not any(special(*key) for key in keys)
     # 5: edges within the bottom two parts still carry 1.
     for eid, (a, b) in enumerate(g.edges):
         if part_of[a] <= 2 and part_of[b] <= 2:
             assert l.labels[eid] == 1
     # 6: conflicts sit across parts 1/2 and never form an isolated bottom edge.
     for eid, (a, b) in enumerate(g.edges):
-        if profs[a].key == profs[b].key:
+        if keys[a] == keys[b]:
             assert {part_of[a], part_of[b]} == {1, 2}
             others = [w for v in (a, b) for w, _ in g.adj[v]
                       if w not in (a, b) and part_of[w] <= 2]
@@ -141,8 +118,7 @@ class TestRunUpwardPass:
             for a, b in g.edges:
                 ia, ib = part_of[a], part_of[b]
                 if ia >= 3 and ib >= 3 and ia != ib:
-                    pa, pb = profile(g, state.labelling, a), profile(g, state.labelling, b)
-                    assert (pa.d2, pa.d3) != (pb.d2, pb.d3)
+                    assert profile(g, state.labelling, a)[1:] != profile(g, state.labelling, b)[1:]
 
     def test_branches_count_every_deep_vertex(self):
         branches = Counter()
@@ -188,6 +164,4 @@ class TestPendingEdgeHandling:
         # one end once vertex 2 is processed.
         g = complete_graph(3)
         labelling = upward(g, [1, 2, 3])[0].labelling
-        p0 = profile(g, labelling, 0)
-        p1 = profile(g, labelling, 1)
-        assert p0.key != (0, 0) or p1.key != (0, 0)
+        assert profile(g, labelling, 0)[1:] != (0, 0) or profile(g, labelling, 1)[1:] != (0, 0)
