@@ -17,11 +17,11 @@ from .graph import MAX_EDGES, Graph, is_nice
 # Search nodes (single-edge label assignments) one public oracle call may
 # visit, summed over every k it tries: about 0.7 s at 2.6-3.0 M nodes/s on
 # one core of a shared 2-CPU Linux machine (Python 3.11).  With the twin-chain
-# bound of brute_force_min_k, K8 (28 edges) needs 306 nodes and K12 (66
-# edges) 4,264; with the order checked only on final products K8 needed
-# 1.26 M and K9 ran out.  With each pair checked once every other edge at its
-# ends is labelled, brute_force_labelling(g, 2) on seven of eight 60-edge
-# trees plus chords fits (four when pairs waited for both ends to be final).
+# bound, K8 (28 edges) needs 306 nodes and K12 (66 edges) 4,264; with the
+# order checked only on final products K8 needed 1.26 M and K9 ran out.
+# With each pair checked once every other edge at its ends is labelled,
+# brute_force_labelling(g, 2) fits on all eight 60-edge trees plus chords of
+# the tests (four of eight in index order with pairs checked at final ends).
 ORACLE_NODE_BUDGET = 2_000_000
 
 
@@ -71,9 +71,11 @@ def _chain_fits(chain: list[int], prod: list[int], left: list[int], k: int) -> b
 
 
 def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
-                  twins: Sequence[list[int]] = ()) -> tuple[list[int] | None, int]:
-    """Lex-first proper k-labelling of ``edges`` on vertices 0..n-1 (or
-    None), one label per entry of ``edges``, and the search nodes visited.
+                  twins: Sequence[list[int]]) -> tuple[list[int] | None, int]:
+    """First proper k-labelling of ``edges`` on vertices 0..n-1 in
+    ``itertools.product`` order (first edge most significant) that obeys the
+    twin orders below, or None; one label per entry of ``edges``, and the
+    search nodes visited.
 
     Depth-first over ``edges`` in the order given, labels 1..k.  A vertex's
     exact integer product is final once its last incident edge is labelled.
@@ -86,7 +88,7 @@ def _first_proper(n: int, edges: Sequence[tuple[int, int]], k: int, budget: int,
     that same check, so the first labelling found stays the same and only
     the node count falls.
 
-    Each list in ``twins`` (given only at k = 2 and 3, the k that
+    Each list in ``twins`` (non-empty only at k = 2 and 3, the k that
     ``_least_product`` covers) is a class of pairwise adjacent vertices in
     ascending order, c1 < c2 < ... < cs, whose products must end strictly
     increasing.  The class is checked by ``_chain_fits`` at the index where
@@ -170,27 +172,21 @@ def _true_twins(g: Graph) -> list[list[int]]:
     return [c for c in classes.values() if len(c) > 1]
 
 
-def brute_force_min_k(g: Graph) -> int | None:
-    """Smallest k admitting a proper k-labelling, by exhaustive search over
-    k = 2, then k = 3.
+def _search(g: Graph, ks: tuple[int, ...]) -> tuple[int, list[int]] | None:
+    """The first k in ``ks`` (each 2 or 3) at which ``g``, a nice graph with
+    an edge, has a proper k-labelling, and the labelling the search finds
+    there, in ``g``'s edge order; None when no k in ``ks`` has one.  The
+    searches share ORACLE_NODE_BUDGET search nodes; going over it raises
+    ValueError.
 
-    An edgeless graph answers 1 by convention.  None when three labels do
-    not suffice, which on a nice graph the theorem rules out.  Both k share
-    ORACLE_NODE_BUDGET search nodes; going over it raises ValueError.
-
-    k = 1 is not searched on a graph with an edge: with one label every
-    product is 1, so every edge conflicts.  A graph that is not nice answers
-    None without a search: both ends of a two-vertex component have the
-    product of its one edge under every labelling.
-
-    The searches run over the edges in sorted (u, v) order, whatever order
+    Each search runs over the edges in sorted (u, v) order, whatever order
     ``g`` lists them in: each vertex's edges to higher ids come together, so
     each pair's other edges are labelled early and dead branches are cut
     sooner (a pair is checked once every edge at its ends but its own is
     labelled; see ``_first_proper``).  Whether a proper labelling exists
     does not depend on the order; the node count does.
 
-    They also search only labellings in which each class of true twins
+    It also searches only labellings in which each class of true twins
     c1 < c2 < ... < cs (pairwise adjacent, with equal closed
     neighbourhoods) has prod(c1) < prod(c2) < ... < prod(cs).  This keeps
     the answer: a class of true twins is a clique, so a proper labelling
@@ -205,38 +201,63 @@ def brute_force_min_k(g: Graph) -> int | None:
     product of r labels, so a branch is cut once no strictly increasing
     choice of such values exists.  Every leaf below a cut fails the order
     at its end, so the bound only removes subtrees in which the check on
-    final products would reject every leaf: the first labelling found, the
+    final products would reject every leaf: the labelling found, the
     answer and the meaning of the node budget stay as they were; only the
     node counts fall.
+    """
+    order = sorted(range(g.m), key=g.edges.__getitem__)
+    edges = [g.edges[e] for e in order]
+    twins = _true_twins(g)
+    budget = ORACLE_NODE_BUDGET
+    for k in ks:
+        labels, nodes = _first_proper(g.n, edges, k, budget, twins)
+        if labels is not None:
+            witness = [0] * g.m
+            for e, lab in zip(order, labels):
+                witness[e] = lab
+            return k, witness
+        budget -= nodes
+    return None
+
+
+def brute_force_min_k(g: Graph) -> int | None:
+    """Smallest k admitting a proper k-labelling, by exhaustive search over
+    k = 2, then k = 3 (see ``_search``).
+
+    An edgeless graph answers 1 by convention.  None when three labels do
+    not suffice, which on a nice graph the theorem rules out.  Both k share
+    ORACLE_NODE_BUDGET search nodes; going over it raises ValueError.
+
+    k = 1 is not searched on a graph with an edge: with one label every
+    product is 1, so every edge conflicts.  A graph that is not nice answers
+    None without a search: both ends of a two-vertex component have the
+    product of its one edge under every labelling.
     """
     if g.m == 0:
         return 1
     if not is_nice(g):
         return None
-    edges = sorted(g.edges)
-    twins = _true_twins(g)
-    budget = ORACLE_NODE_BUDGET
-    for k in (2, 3):
-        labels, nodes = _first_proper(g.n, edges, k, budget, twins)
-        if labels is not None:
-            return k
-        budget -= nodes
-    return None
+    found = _search(g, (2, 3))
+    return None if found is None else found[0]
 
 
 def brute_force_labelling(g: Graph, k: int) -> list[int] | None:
-    """First proper k-labelling in lexicographic order (first edge most
-    significant), or None; bounded by ORACLE_NODE_BUDGET search nodes.
+    """A proper k-labelling of ``g`` for k = 1, 2 or 3, or None when there
+    is none; any other k raises ValueError.
 
-    The search keeps the edges in index order, because that order defines
-    which labelling is first.  A graph that is not nice has no proper
-    labelling, and answers None without a search.
+    The labelling is the one ``brute_force_min_k``'s search finds at k (see
+    ``_search``), in ``g``'s edge order, bounded by ORACLE_NODE_BUDGET
+    search nodes.  An edgeless graph answers [].  k = 1 on a graph with an
+    edge, and a graph that is not nice, answer None without a search.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not is_nice(g):
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
+    if g.m == 0:
+        return []
+    if k == 1 or not is_nice(g):
         return None
-    return _first_proper(g.n, g.edges, k, ORACLE_NODE_BUDGET)[0]
+    found = _search(g, (k,))
+    return None if found is None else found[1]
 
 
 def random_nice_graph(n: int, p: float, seed: int) -> Graph:

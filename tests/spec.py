@@ -1,9 +1,8 @@
 """Specifications the tests hold the pipeline to, outside the package.
 
 Vertex profiles and their classes, the per-part targets of the upward pass
-and the partition properties are written straight from their definitions,
-and so are connected components.  A partition is
-the ``part_of`` list the pipeline uses: each vertex's part index.
+and the partition properties are written straight from their definitions.
+A partition is the ``part_of`` list the pipeline uses: each vertex's part index.
 ``parity_pass_misses`` runs the repair pass's own ``_parity_pass`` and
 checks its result against the pass's contract.
 """
@@ -103,28 +102,6 @@ def missing_lower_neighbours(g: Graph, part_of: list[int]) -> list[tuple[int, in
                 seen[j] = True
         out.extend((v, j) for j in range(1, i) if not seen[j])
     return out
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by
-    minimum id."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            for w, _ in g.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
 
 
 def parity_pass_misses(state: ProfileTracker, vset: set[int], root: int,

@@ -25,7 +25,7 @@ from prodlabel.upward import run_upward_pass
 
 from conftest import complete_graph, exact_conflicts, parity_draw, path_graph
 from spec import missing_lower_neighbours, parity_pass_misses, tracker, validate_partition
-from test_engine import python_min_k
+from test_oracle import python_min_k
 from test_partition import exhaustive_swap_check, swap_witness, swappable_edges
 from test_upward import check_items
 

@@ -1,6 +1,7 @@
 import random
 import re
 
+import networkx as nx
 import pytest
 
 import prodlabel.graph as graph_module
@@ -18,7 +19,7 @@ from prodlabel.readers import parse_dimacs
 
 import gen
 from conftest import path_graph, random_graph
-from spec import connected_components, edge_id
+from spec import edge_id
 
 
 class TestGraph:
@@ -317,36 +318,6 @@ def test_edge_list_round_trip():
         assert parse_edge_list(g.to_edge_list()) == g
 
 
-class TestComponents:
-    def test_path(self):
-        assert connected_components(path_graph(3)) == [[0, 1, 2]]
-
-    def test_two_edges(self):
-        assert connected_components(Graph(4, [(0, 1), (2, 3)])) == [[0, 1], [2, 3]]
-
-    def test_isolated(self):
-        assert connected_components(Graph(2, [])) == [[0], [1]]
-
-    def test_cover_and_disjoint(self):
-        for seed in range(500):
-            g = random_graph(random.Random(seed))
-            comps = connected_components(g)
-            flat = [v for c in comps for v in c]
-            assert sorted(flat) == list(range(g.n))
-            assert len(flat) == len(set(flat))
-
-    def test_matches_networkx(self):
-        import networkx as nx
-
-        for seed in range(200):
-            g = random_graph(random.Random(seed))
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            expected = sorted(sorted(c) for c in nx.connected_components(h))
-            assert connected_components(g) == expected
-
-
 class TestNiceness:
     def test_single_edge_not_nice(self):
         assert not is_nice(Graph(2, [(0, 1)]))
@@ -372,5 +343,5 @@ class TestNiceness:
     def test_agrees_with_component_sizes(self):
         for seed in range(300):
             g = random_graph(random.Random(seed))
-            assert is_nice(g) == all(len(c) != 2 for c in connected_components(g))
+            assert is_nice(g) == all(len(c) != 2 for c in nx.connected_components(nx.Graph(g.edges)))
 
